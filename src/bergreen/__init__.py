@@ -48,18 +48,12 @@ from .geometry import (
     exhaustion_sequence,
     integrate,
     make_domain,
-    moebius_inverse,
-    moebius_map,
 )
 from .green import (
     DiskGreen,
     GreenFunction,
-    GridGreen,
-    HarmonicPart,
     TransportedGreen,
     WeightedGreen,
-    green_disk,
-    harmonic_part,
     identity_residual,
     moebius_transport,
     weighted_green,
@@ -72,7 +66,10 @@ from .pdegreen import (
     GridSpec,
     discretize,
     grid_mixed_derivative,
+    grid_pairs,
+    mid_mask,
     rectangle_green_series,
+    reference_error,
     solve_green,
     solve_mixed,
 )

@@ -170,10 +170,6 @@ class KernelApproximation:
     eig_min: float
     eig_max: float
 
-    @property
-    def exponents(self):
-        return self.basis.exponents[: self.order]
-
     def basis_values(self, zs) -> np.ndarray:
         return self.basis.evaluate(zs)[:, : self.order]
 

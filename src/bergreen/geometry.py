@@ -30,8 +30,6 @@ __all__ = [
     "MoebiusMap",
     "make_domain",
     "exhaustion_sequence",
-    "moebius_map",
-    "moebius_inverse",
     "build_quadrature",
     "integrate",
 ]
@@ -404,16 +402,6 @@ class MoebiusMap:
         return np.exp(-1j * self.theta) * (1.0 - abs(self.a) ** 2) / (1.0 + np.conj(self.a) * u) ** 2
 
 
-def moebius_map(a: complex, theta: float, z: complex) -> complex:
-    """Evaluate the disk automorphism e^{i theta} (z - a) / (1 - conj(a) z)."""
-    return MoebiusMap(a, theta).forward(z)
-
-
-def moebius_inverse(a: complex, theta: float, w: complex) -> complex:
-    """Inverse of :func:`moebius_map` with the same parameters."""
-    return MoebiusMap(a, theta).inverse(w)
-
-
 # ---------------------------------------------------------------------------
 # Quadrature
 # ---------------------------------------------------------------------------
@@ -437,13 +425,6 @@ class QuadratureRule:
 
     def __len__(self):
         return len(self.nodes)
-
-    @property
-    def node_count(self):
-        return len(self.nodes)
-
-    def area_defect(self) -> float:
-        return abs(math.fsum(self.weights) - self.domain.area)
 
     def to_json(self) -> dict:
         return {"kind": self.domain.kind, "params": self.domain.params(), "order": self.order}

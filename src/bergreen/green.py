@@ -40,11 +40,7 @@ __all__ = [
     "GreenFunction",
     "DiskGreen",
     "TransportedGreen",
-    "GridGreen",
-    "HarmonicPart",
     "WeightedGreen",
-    "green_disk",
-    "harmonic_part",
     "wirtinger_mixed",
     "weighted_green",
     "identity_residual",
@@ -155,88 +151,6 @@ class TransportedGreen(GreenFunction):
         dz = self.map.inverse_derivative(z)
         dw = self.map.inverse_derivative(w)
         return dz * np.conj(dw) * self.base.mixed_analytic(self.map.inverse(z), self.map.inverse(w))
-
-
-class GridGreen(GreenFunction):
-    """Green's function read off a finite-difference solve, one source per call.
-
-    Evaluation snaps both arguments to grid nodes; the operator factorization
-    and the per-source solution fields are cached, so repeated evaluations
-    with the same second argument cost one sparse triangular solve in total.
-    """
-
-    kind = "grid_based"
-
-    def __init__(self, operator):
-        from . import pdegreen  # local import to keep module layering acyclic
-
-        self._pde = pdegreen
-        self.operator = operator
-        self._fields = {}
-
-    @property
-    def domain(self):
-        return self.operator.grid.domain
-
-    def _field(self, w):
-        key = self.operator.grid.snap_index(w)
-        if key not in self._fields:
-            self._fields[key] = self._pde.solve_green(self.operator, w)
-        return self._fields[key]
-
-    def value(self, z, w):
-        if abs(complex(z) - complex(w)) <= DIAGONAL_TOL:
-            raise DiagonalSingularityError(f"G has a logarithmic singularity at z = w = {z}")
-        sol = self._field(w)
-        return float(np.real(sol.value_at(z)))
-
-    def harmonic_diagonal(self, z):
-        # Average of h = G + ln|p - source| over a ring of nodes several cells
-        # out.  The discrete Green's function deviates from the continuum one
-        # by an O(1) lattice constant at distance-one neighbors, decaying like
-        # (cells)^-2, so the ring must scale with the resolution; averaging a
-        # symmetric ring of the harmonic h cancels its leading variation.
-        sol = self._field(z)
-        zc = sol.source
-        grid = self.operator.grid
-        i0, j0 = sol.source_index
-        n1, n2 = grid.shape
-        k = max(3, min(n1, n2) // 16)
-        if grid.is_polar:
-            h1, h2 = grid.spacing
-            kt = max(1, int(round(k * h1 / (abs(zc) * h2))))
-            offsets = [(k, 0), (-k, 0), (0, kt), (0, -kt)]
-        else:
-            offsets = [(k, 0), (-k, 0), (0, k), (0, -k)]
-        vals = []
-        for di, dj in offsets:
-            ii, jj = i0 + di, j0 + dj
-            if grid.is_polar:
-                jj %= n2
-            p = grid.node_point(ii, jj)
-            vals.append(float(np.real(sol.values[ii, jj])) + math.log(abs(p - zc)))
-        return float(np.mean(vals))
-
-
-def green_disk(radius: float, center: complex, z: complex, w: complex) -> float:
-    """Closed-form disk Green's function; raises on the diagonal z = w."""
-    return DiskGreen(center=complex(center), radius=float(radius)).value(z, w)
-
-
-@dataclass(frozen=True, eq=False)
-class HarmonicPart:
-    """Evaluator of the regular part h = G + ln|z - w| of a Green's function."""
-
-    parent: GreenFunction
-
-    def value(self, z: complex, w: complex) -> float:
-        return self.parent.harmonic(z, w)
-
-    __call__ = value
-
-
-def harmonic_part(green: GreenFunction) -> HarmonicPart:
-    return HarmonicPart(parent=green)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+import operator
+from dataclasses import asdict, dataclass, field as dc_field
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,7 @@ from .errors import (
     ParameterError,
     StencilError,
     StudyInsufficientError,
+    WeightError,
 )
 from .geometry import (
     Annulus,
@@ -102,6 +105,20 @@ PRIMARY_TOLERANCE = {
     "gauge-experiment": "gauge_residual",
 }
 
+# numeric config fields and the type each must have
+_FIELD_TYPES = {
+    "count": Integral,
+    "basis_order": Integral,
+    "quad_order": Integral,
+    "exhaust_steps": Integral,
+    "fd_step": Real,
+    "margin": Real,
+}
+
+
+def _of_type(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
 
 @dataclass
 class ExperimentConfig:
@@ -143,8 +160,27 @@ class ExperimentConfig:
     def validate(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not _of_type(value, kind):
+                what = "an integer" if kind is Integral else "a number"
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
+        if not isinstance(self.tolerances, dict):
+            raise ConfigError("tolerances must map tolerance names to numbers")
+        unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
+        if unknown:
+            raise ConfigError(
+                f"unknown tolerance names {unknown}; choose from {sorted(DEFAULT_TOLERANCES)}"
+            )
+        for name, value in self.tolerances.items():
+            if not _of_type(value, Real):
+                raise ConfigError(f"tolerance {name} must be a number, got {value!r}")
+        if self.seed is not None and not _of_type(self.seed, Integral):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if self.pairs is None and self.seed is None:
             raise ConfigError("a seed is mandatory when points are drawn randomly")
+        if self.pairs is not None:
+            _parse_pairs(self.pairs)
         if self.quad_order < 1 or self.basis_order < 0:
             raise ConfigError("orders must be positive")
         if self.fd_step <= 0:
@@ -160,39 +196,32 @@ class ExperimentConfig:
     def tol(self, name: str) -> float:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
 
-    def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "domain": self.domain,
-            "weight": self.weight,
-            "basis_order": self.basis_order,
-            "laurent": list(self.laurent),
-            "quad_order": self.quad_order,
-            "grid": list(self.grid),
-            "fd_step": self.fd_step,
-            "count": self.count,
-            "seed": self.seed,
-            "pairs": self.pairs,
-            "margin": self.margin,
-            "exhaust_steps": self.exhaust_steps,
-            "pde_check": self.pde_check,
-            "perturbations": list(self.perturbations),
-            "tolerances": self.tolerances,
-            "study": self.study,
-        }
+
+_COMPARISONS = {"<": operator.lt, "<=": operator.le, ">=": operator.ge}
 
 
 @dataclass(frozen=True)
 class Check:
+    """One pass/fail line: it passes when ``value <comparison> tolerance``.
+
+    A value of None means nothing was evaluated, and the check fails.
+    """
+
     name: str
-    value: float
+    value: float | None
     tolerance: float
-    passed: bool
-    comparison: str = "<="
+    comparison: str = "<"
+
+    @property
+    def passed(self) -> bool:
+        if self.value is None:
+            return False
+        return bool(_COMPARISONS[self.comparison](self.value, self.tolerance))
 
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
-        return f"[{verdict}] {self.name}: {self.value:.6g} {self.comparison} {self.tolerance:.6g}"
+        value = "none" if self.value is None else f"{self.value:.6g}"
+        return f"[{verdict}] {self.name}: {value} {self.comparison} {self.tolerance:.6g}"
 
 
 @dataclass
@@ -275,6 +304,35 @@ def _json_default(o):
     raise TypeError(f"not JSON serializable: {type(o)}")
 
 
+def _report(cfg: ExperimentConfig, checks: list, **parts) -> VerificationReport:
+    return VerificationReport(cfg.experiment, asdict(cfg), checks, **parts)
+
+
+def _worst(values):
+    """The largest value, or None when nothing was evaluated."""
+    values = list(values)
+    return max(values) if values else None
+
+
+PAIR_COLUMNS = ("re_z", "im_z", "re_w", "im_w")
+
+
+def _pair_table(results, columns: dict) -> tuple:
+    """The report.json records and the CSV (header, rows) of a per-pair table.
+
+    ``results`` holds (z, w, values) triples with one value per entry of
+    ``columns``, which maps each CSV column to the record key of its value
+    (None keeps the value out of the records).
+    """
+    records, rows = [], []
+    for z, w, values in results:
+        record = {"z": [z.real, z.imag], "w": [w.real, w.imag]}
+        record.update((key, v) for key, v in zip(columns.values(), values) if key)
+        records.append(record)
+        rows.append((z.real, z.imag, w.real, w.imag, *values))
+    return records, (PAIR_COLUMNS + tuple(columns), rows)
+
+
 # ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
@@ -291,7 +349,7 @@ def _build_domain(cfg: ExperimentConfig) -> Domain:
 def _build_weight(cfg: ExperimentConfig, domain: Domain) -> weights.Weight:
     try:
         return weights.weight_from_json(cfg.weight, domain)
-    except (KeyError, ParameterError) as exc:
+    except (KeyError, ParameterError, WeightError) as exc:
         raise ConfigError(f"bad weight spec: {exc}") from exc
 
 
@@ -304,8 +362,7 @@ def _build_basis(cfg: ExperimentConfig, domain: Domain):
 
 def _build_kernel(cfg: ExperimentConfig, domain: Domain, weight):
     rule = build_quadrature(domain, cfg.quad_order)
-    basis = _build_basis(cfg, domain)
-    return bergman.kernel_from_gram(basis, weight, rule), rule
+    return bergman.kernel_from_gram(_build_basis(cfg, domain), weight, rule)
 
 
 def _closed_form_green(domain: Domain) -> green.GreenFunction:
@@ -318,32 +375,23 @@ def _closed_form_green(domain: Domain) -> green.GreenFunction:
     )
 
 
+def _parse_pairs(pairs) -> list:
+    try:
+        out = [(complex(zr, zi), complex(wr, wi)) for (zr, zi), (wr, wi) in pairs]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"pairs must be a list of [[re, im], [re, im]]: {exc}") from exc
+    if not out:
+        raise ConfigError("pairs must not be empty")
+    return out
+
+
 def _sample_pairs(cfg: ExperimentConfig, domain: Domain) -> list:
     if cfg.pairs is not None:
-        out = []
-        for p in cfg.pairs:
-            (zr, zi), (wr, wi) = p
-            out.append((complex(zr, zi), complex(wr, wi)))
-        return out
+        return _parse_pairs(cfg.pairs)
     rng = np.random.default_rng(cfg.seed)
     zs = domain.sample_interior(rng, cfg.count, cfg.margin)
     ws = domain.sample_interior(rng, cfg.count, cfg.margin)
     return list(zip(zs.tolist(), ws.tolist()))
-
-
-def _sample_points(cfg: ExperimentConfig, domain: Domain) -> list:
-    if cfg.pairs is not None:
-        return [complex(p[0][0], p[0][1]) for p in cfg.pairs]
-    rng = np.random.default_rng(cfg.seed)
-    return domain.sample_interior(rng, cfg.count, cfg.margin).tolist()
-
-
-def _pair_rows(records):
-    rows = []
-    for r in records:
-        z, w = r["z"], r["w"]
-        rows.append((z.real, z.imag, w.real, w.imag) + tuple(r["data"]))
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -353,15 +401,13 @@ def _pair_rows(records):
 
 def _exp_verify_identity(cfg: ExperimentConfig) -> VerificationReport:
     domain = _build_domain(cfg)
-    weight = _build_weight(cfg, domain)
-    kernel, _ = _build_kernel(cfg, domain, weight)
-    gauge = None
-    if not getattr(weight, "is_constant", False):
-        gauge = weights.solve_gauge(weight)
     gf = _closed_form_green(domain)
+    weight = _build_weight(cfg, domain)
+    kernel = _build_kernel(cfg, domain, weight)
+    gauge = None if getattr(weight, "is_constant", False) else weights.solve_gauge(weight)
     wg = green.weighted_green(gf, gauge)
 
-    records, rows, notes = [], [], []
+    results, notes = [], []
     for z, w in _sample_pairs(cfg, domain):
         try:
             res_a = green.identity_residual(kernel, wg, weight, z, w, method="analytic")
@@ -372,38 +418,25 @@ def _exp_verify_identity(cfg: ExperimentConfig) -> VerificationReport:
         except (StencilError, NumericError) as exc:
             notes.append(f"pair ({z}, {w}) skipped: {exc}")
             continue
-        kv = abs(kernel.evaluate(z, w))
-        records.append({"z": z, "w": w, "residual": res_a, "residual_fd": res_f,
-                        "data": (res_a, res_f, kv)})
-        rows.append((z.real, z.imag, w.real, w.imag, res_a, res_f, kv))
+        results.append((z, w, (res_a, res_f, abs(kernel.evaluate(z, w)))))
 
-    max_a = max((r["residual"] for r in records), default=0.0)
-    max_f = max((r["residual_fd"] for r in records), default=0.0)
+    records, table = _pair_table(
+        results, {"residual_analytic": "residual", "residual_fd": "residual_fd", "abs_K": None})
     checks = [
         Check("identity residual (analytic mixed derivative), max over pairs",
-              max_a, cfg.tol("identity_analytic"), max_a < cfg.tol("identity_analytic"), "<"),
+              _worst(r["residual"] for r in records), cfg.tol("identity_analytic")),
         Check("identity residual (finite-difference mixed derivative), max over pairs",
-              max_f, cfg.tol("identity_fd"), max_f < cfg.tol("identity_fd"), "<"),
+              _worst(r["residual_fd"] for r in records), cfg.tol("identity_fd")),
     ]
-    report = VerificationReport(cfg.experiment, cfg.to_dict(), checks, notes=notes)
-    report.records = [
-        {"z": [r["z"].real, r["z"].imag], "w": [r["w"].real, r["w"].imag],
-         "residual": r["residual"], "residual_fd": r["residual_fd"]}
-        for r in records
-    ]
-    report.csv_files["identity.csv"] = (
-        ("re_z", "im_z", "re_w", "im_w", "residual_analytic", "residual_fd", "abs_K"),
-        rows,
-    )
-    report.tables["kernel"] = kernel.metadata()
-    return report
+    return _report(cfg, checks, records=records, notes=notes,
+                   tables={"kernel": kernel.metadata()}, csv_files={"identity.csv": table})
 
 
 def _exp_kernel(cfg: ExperimentConfig) -> VerificationReport:
     domain = _build_domain(cfg)
     weight = _build_weight(cfg, domain)
-    kernel, _ = _build_kernel(cfg, domain, weight)
-    pts = _sample_points(cfg, domain)
+    kernel = _build_kernel(cfg, domain, weight)
+    pts = [z for z, _ in _sample_pairs(cfg, domain)]
 
     rows, herm = [], 0.0
     for z, w in zip(pts, pts[1:] + pts[:1]):
@@ -415,15 +448,12 @@ def _exp_kernel(cfg: ExperimentConfig) -> VerificationReport:
     min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (M + M.conj().T))))
 
     checks = [
-        Check("Hermitian symmetry, max |K(z,w) - conj(K(w,z))|",
-              herm, cfg.tol("hermitian"), herm < cfg.tol("hermitian"), "<"),
+        Check("Hermitian symmetry, max |K(z,w) - conj(K(w,z))|", herm, cfg.tol("hermitian")),
         Check("sampled kernel matrix smallest eigenvalue (>= -tol)",
-              min_eig, -cfg.tol("psd"), min_eig >= -cfg.tol("psd"), ">="),
+              min_eig, -cfg.tol("psd"), ">="),
     ]
-    report = VerificationReport(cfg.experiment, cfg.to_dict(), checks)
-    report.csv_files["kernel.csv"] = (("re_z", "im_z", "re_w", "im_w", "re_K", "im_K"), rows)
-    report.tables["kernel"] = kernel.metadata()
-    return report
+    return _report(cfg, checks, tables={"kernel": kernel.metadata()}, csv_files={
+        "kernel.csv": (PAIR_COLUMNS + ("re_K", "im_K"), rows)})
 
 
 def _exp_green(cfg: ExperimentConfig) -> VerificationReport:
@@ -431,31 +461,26 @@ def _exp_green(cfg: ExperimentConfig) -> VerificationReport:
     gf = _closed_form_green(domain)
     pairs = _sample_pairs(cfg, domain)
 
-    rows, sym, pos_ok = [], 0.0, True
+    rows, asymmetry, violations, notes = [], [], [], []
     for z, w in pairs:
         if abs(z - w) < 1e-12:
+            notes.append(f"pair z=w={z} excluded: diagonal singularity")
             continue
         gv = gf.value(z, w)
-        sym = max(sym, abs(gv - gf.value(w, z)))
-        pos_ok = pos_ok and gv > 0
-        hv = gf.harmonic(z, w)
+        asymmetry.append(abs(gv - gf.value(w, z)))
+        violations.append(0.0 if gv > 0 else 1.0)
         mx = gf.mixed_analytic(z, w)
-        rows.append((z.real, z.imag, w.real, w.imag, gv, hv, mx.real, mx.imag))
+        rows.append((z.real, z.imag, w.real, w.imag, gv, gf.harmonic(z, w), mx.real, mx.imag))
     w0 = pairs[0][1]
     bdry = max(abs(gf.value(zb, w0)) for zb in domain.boundary_points(64))
 
     checks = [
-        Check("symmetry, max |G(z,w) - G(w,z)|", sym, cfg.tol("symmetry"),
-              sym < cfg.tol("symmetry"), "<"),
-        Check("boundary vanishing, max |G(boundary, w)|", bdry, cfg.tol("boundary"),
-              bdry < cfg.tol("boundary"), "<"),
-        Check("interior positivity violations", 0.0 if pos_ok else 1.0, 0.5,
-              pos_ok, "<"),
+        Check("symmetry, max |G(z,w) - G(w,z)|", _worst(asymmetry), cfg.tol("symmetry")),
+        Check("boundary vanishing, max |G(boundary, w)|", bdry, cfg.tol("boundary")),
+        Check("interior positivity violations", _worst(violations), 0.5),
     ]
-    report = VerificationReport(cfg.experiment, cfg.to_dict(), checks)
-    report.csv_files["green.csv"] = (
-        ("re_z", "im_z", "re_w", "im_w", "G", "h", "re_mixed", "im_mixed"), rows)
-    return report
+    return _report(cfg, checks, notes=notes, csv_files={
+        "green.csv": (PAIR_COLUMNS + ("G", "h", "re_mixed", "im_mixed"), rows)})
 
 
 def _exp_exhaust(cfg: ExperimentConfig) -> VerificationReport:
@@ -484,28 +509,24 @@ def _exp_exhaust(cfg: ExperimentConfig) -> VerificationReport:
 
     mono_h = all(a < b for a, b in zip(hs, hs[1:]))
     mono_k = all(a > b for a, b in zip(ks, ks[1:]))
-    gap = abs(ks[-1] - parent_kernel)
     checks = [
         Check("harmonic part at center strictly increasing (violations)",
-              0.0 if mono_h else 1.0, 0.5, mono_h, "<"),
+              0.0 if mono_h else 1.0, 0.5),
         Check("kernel diagonal at center strictly decreasing (violations)",
-              0.0 if mono_k else 1.0, 0.5, mono_k, "<"),
-        Check("harmonic part vs closed form, max error", herr,
-              cfg.tol("closed_form"), herr < cfg.tol("closed_form"), "<"),
-        Check("kernel diagonal vs closed form, max error", kerr,
-              cfg.tol("closed_form"), kerr < cfg.tol("closed_form"), "<"),
+              0.0 if mono_k else 1.0, 0.5),
+        Check("harmonic part vs closed form, max error", herr, cfg.tol("closed_form")),
+        Check("kernel diagonal vs closed form, max error", kerr, cfg.tol("closed_form")),
     ]
-    report = VerificationReport(cfg.experiment, cfg.to_dict(), checks)
-    report.tables["final_gap_to_parent_kernel"] = gap
-    report.csv_files["exhaust.csv"] = (
-        ("step", "radius", "h_center", "kernel_center", "h_exact", "kernel_exact"), rows)
-    return report
+    return _report(cfg, checks, tables={"final_gap_to_parent_kernel": abs(ks[-1] - parent_kernel)},
+                   csv_files={"exhaust.csv": (
+                       ("step", "radius", "h_center", "kernel_center", "h_exact", "kernel_exact"),
+                       rows)})
 
 
 def _exp_distance(cfg: ExperimentConfig) -> VerificationReport:
     domain = _build_domain(cfg)
     weight = _build_weight(cfg, domain)
-    kernel, _ = _build_kernel(cfg, domain, weight)
+    kernel = _build_kernel(cfg, domain, weight)
     pairs = _sample_pairs(cfg, domain)
 
     rows, sym, in_range = [], 0.0, True
@@ -518,53 +539,11 @@ def _exp_distance(cfg: ExperimentConfig) -> VerificationReport:
     diag = bergman.skwarczynski_distance(kernel, z0, z0)
 
     checks = [
-        Check("distance symmetry, max |d(z,w) - d(w,z)|", sym, cfg.tol("symmetry"),
-              sym < cfg.tol("symmetry"), "<"),
-        Check("distance on the diagonal", diag, 1e-12, diag < 1e-12, "<"),
-        Check("range violations", 0.0 if in_range else 1.0, 0.5, in_range, "<"),
+        Check("distance symmetry, max |d(z,w) - d(w,z)|", sym, cfg.tol("symmetry")),
+        Check("distance on the diagonal", diag, 1e-12),
+        Check("range violations", 0.0 if in_range else 1.0, 0.5),
     ]
-    report = VerificationReport(cfg.experiment, cfg.to_dict(), checks)
-    report.csv_files["distance.csv"] = (("re_z", "im_z", "re_w", "im_w", "distance"), rows)
-    return report
-
-
-def _mid_mask(grid: pdegreen.GridSpec, source: complex) -> np.ndarray:
-    """Central-region nodes away from the source, where reference comparison is fair.
-
-    On Cartesian grids the two grid lines through the source are also
-    excluded: the separable series reference converges slowly (worse than
-    1e-3 at 200 terms) exactly where an evaluation point shares a coordinate
-    with the source, and is back to 1e-5 one cell away.
-    """
-    pts = grid.interior_points()
-    dom = grid.domain
-    if grid.is_polar:
-        band = 0.25 * (dom.outer - dom.inner)
-        r = np.abs(pts)
-        central = (r > dom.inner + band) & (r < dom.outer - band)
-        exclusion = 0.15 * (dom.outer - dom.inner)
-    else:
-        lx, ly = dom.x1 - dom.x0, dom.y1 - dom.y0
-        central = (
-            (pts.real > dom.x0 + 0.25 * lx)
-            & (pts.real < dom.x1 - 0.25 * lx)
-            & (pts.imag > dom.y0 + 0.25 * ly)
-            & (pts.imag < dom.y1 - 0.25 * ly)
-        )
-        central &= np.abs(pts.real - source.real) > 0.02 * lx
-        central &= np.abs(pts.imag - source.imag) > 0.02 * ly
-        exclusion = 0.15 * min(lx, ly)
-    return central & (np.abs(pts - source) > exclusion)
-
-
-def _grid_reference_error(domain: Rectangle, weight, n: int, source: complex) -> float:
-    grid = pdegreen.GridSpec(domain, (n, n))
-    op = pdegreen.discretize(grid, weight)
-    sol = pdegreen.solve_green(op, source)
-    xs, ys = grid.axes[0][1:-1], grid.axes[1][1:-1]
-    ref = pdegreen.rectangle_green_series(domain, sol.source, xs, ys, terms=200)
-    mask = _mid_mask(grid, sol.source)
-    return float(np.max(np.abs(np.real(sol.values) - ref)[mask]))
+    return _report(cfg, checks, csv_files={"distance.csv": (PAIR_COLUMNS + ("distance",), rows)})
 
 
 def _field_rows(sol: pdegreen.DiscreteGreen) -> list:
@@ -576,41 +555,22 @@ def _field_rows(sol: pdegreen.DiscreteGreen) -> list:
     ]
 
 
-def _grid_identity_residuals(cfg, domain, weight, kernel, n_pairs=5) -> list:
-    grid = pdegreen.GridSpec(domain, tuple(cfg.grid))
-    op = pdegreen.discretize(grid, weight)
-    pairs = _grid_pairs(grid, n_pairs)
-    out = []
-    for z, w in pairs:
+def _grid_identity(cfg: ExperimentConfig, domain: Domain, weight, n_pairs: int = 5) -> tuple:
+    """Identity residuals |K - rhs| / |K| at grid node pairs, the right-hand
+    side taken from the grid mixed derivative.  Returns the kernel, the
+    records and the CSV table."""
+    kernel = _build_kernel(cfg, domain, weight)
+    op = pdegreen.discretize(pdegreen.GridSpec(domain, tuple(cfg.grid)), weight)
+    results = []
+    for z, w in pdegreen.grid_pairs(op.grid, n_pairs):
         mixed = pdegreen.solve_mixed(op, z, w)
         rz = float(np.real(weight.value(z)))
         rw = float(np.real(weight.value(w)))
         rhs = -2.0 / (math.pi * rz * rw) * mixed
         kv = kernel.evaluate(z, w)
-        out.append({"z": z, "w": w, "residual": abs(kv - rhs) / abs(kv)})
-    return out
-
-
-def _grid_pairs(grid: pdegreen.GridSpec, count: int) -> list:
-    """Node pairs in the central region of the grid, separated but not so far
-    apart that the kernel value degenerates (angular gaps of 20 to 60 degrees
-    on annuli, where the Laurent kernel stays well away from zero)."""
-    n1, n2 = grid.shape
-    pairs = []
-    for k in range(count):
-        if grid.is_polar:
-            i1 = n1 // 2 - n1 // 8 + (k * (n1 // 4)) // max(count, 1)
-            j1 = (k * n2) // (3 * max(count, 1))
-            i2 = n1 // 2 + n1 // 8
-            dj = n2 // 18 + (k * (n2 // 10 - n2 // 18)) // max(count - 1, 1)
-            j2 = (j1 + dj) % n2
-        else:
-            i1 = n1 // 3 + (k * n1 // (4 * count))
-            j1 = n2 // 3
-            i2 = 2 * n1 // 3
-            j2 = 2 * n2 // 3 - (k * n2 // (5 * count))
-        pairs.append((grid.node_point(i1, j1), grid.node_point(i2, j2)))
-    return pairs
+        results.append((z, w, (abs(kv - rhs) / abs(kv),)))
+    records, table = _pair_table(results, {"residual": "residual"})
+    return kernel, records, table
 
 
 def _exp_pde_green(cfg: ExperimentConfig) -> VerificationReport:
@@ -618,25 +578,22 @@ def _exp_pde_green(cfg: ExperimentConfig) -> VerificationReport:
     if not isinstance(domain, (Rectangle, Annulus)):
         raise ConfigError("pde-green runs on rectangles and annuli")
     weight = _build_weight(cfg, domain)
-    checks, records, tables, csvs = [], [], {}, {}
 
     if cfg.pde_check == "reference":
         # single-resolution comparison; multi-resolution order fitting goes
         # through the grid_resolution convergence study
         if not isinstance(domain, Rectangle) or not getattr(weight, "is_constant", False):
             raise ConfigError("the reference check needs a rectangle with the constant weight")
-        source = domain.basis_center
         n = int(cfg.grid[0])
-        err = _grid_reference_error(domain, weight, n, source)
-        grid = pdegreen.GridSpec(domain, (n, n))
-        sol = pdegreen.solve_green(pdegreen.discretize(grid, weight), source)
-        tables["solver"] = sol.solve_stats
-        csvs["pde_field.csv"] = (("x", "y", "re_G", "im_G"), _field_rows(sol))
-        checks.append(Check("grid Green vs series reference, max mid-grid error",
-                            err, cfg.tol("grid_reference"), err < cfg.tol("grid_reference"), "<"))
-        csvs["pde_reference.csv"] = (("resolution", "max_error"), [(n, err)])
+        err, sol = pdegreen.reference_error(domain, weight, n, domain.basis_center)
+        checks = [Check("grid Green vs series reference, max mid-grid error",
+                        err, cfg.tol("grid_reference"))]
+        return _report(cfg, checks, tables={"solver": sol.solve_stats}, csv_files={
+            "pde_field.csv": (("x", "y", "re_G", "im_G"), _field_rows(sol)),
+            "pde_reference.csv": (("resolution", "max_error"), [(n, err)]),
+        })
 
-    elif cfg.pde_check == "factorization":
+    if cfg.pde_check == "factorization":
         gauge = weights.solve_gauge(weight)
         rows = []
         for n in (cfg.grid[0] // 2, cfg.grid[0]):
@@ -650,91 +607,70 @@ def _exp_pde_green(cfg: ExperimentConfig) -> VerificationReport:
             pts = grid.interior_points()
             factor = np.asarray(gauge(pts)) * np.conj(complex(gauge(sol_u.source)))
             predicted = factor * sol_u.values
-            mask = _mid_mask(grid, sol_w.source)
+            mask = pdegreen.mid_mask(grid, sol_w.source)
             rel = np.abs(sol_w.values - predicted)[mask] / np.abs(predicted)[mask]
             rows.append((n, float(np.max(rel))))
         improving = rows[-1][1] < rows[0][1]
-        err = rows[-1][1]
-        checks.append(Check("weighted Green vs gauge-factored unweighted Green, max relative error",
-                            err, cfg.tol("factorization"), err < cfg.tol("factorization"), "<"))
-        checks.append(Check("factorization error improves under refinement (violations)",
-                            0.0 if improving else 1.0, 0.5, improving, "<"))
-        csvs["pde_factorization.csv"] = (("resolution", "max_relative_error"), rows)
+        checks = [
+            Check("weighted Green vs gauge-factored unweighted Green, max relative error",
+                  rows[-1][1], cfg.tol("factorization")),
+            Check("factorization error improves under refinement (violations)",
+                  0.0 if improving else 1.0, 0.5),
+        ]
+        return _report(cfg, checks, csv_files={
+            "pde_factorization.csv": (("resolution", "max_relative_error"), rows)})
 
-    elif cfg.pde_check == "identity":
-        kernel, _ = _build_kernel(cfg, domain, weight)
-        res = _grid_identity_residuals(cfg, domain, weight, kernel)
-        records = [{"z": [r["z"].real, r["z"].imag], "w": [r["w"].real, r["w"].imag],
-                    "residual": r["residual"]} for r in res]
-        err = max(r["residual"] for r in res)
+    if cfg.pde_check == "identity":
+        kernel, records, table = _grid_identity(cfg, domain, weight)
         tol_key = "grid_identity_annulus" if isinstance(domain, Annulus) else "grid_identity"
-        checks.append(Check("grid identity residual, max over pairs", err,
-                            cfg.tol(tol_key), err < cfg.tol(tol_key), "<"))
-        csvs["pde_identity.csv"] = (
-            ("re_z", "im_z", "re_w", "im_w", "residual"),
-            [(r["z"].real, r["z"].imag, r["w"].real, r["w"].imag, r["residual"]) for r in res],
-        )
-        tables["kernel"] = kernel.metadata()
-    else:
-        raise ConfigError(f"unknown pde_check {cfg.pde_check!r}")
+        checks = [Check("grid identity residual, max over pairs",
+                        _worst(r["residual"] for r in records), cfg.tol(tol_key))]
+        return _report(cfg, checks, records=records, tables={"kernel": kernel.metadata()},
+                       csv_files={"pde_identity.csv": table})
 
-    report = VerificationReport(cfg.experiment, cfg.to_dict(), checks, records=records)
-    report.tables.update(tables)
-    report.csv_files.update(csvs)
-    return report
+    raise ConfigError(f"unknown pde_check {cfg.pde_check!r}")
 
 
 def _exp_gauge(cfg: ExperimentConfig) -> VerificationReport:
     domain = _build_domain(cfg)
     weight = _build_weight(cfg, domain)
-    checks, notes, tables, csvs, records = [], [], {}, {}, []
 
     try:
         gauge = weights.solve_gauge(weight)
     except GaugeInfeasibleError as exc:
-        notes.append(
-            "no antiholomorphic gauge: log rho is not harmonic "
-            f"(max |Laplacian log rho| = {exc.residual:.6g}); identity residuals "
-            "below are reported without a pass/fail judgement"
-        )
-        tables["log_laplacian_residual"] = exc.residual
         if not isinstance(domain, (Rectangle, Annulus)):
             raise ConfigError(
                 "the generic-weight experiment needs a rectangle or annulus domain"
             ) from exc
-        kernel, _ = _build_kernel(cfg, domain, weight)
-        res = _grid_identity_residuals(cfg, domain, weight, kernel)
-        records = [{"z": [r["z"].real, r["z"].imag], "w": [r["w"].real, r["w"].imag],
-                    "residual": r["residual"]} for r in res]
-        finite = all(math.isfinite(r["residual"]) for r in res)
-        checks.append(Check("identity residuals computed and finite (violations)",
-                            0.0 if finite else 1.0, 0.5, finite, "<"))
-        csvs["gauge_identity.csv"] = (
-            ("re_z", "im_z", "re_w", "im_w", "residual"),
-            [(r["z"].real, r["z"].imag, r["w"].real, r["w"].imag, r["residual"]) for r in res],
-        )
-        report = VerificationReport(cfg.experiment, cfg.to_dict(), checks,
-                                    records=records, notes=notes)
-        report.tables.update(tables)
-        report.csv_files.update(csvs)
-        return report
+        _, records, table = _grid_identity(cfg, domain, weight)
+        finite = all(math.isfinite(r["residual"]) for r in records)
+        checks = [Check("identity residuals computed and finite (violations)",
+                        0.0 if finite else 1.0, 0.5)]
+        notes = [
+            "no antiholomorphic gauge: log rho is not harmonic "
+            f"(max |Laplacian log rho| = {exc.residual:.6g}); identity residuals "
+            "below are reported without a pass/fail judgement"
+        ]
+        return _report(cfg, checks, records=records, notes=notes,
+                       tables={"log_laplacian_residual": exc.residual},
+                       csv_files={"gauge_identity.csv": table})
 
     rule = build_quadrature(domain, max(4, cfg.quad_order // 8))
     nodes = rule.nodes[:: max(1, len(rule.nodes) // 50)][:50]
     res = gauge.system_residuals(nodes)
-    checks.append(Check("gauge equation residual (1/g) dg/dwbar - (1/rho) drho/dwbar, max",
-                        res["max_ratio"], cfg.tol("gauge_residual"),
-                        res["max_ratio"] < cfg.tol("gauge_residual"), "<"))
-    checks.append(Check("antiholomorphy residual dg/dw, max", res["max_dw"],
-                        cfg.tol("gauge_residual"), res["max_dw"] < cfg.tol("gauge_residual"), "<"))
-    tables["decomposition_residual"] = gauge.decomposition_residual(nodes)
+    checks = [
+        Check("gauge equation residual (1/g) dg/dwbar - (1/rho) drho/dwbar, max",
+              res["max_ratio"], cfg.tol("gauge_residual")),
+        Check("antiholomorphy residual dg/dw, max", res["max_dw"], cfg.tol("gauge_residual")),
+    ]
+    tables = {"decomposition_residual": gauge.decomposition_residual(nodes)}
+    csv_files = {}
 
     # Rescaling the gauge by e^eps multiplies the weighted Green's function by
     # e^(2 eps); the induced identity residual quantifies gauge sensitivity.
     if not getattr(weight, "is_constant", False) and not isinstance(domain, (Rectangle, Annulus)):
-        kernel, _ = _build_kernel(cfg, domain, weight)
-        gf = _closed_form_green(domain)
-        wg = green.weighted_green(gf, gauge)
+        kernel = _build_kernel(cfg, domain, weight)
+        wg = green.weighted_green(_closed_form_green(domain), gauge)
         pairs = _sample_pairs(cfg, domain)[:5]
         rows = []
         for eps in cfg.perturbations:
@@ -748,13 +684,10 @@ def _exp_gauge(cfg: ExperimentConfig) -> VerificationReport:
                 kv = kernel.evaluate(z, w)
                 worst = max(worst, abs(kv - rhs) / max(1.0, abs(kv)))
             rows.append((eps, worst))
-        csvs["gauge_perturbation.csv"] = (("epsilon", "max_identity_residual"), rows)
+        csv_files["gauge_perturbation.csv"] = (("epsilon", "max_identity_residual"), rows)
         tables["perturbation"] = [{"epsilon": e, "max_identity_residual": r} for e, r in rows]
 
-    report = VerificationReport(cfg.experiment, cfg.to_dict(), checks, records=records, notes=notes)
-    report.tables.update(tables)
-    report.csv_files.update(csvs)
-    return report
+    return _report(cfg, checks, tables=tables, csv_files=csv_files)
 
 
 _EXPERIMENT_FUNCS = {
@@ -834,8 +767,10 @@ def convergence_study(config: ExperimentConfig, parameter: str, values) -> dict:
                 err = abs(integrate(build_quadrature(dom, int(v)), f) - ref)
             elif parameter == "grid_resolution":
                 dom = Rectangle(0.0, 1.0, 0.0, 1.0)
-                err = _grid_reference_error(dom, weights.unit_weight(dom), int(v),
-                                            dom.basis_center)
+                # keep only the error, so this resolution's factorization is
+                # freed before the next one is built
+                err = pdegreen.reference_error(dom, weights.unit_weight(dom), int(v),
+                                               dom.basis_center)[0]
             else:  # fd_step
                 gf = green.DiskGreen(0j, 1.0)
                 err = float(np.mean([
@@ -861,28 +796,20 @@ def convergence_study(config: ExperimentConfig, parameter: str, values) -> dict:
 
 def _run_study(cfg: ExperimentConfig) -> VerificationReport:
     table = convergence_study(cfg, cfg.study["parameter"], cfg.study["values"])
-    checks = []
     param = table["parameter"]
     if param == "grid_resolution":
-        checks.append(Check("fitted convergence order", table["fitted_order"],
-                            cfg.tol("fit_order_grid"),
-                            table["fitted_order"] >= cfg.tol("fit_order_grid"), ">="))
-        finest = table["rows"][-1]["error"]
-        checks.append(Check("max mid-grid error at finest resolution", finest,
-                            cfg.tol("grid_reference"), finest < cfg.tol("grid_reference"), "<"))
+        checks = [
+            Check("fitted convergence order", table["fitted_order"],
+                  cfg.tol("fit_order_grid"), ">="),
+            Check("max mid-grid error at finest resolution", table["rows"][-1]["error"],
+                  cfg.tol("grid_reference")),
+        ]
     elif param == "fd_step":
-        dev = abs(table["fitted_order"] - 2.0)
-        checks.append(Check("fitted order deviation from central-difference theory",
-                            dev, 0.3, dev <= 0.3, "<="))
+        checks = [Check("fitted order deviation from central-difference theory",
+                        abs(table["fitted_order"] - 2.0), 0.3, "<=")]
     else:
         errs = [r["error"] for r in table["rows"]]
         dec = all(a > b for a, b in zip(errs, errs[1:]))
-        checks.append(Check("error strictly decreasing (violations)",
-                            0.0 if dec else 1.0, 0.5, dec, "<"))
-    report = VerificationReport(cfg.experiment, cfg.to_dict(), checks)
-    report.tables["study"] = table
-    report.csv_files["study.csv"] = (
-        ("value", "error"),
-        [(r["value"], r["error"]) for r in table["rows"]],
-    )
-    return report
+        checks = [Check("error strictly decreasing (violations)", 0.0 if dec else 1.0, 0.5)]
+    return _report(cfg, checks, tables={"study": table}, csv_files={
+        "study.csv": (("value", "error"), [(r["value"], r["error"]) for r in table["rows"]])})

@@ -6,8 +6,7 @@ A weight is a positive function rho on a domain in one of three forms:
   zero-free on the closure of the domain,
 * ``LogHarmonicWeight``: rho = exp(2 Re H) with H a polynomial, so log rho
   is harmonic by construction,
-* ``GenericC1Weight``: an arbitrary positive C^1 evaluator with its first
-  partial derivatives.
+* ``GenericC1Weight``: an arbitrary positive C^1 evaluator.
 
 For the first two families the weighted Green's function factors through an
 antiholomorphic gauge g (a function of conj(w) alone) satisfying
@@ -66,13 +65,6 @@ class Weight:
 
     __call__ = value
 
-    def log_value(self, z):
-        return np.log(self.value(z))
-
-    def dwbar(self, z):
-        """d(rho)/d(conj z) = (d/dx + i d/dy) rho / 2."""
-        raise NotImplementedError
-
     def to_json(self) -> dict:
         raise NotImplementedError
 
@@ -114,16 +106,8 @@ class HoloModulusSquaredWeight(Weight):
     def mu(self, z):
         return P.polyval(np.asarray(z) if np.ndim(z) else complex(z), self.mu_coefficients)
 
-    def mu_prime(self, z):
-        d = P.polyder(self.mu_coefficients)
-        return P.polyval(np.asarray(z) if np.ndim(z) else complex(z), d)
-
     def value(self, z):
         return np.abs(self.mu(z)) ** 2
-
-    def dwbar(self, z):
-        # rho = mu * conj(mu), so d rho / d conj(z) = mu * conj(mu').
-        return self.mu(z) * np.conj(self.mu_prime(z))
 
     @property
     def is_constant(self):
@@ -149,16 +133,8 @@ class LogHarmonicWeight(Weight):
     def exponent(self, z):
         return P.polyval(np.asarray(z) if np.ndim(z) else complex(z), self.h_coefficients)
 
-    def exponent_prime(self, z):
-        d = P.polyder(self.h_coefficients)
-        return P.polyval(np.asarray(z) if np.ndim(z) else complex(z), d)
-
     def value(self, z):
         return np.exp(2.0 * np.real(self.exponent(z)))
-
-    def dwbar(self, z):
-        # log rho = H + conj(H), so d(log rho)/d conj(z) = conj(H').
-        return self.value(z) * np.conj(self.exponent_prime(z))
 
     def to_json(self):
         return {
@@ -169,23 +145,17 @@ class LogHarmonicWeight(Weight):
 
 
 class GenericC1Weight(Weight):
-    """Positive C^1 weight given by an evaluator and its first partials."""
+    """Positive C^1 weight given by an evaluator."""
 
     representation = "generic_c1"
 
-    def __init__(self, fn: Callable, dfdx: Callable, dfdy: Callable, domain: Domain, name="generic"):
+    def __init__(self, fn: Callable, domain: Domain, name="generic"):
         super().__init__(domain)
         self.fn = fn
-        self.dfdx = dfdx
-        self.dfdy = dfdy
         self.name = name
 
     def value(self, z):
         return self.fn(np.asarray(z) if np.ndim(z) else complex(z))
-
-    def dwbar(self, z):
-        z = np.asarray(z) if np.ndim(z) else complex(z)
-        return 0.5 * (self.dfdx(z) + 1j * self.dfdy(z))
 
     def to_json(self):
         return {
@@ -195,30 +165,13 @@ class GenericC1Weight(Weight):
         }
 
 
-def _exp_abs_sq(domain):
-    return GenericC1Weight(
-        fn=lambda z: np.exp(np.abs(z) ** 2),
-        dfdx=lambda z: 2.0 * np.real(z) * np.exp(np.abs(z) ** 2),
-        dfdy=lambda z: 2.0 * np.imag(z) * np.exp(np.abs(z) ** 2),
-        domain=domain,
-        name="exp_abs_sq",
-    )
-
-
-def _abs_sq(domain):
-    return GenericC1Weight(
-        fn=lambda z: np.abs(z) ** 2,
-        dfdx=lambda z: 2.0 * np.real(z),
-        dfdy=lambda z: 2.0 * np.imag(z),
-        domain=domain,
-        name="abs_sq",
-    )
-
-
 #: Named generic weights available to the JSON config layer.
 GENERIC_BUILTINS = {
-    "exp_abs_sq": _exp_abs_sq,  # rho = exp(|z|^2), log rho has Laplacian 4
-    "abs_sq": _abs_sq,  # rho = |z|^2, positive away from the origin
+    # rho = exp(|z|^2), log rho has Laplacian 4
+    "exp_abs_sq": lambda domain: GenericC1Weight(
+        lambda z: np.exp(np.abs(z) ** 2), domain, name="exp_abs_sq"),
+    # rho = |z|^2, positive away from the origin
+    "abs_sq": lambda domain: GenericC1Weight(lambda z: np.abs(z) ** 2, domain, name="abs_sq"),
 }
 
 
@@ -374,12 +327,6 @@ class Gauge:
 
     def h(self, w):
         return self._h(np.asarray(w) if np.ndim(w) else complex(w))
-
-    @property
-    def analytic_dw_residual(self) -> float:
-        # g is stored as a function of conj(w) alone; its w-derivative is
-        # identically zero by representation.
-        return 0.0
 
     def system_residuals(self, nodes, fd_step: float = 1e-5) -> dict:
         """Finite-difference residuals of both gauge equations at the given nodes."""

@@ -33,7 +33,6 @@ from bergreen import (
     identity_residual,
     integrate,
     kernel_from_gram,
-    rectangle_green_series,
     reproducing_residual,
     solve_gauge,
     solve_green,
@@ -41,7 +40,8 @@ from bergreen import (
     unit_weight,
     weighted_green,
 )
-from bergreen.harness import ExperimentConfig, _grid_pairs, _mid_mask, run
+from bergreen.harness import ExperimentConfig, run
+from bergreen.pdegreen import grid_pairs, mid_mask, reference_error
 from bergreen.weights import HoloModulusSquaredWeight
 
 DISK = UnitDisk()
@@ -160,12 +160,7 @@ def test_criterion_05_grid_solver_validation():
     weight = unit_weight(SQUARE)
     errs = []
     for n in (32, 64, 128):
-        grid = GridSpec(SQUARE, (n, n))
-        sol = solve_green(discretize(grid, weight), SQUARE.basis_center)
-        xs, ys = grid.axes[0][1:-1], grid.axes[1][1:-1]
-        ref = rectangle_green_series(SQUARE, sol.source, xs, ys, terms=200)
-        mask = _mid_mask(grid, sol.source)
-        errs.append(float(np.max(np.abs(np.real(sol.values) - ref)[mask])))
+        errs.append(reference_error(SQUARE, weight, n, SQUARE.basis_center)[0])
     order = -float(np.polyfit(np.log([32.0, 64.0, 128.0]), np.log(errs), 1)[0])
     elapsed = time.perf_counter() - t0
     ok = order >= 1.5 and errs[-1] < 1e-3 and elapsed < 60.0
@@ -186,7 +181,7 @@ def test_criterion_06_grid_identity_square():
         grid = GridSpec(SQUARE, (n, n))
         op = discretize(grid, weight)
         res = []
-        for z, w in _grid_pairs(grid, 5):
+        for z, w in grid_pairs(grid, 5):
             mixed = solve_mixed(op, z, w)
             kv = kernel.evaluate(z, w)
             res.append(abs(kv - (-2.0 / math.pi) * mixed) / abs(kv))
@@ -213,7 +208,7 @@ def test_criterion_07_weighted_grid_factorization():
         sol_u = solve_green(discretize(grid, unit_weight(SQUARE)), src)
         pts = grid.interior_points()
         predicted = np.asarray(gauge(pts)) * np.conj(complex(gauge(sol_u.source))) * sol_u.values
-        mask = _mid_mask(grid, src)
+        mask = mid_mask(grid, src)
         rels[n] = float(np.max(np.abs(sol_w.values - predicted)[mask] / np.abs(predicted)[mask]))
     ok = rels[128] < 0.05 and rels[128] < rels[64]
     announce(7, ok, f"weighted factorization on the square: {rels[128]:.2e} < 0.05 "
@@ -249,7 +244,7 @@ def test_criterion_08_annulus():
     grid = GridSpec(ANNULUS, (128, 256))
     op = discretize(grid, unit_weight(ANNULUS))
     grid_res = []
-    for z, w in _grid_pairs(grid, 5):
+    for z, w in grid_pairs(grid, 5):
         mixed = solve_mixed(op, z, w)
         kv = laurent_series_kernel(z, w)
         grid_res.append(abs(kv - (-2.0 / math.pi) * mixed) / abs(kv))

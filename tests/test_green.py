@@ -4,23 +4,16 @@ import numpy as np
 import pytest
 
 from bergreen import (
-    Annulus,
     DiagonalSingularityError,
     Disk,
     DiskGreen,
-    GridGreen,
-    GridSpec,
     MoebiusMap,
     MonomialBasis,
     ParameterError,
-    Rectangle,
     StencilError,
     UnitDisk,
     build_quadrature,
-    discretize,
     exhaustion_sequence,
-    green_disk,
-    harmonic_part,
     identity_residual,
     kernel_from_gram,
     moebius_transport,
@@ -35,10 +28,11 @@ DISK = UnitDisk()
 
 
 def test_green_disk_values():
-    assert green_disk(1.0, 0, 0.5, 0) == pytest.approx(math.log(2), abs=1e-14)
+    g = DiskGreen(0, 1.0)
+    assert g.value(0.5, 0) == pytest.approx(math.log(2), abs=1e-14)
     z, w = 0.3, 0.3j
     want = math.log(abs(1 - z * np.conj(w))) - math.log(abs(z - w))
-    assert green_disk(1.0, 0, z, w) == pytest.approx(want, abs=1e-14)
+    assert g.value(z, w) == pytest.approx(want, abs=1e-14)
     # boundary points evaluate to zero
     g = DiskGreen(0.5j, 1.5)
     for zb in g.domain.boundary_points(64):
@@ -47,7 +41,7 @@ def test_green_disk_values():
 
 def test_green_disk_diagonal_signal():
     with pytest.raises(DiagonalSingularityError):
-        green_disk(1.0, 0, 0.4j, 0.4j)
+        DiskGreen(0, 1.0).value(0.4j, 0.4j)
 
 
 def test_green_symmetry_and_positivity():
@@ -63,28 +57,27 @@ def test_green_symmetry_and_positivity():
 
 
 def test_harmonic_part_values():
-    h = harmonic_part(DiskGreen(0, 1.0))
-    assert h.value(0, 0) == pytest.approx(0.0, abs=1e-15)
-    assert h.value(0.5, 0.2) == pytest.approx(math.log(abs(1 - 0.5 * 0.2)), abs=1e-14)
-    hr = harmonic_part(DiskGreen(0, 0.5))
-    assert hr.value(0, 0) == pytest.approx(math.log(0.5), abs=1e-15)
+    h = DiskGreen(0, 1.0).harmonic
+    assert h(0, 0) == pytest.approx(0.0, abs=1e-15)
+    assert h(0.5, 0.2) == pytest.approx(math.log(abs(1 - 0.5 * 0.2)), abs=1e-14)
+    hr = DiskGreen(0, 0.5).harmonic
+    assert hr(0, 0) == pytest.approx(math.log(0.5), abs=1e-15)
     # finite and smooth across the diagonal, symmetric
-    assert np.isfinite(h.value(0.3 + 0.1j, 0.3 + 0.1j))
-    assert h.value(0.4, 0.1j) == pytest.approx(h.value(0.1j, 0.4), abs=1e-14)
+    assert np.isfinite(h(0.3 + 0.1j, 0.3 + 0.1j))
+    assert h(0.4, 0.1j) == pytest.approx(h(0.1j, 0.4), abs=1e-14)
 
 
 def test_harmonic_part_is_harmonic():
-    g = DiskGreen(0, 1.0)
-    h = harmonic_part(g)
+    h = DiskGreen(0, 1.0).harmonic
     rng = np.random.default_rng(2)
     zs = DISK.sample_interior(rng, 10, margin=0.5)
     ws = DISK.sample_interior(rng, 10, margin=0.5)
     s = 1e-3
     for z, w in zip(zs, ws):
-        lap_z = (h.value(z + s, w) + h.value(z - s, w) + h.value(z + 1j * s, w)
-                 + h.value(z - 1j * s, w) - 4 * h.value(z, w)) / s**2
-        lap_w = (h.value(z, w + s) + h.value(z, w - s) + h.value(z, w + 1j * s)
-                 + h.value(z, w - 1j * s) - 4 * h.value(z, w)) / s**2
+        lap_z = (h(z + s, w) + h(z - s, w) + h(z + 1j * s, w)
+                 + h(z - 1j * s, w) - 4 * h(z, w)) / s**2
+        lap_w = (h(z, w + s) + h(z, w - s) + h(z, w + 1j * s)
+                 + h(z, w - 1j * s) - 4 * h(z, w)) / s**2
         assert abs(lap_z) < 1e-6
         assert abs(lap_w) < 1e-6
 
@@ -100,12 +93,11 @@ def test_wirtinger_mixed_bilinear_and_quadratic():
 def test_wirtinger_mixed_on_green_matches_analytic():
     g = DiskGreen(0, 1.0)
     # the mixed derivative of G equals that of its regular part h
-    h = harmonic_part(g)
     pairs = [(0.3, 0.1), (0.2 + 0.3j, -0.3 - 0.2j), (0.5, -0.4j)]
     s = 1e-3
     for z, w in pairs:
         mg = wirtinger_mixed(g.value, z, w, s)
-        mh = wirtinger_mixed(h.value, z, w, s)
+        mh = wirtinger_mixed(g.harmonic, z, w, s)
         assert abs(mg - mh) < 2 * s**2
         assert abs(mg - g.mixed_analytic(z, w)) < 2 * s**2
     assert g.mixed_analytic(0, 0) == pytest.approx(-0.5, abs=1e-15)
@@ -262,22 +254,3 @@ def test_exhaustion_kernel_convergence_at_fixed_pairs():
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 2e-2
 
-
-def test_grid_green_square():
-    sq = Rectangle(0, 1, 0, 1)
-    op = discretize(GridSpec(sq, (64, 64)), unit_weight(sq))
-    gg = GridGreen(op)
-    v = gg.value(0.25 + 0.25j, 0.6 + 0.6j)
-    assert v > 0
-    # regular part at the center: series-extrapolated value -0.61737
-    assert gg.harmonic_diagonal(0.5 + 0.5j) == pytest.approx(-0.61737, abs=0.01)
-    with pytest.raises(DiagonalSingularityError):
-        gg.value(0.5 + 0.5j, 0.5 + 0.5j)
-
-
-def test_grid_green_annulus_harmonic_diagonal():
-    ann = Annulus(0.5, 1.0)
-    op = discretize(GridSpec(ann, (48, 96)), unit_weight(ann))
-    gg = GridGreen(op)
-    val = gg.harmonic_diagonal(0.75)
-    assert np.isfinite(val)

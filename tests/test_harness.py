@@ -8,6 +8,7 @@ from bergreen import ConfigError, StudyInsufficientError
 from bergreen.cli import main as cli_main
 from bergreen.harness import (
     ASSUMPTIONS,
+    Check,
     ExperimentConfig,
     convergence_study,
     run,
@@ -97,11 +98,39 @@ def test_exhaust_table(tmp_path):
     assert all(a < b for a, b in zip(hs, hs[1:]))
 
 
+SQUARE = {"kind": "rectangle", "params": {"x0": 0, "x1": 1, "y0": 0, "y1": 1}}
+SMALL = {"basis_order": 10, "quad_order": 16}
+
+# every experiment plus one study; the single-resolution pde-green reference
+# check is left out because its report carries the wall-clock solve time
+DETERMINISM_CONFIGS = {
+    "verify-identity": {"experiment": "verify-identity", "seed": 7, "count": 25},
+    "kernel": {"experiment": "kernel", "seed": 5, "count": 12, **SMALL},
+    "green": {"experiment": "green", "seed": 5, "count": 12},
+    "exhaust": {"experiment": "exhaust", "seed": 1, "exhaust_steps": 3, **SMALL},
+    "distance": {"experiment": "distance", "seed": 5, "count": 12, **SMALL},
+    "pde-green": {"experiment": "pde-green", "pde_check": "identity", "domain": SQUARE,
+                  "weight": {"representation": "holo_modulus_squared",
+                             "coefficients": [[2, 0], [1, 0]]},
+                  "grid": [32, 32], "seed": 1, **SMALL},
+    "gauge-experiment": {"experiment": "gauge-experiment", "seed": 2, **SMALL,
+                         "weight": {"representation": "holo_modulus_squared",
+                                    "coefficients": [[2, 0], [1, 0]]}},
+    "study": {"experiment": "verify-identity", "seed": 1,
+              "study": {"parameter": "fd_step", "values": [4e-3, 2e-3, 1e-3]}},
+}
+
+
 def test_determinism_byte_identical(tmp_path):
-    run(cfg(), tmp_path / "r1")
-    run(cfg(), tmp_path / "r2")
-    for name in ("identity.csv", "report.json"):
-        assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
+    for name, config in DETERMINISM_CONFIGS.items():
+        a, b = tmp_path / name / "a", tmp_path / name / "b"
+        run(ExperimentConfig.from_dict(dict(config)), a)
+        run(ExperimentConfig.from_dict(dict(config)), b)
+        files = sorted(f.name for f in a.iterdir())
+        assert "report.json" in files and len(files) > 1, name
+        assert files == sorted(f.name for f in b.iterdir()), name
+        for f in files:
+            assert (a / f).read_bytes() == (b / f).read_bytes(), (name, f)
 
 
 def test_kernel_green_distance_experiments(tmp_path):
@@ -221,3 +250,50 @@ def test_cli_overrides(tmp_path):
     payload = json.loads((out / "report.json").read_text())
     assert payload["config"]["seed"] == 11
     assert payload["config"]["count"] == 8
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"count": "5"}, "count must be an integer"),
+    ({"weight": {"representation": "holo_modulus_squared", "coefficients": [[0, 0]]}},
+     "bad weight spec"),
+    ({"tolerances": {"hermitan": 1e-30}}, "unknown tolerance names"),
+    ({"basis_order": 2.5}, "basis_order must be an integer"),
+    ({"fd_step": "small"}, "fd_step must be a number"),
+    ({"seed": "7"}, "seed must be an integer"),
+    ({"tolerances": {"hermitian": "tiny"}}, "tolerance hermitian must be a number"),
+    ({"pairs": [[0.1, 0.2]]}, "pairs must be a list"),
+    ({"pairs": []}, "pairs must not be empty"),
+])
+def test_cli_malformed_config_exits_2(tmp_path, capsys, change, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "kernel", "seed": 3, "count": 4, **change}))
+    assert cli_main(["kernel", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+    assert "Traceback" not in err
+
+
+def test_no_pairs_evaluated_fails(tmp_path, capsys):
+    # the only pair is diagonal, so no identity or symmetry check has a value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "verify-identity",
+                                "pairs": [[[0.1, 0.2], [0.1, 0.2]]]}))
+    for exp in ("verify-identity", "green"):
+        out = tmp_path / exp
+        assert cli_main([exp, "--config", str(path), "--out", str(out)]) == 1
+        payload = json.loads((out / "report.json").read_text())
+        assert any("excluded" in n for n in payload["notes"])
+        failed = [c for c in payload["checks"] if not c["passed"]]
+        assert failed and all(c["value"] is None for c in failed)
+        assert not payload["passed"]
+    assert "[FAIL] identity residual (analytic mixed derivative), max over pairs: none" in \
+        capsys.readouterr().out
+
+
+def test_check_derives_passed():
+    assert Check("a", 1e-6, 1e-5).passed
+    assert not Check("a", 1e-5, 1e-5).passed
+    assert Check("a", 1e-5, 1e-5, "<=").passed
+    assert Check("a", 0.0, -1e-9, ">=").passed
+    assert not Check("a", float("nan"), 1.0).passed
+    assert not Check("a", None, 1.0).passed
