@@ -47,6 +47,9 @@ __all__ = [
 # largest are trimmed to a smaller basis before factorization.
 CONDITION_FLOOR = 1e-12
 
+# Nodes per Gram product: bounds the memory of the product's temporary copies.
+_GRAM_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class MonomialBasis:
@@ -129,10 +132,14 @@ class LaurentBasis:
 def gram_matrix(basis, weight: Weight, rule: QuadratureRule) -> np.ndarray:
     """Hermitian Gram matrix of the basis in the rho-weighted inner product.
 
-    Entry (m, n) is the integral of e_m conj(e_n) rho over the domain.  Only
-    the upper triangle is computed (fsum-reduced in fixed node order); the
-    lower triangle is its conjugate mirror, so the result is Hermitian by
-    construction.
+    Entry (m, n) is the integral of e_m conj(e_n) rho over the domain.  The
+    nodes are split into blocks of ``_GRAM_BLOCK``; BLAS sums inside each
+    block (one matrix product), and the block sums are added in fixed node
+    order.  The result is deterministic and identical under 1 and 2 BLAS
+    threads.  It is not correctly rounded: it agrees with the fsum-reduced
+    sum to about 1e-15 relative.  The strict lower triangle is the conjugate
+    mirror of the upper one and the diagonal is real, so the result is
+    exactly Hermitian.
     """
     if rule.domain != basis.domain:
         raise ParameterError("quadrature rule and basis live on different domains")
@@ -141,14 +148,13 @@ def gram_matrix(basis, weight: Weight, rule: QuadratureRule) -> np.ndarray:
     B = basis.evaluate(rule.nodes)
     wr = rule.weights * np.real(np.asarray(weight.value(rule.nodes), dtype=complex))
     n = basis.size
-    G = np.empty((n, n), dtype=complex)
-    for m in range(n):
-        col_m = wr * B[:, m]
-        for k in range(m, n):
-            terms = col_m * np.conj(B[:, k])
-            G[m, k] = complex(math.fsum(terms.real), math.fsum(terms.imag))
-            if k != m:
-                G[k, m] = np.conj(G[m, k])
+    G = np.zeros((n, n), dtype=complex)
+    for start in range(0, len(wr), _GRAM_BLOCK):
+        blk = slice(start, start + _GRAM_BLOCK)
+        G += (wr[blk, None] * B[blk]).T @ np.conj(B[blk])
+    lower = np.tril_indices(n, -1)
+    G[lower] = np.conj(G.T[lower])
+    G[np.diag_indices(n)] = G.diagonal().real
     return G
 
 

@@ -8,6 +8,7 @@ passed, 1 when any failed, and 2 for configuration errors.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -30,19 +31,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_config(args) -> ExperimentConfig:
+    """The config file with the command-line overrides applied, validated once."""
+    with open(args.config, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ConfigError("a config must be a JSON object")
+    data["experiment"] = args.experiment
+    if args.seed is not None:
+        data["seed"] = args.seed
+    if args.points is not None:
+        data["count"] = args.points
+    tolerances = data.get("tolerances", {})
+    if args.tol is not None and isinstance(tolerances, dict):
+        data["tolerances"] = {**tolerances, PRIMARY_TOLERANCE[args.experiment]: args.tol}
+    return ExperimentConfig.from_dict(data)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = ExperimentConfig.from_json(args.config)
-        config.experiment = args.experiment
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.points is not None:
-            config.count = args.points
-        if args.tol is not None:
-            config.tolerances = dict(config.tolerances)
-            config.tolerances[PRIMARY_TOLERANCE[args.experiment]] = args.tol
-        config.validate()
+        config = _load_config(args)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -120,6 +120,11 @@ def _of_type(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _int_pair(value) -> bool:
+    return (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(_of_type(v, Integral) for v in value))
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -148,14 +153,11 @@ class ExperimentConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        if "experiment" not in data:
+            raise ConfigError(f"no experiment named; choose from {EXPERIMENTS}")
         cfg = cls(**data)
         cfg.validate()
         return cfg
-
-    @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
     def validate(self):
         if self.experiment not in EXPERIMENTS:
@@ -189,6 +191,14 @@ class ExperimentConfig:
             raise ConfigError("margin must lie in (0, 1)")
         if self.count < 1:
             raise ConfigError("count must be >= 1")
+        if self.exhaust_steps < 1:
+            raise ConfigError("exhaust_steps must be >= 1")
+        if not _int_pair(self.grid) or min(self.grid) < 1:
+            raise ConfigError(f"grid must be two positive integers, got {self.grid!r}")
+        if not _int_pair(self.laurent) or not self.laurent[0] <= 0 <= self.laurent[1]:
+            raise ConfigError(
+                f"laurent must be two integers lo <= 0 <= hi, got {self.laurent!r}"
+            )
         if self.study is not None:
             if "parameter" not in self.study or "values" not in self.study:
                 raise ConfigError("study needs 'parameter' and 'values'")
@@ -355,8 +365,7 @@ def _build_weight(cfg: ExperimentConfig, domain: Domain) -> weights.Weight:
 
 def _build_basis(cfg: ExperimentConfig, domain: Domain):
     if isinstance(domain, Annulus):
-        lo, hi = cfg.laurent
-        return bergman.LaurentBasis(domain, int(lo), int(hi))
+        return bergman.LaurentBasis(domain, *cfg.laurent)
     return bergman.MonomialBasis(domain, cfg.basis_order)
 
 
@@ -583,7 +592,7 @@ def _exp_pde_green(cfg: ExperimentConfig) -> VerificationReport:
         # single-resolution comparison; multi-resolution order fitting goes
         # through the grid_resolution convergence study
         if not isinstance(domain, Rectangle) or not getattr(weight, "is_constant", False):
-            raise ConfigError("the reference check needs a rectangle with the constant weight")
+            raise ConfigError("the reference check needs a rectangle with a constant weight")
         n = int(cfg.grid[0])
         err, sol = pdegreen.reference_error(domain, weight, n, domain.basis_center)
         checks = [Check("grid Green vs series reference, max mid-grid error",

@@ -529,15 +529,18 @@ def mid_mask(grid: GridSpec, source: complex) -> np.ndarray:
 
 
 def reference_error(domain: Rectangle, weight: Weight, n: int, source: complex) -> tuple:
-    """Solve on the n x n grid and compare with the 200-term series reference,
-    which is the Green's function for rho = 1.
+    """Solve on the n x n grid for a constant weight rho and compare with the
+    200-term series reference, which is the Green's function for rho = 1.
 
-    Returns the maximum error over :func:`mid_mask` nodes and the discrete
-    solution it was measured on.
+    The constant-weight Green's function is rho times the rho = 1 one, so the
+    solution is divided by rho before the comparison.  Returns the maximum
+    error over :func:`mid_mask` nodes and the discrete solution it was
+    measured on.
     """
     grid = GridSpec(domain, (n, n))
     sol = solve_green(discretize(grid, weight), source)
+    rho = float(np.real(weight.value(np.array([sol.source])))[0])
     xs, ys = grid.axes[0][1:-1], grid.axes[1][1:-1]
     ref = rectangle_green_series(domain, sol.source, xs, ys, terms=200)
-    err = float(np.max(np.abs(np.real(sol.values) - ref)[mid_mask(grid, sol.source)]))
+    err = float(np.max(np.abs(np.real(sol.values) / rho - ref)[mid_mask(grid, sol.source)]))
     return err, sol

@@ -1,12 +1,19 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bergreen
 from bergreen import (
     Annulus,
     Disk,
     LaurentBasis,
+    MoebiusDisk,
     MonomialBasis,
     ParameterError,
     Rectangle,
@@ -65,6 +72,67 @@ def test_gram_annulus_laurent():
         if n != -1:
             want = 2 * math.pi * (1.0 - 0.5 ** (2 * n + 2)) / (2 * n + 2)
             assert G[k, k].real == pytest.approx(want, rel=1e-13)
+
+
+def fsum_gram(basis, weight, rule):
+    # the reference: every entry one fsum over the nodes, in node order
+    B = basis.evaluate(rule.nodes)
+    wr = rule.weights * np.real(np.asarray(weight.value(rule.nodes), dtype=complex))
+    n = basis.size
+    G = np.empty((n, n), dtype=complex)
+    for m in range(n):
+        for k in range(m, n):
+            terms = wr * B[:, m] * np.conj(B[:, k])
+            G[m, k] = complex(math.fsum(terms.real), math.fsum(terms.imag))
+            G[k, m] = np.conj(G[m, k])
+    return G
+
+
+MOEBIUS = MoebiusDisk(0.3 + 0.1j, 0.5)
+ANNULUS = Annulus(0.5, 1.0)
+# (basis, weight, quadrature order): 6400, 900 and 1600 nodes, so the last two
+# end on a partial block of 256 nodes
+GRAM_CASES = {
+    "disk": (MonomialBasis(DISK, 30), HoloModulusSquaredWeight([2, 1], DISK), 40),
+    "moebius": (MonomialBasis(MOEBIUS, 12), HoloModulusSquaredWeight([2, 1], MOEBIUS), 15),
+    "annulus": (LaurentBasis(ANNULUS, -8, 8), unit_weight(ANNULUS), 20),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRAM_CASES))
+def test_gram_matches_fsum_and_is_hermitian(case):
+    basis, weight, quad = GRAM_CASES[case]
+    rule = build_quadrature(basis.domain, quad)
+    G = gram_matrix(basis, weight, rule)
+    ref = fsum_gram(basis, weight, rule)
+    assert np.max(np.abs(G - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert np.array_equal(G, G.conj().T)
+    assert not np.any(G.diagonal().imag)
+
+
+GRAM_DIGEST = """
+import hashlib
+from bergreen import UnitDisk, MonomialBasis, build_quadrature, gram_matrix
+from bergreen.weights import HoloModulusSquaredWeight
+d = UnitDisk()
+G = gram_matrix(MonomialBasis(d, 30), HoloModulusSquaredWeight([2, 1], d), build_quadrature(d, 40))
+print(hashlib.sha256(G.tobytes()).hexdigest())
+"""
+
+
+def test_gram_identical_under_one_and_two_blas_threads():
+    src = str(Path(bergreen.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", GRAM_DIGEST], env=env, check=True,
+                             capture_output=True, text=True)
+        digests.add(out.stdout.strip())
+    basis, weight, quad = GRAM_CASES["disk"]
+    here = gram_matrix(basis, weight, build_quadrature(DISK, quad))
+    digests.add(hashlib.sha256(here.tobytes()).hexdigest())
+    assert len(digests) == 1
 
 
 def test_basis_validation():

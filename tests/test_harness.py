@@ -85,6 +85,8 @@ def test_unknown_experiment_and_keys():
         ExperimentConfig.from_dict({"experiment": "frobnicate", "seed": 1})
     with pytest.raises(ConfigError, match="unknown config keys"):
         ExperimentConfig.from_dict({"experiment": "kernel", "seed": 1, "spam": 2})
+    with pytest.raises(ConfigError, match="no experiment named"):
+        ExperimentConfig.from_dict({"seed": 1})
 
 
 def test_exhaust_table(tmp_path):
@@ -154,6 +156,19 @@ def test_pde_green_reference_and_identity(tmp_path):
         "grid": [64, 64], "basis_order": 24,
         "tolerances": {"grid_identity": 0.05}}), tmp_path / "id")
     assert rep2.passed
+
+
+def test_pde_green_reference_with_constant_weight(tmp_path):
+    values = []
+    for c in (1, 2):  # rho = 1 and rho = 4
+        rep = run(ExperimentConfig.from_dict({
+            "experiment": "pde-green", "seed": 1, "pde_check": "reference",
+            "domain": {"kind": "rectangle", "params": {"x0": 0, "x1": 1, "y0": 0, "y1": 1}},
+            "weight": {"representation": "holo_modulus_squared", "coefficients": [[c, 0]]},
+            "grid": [32, 32]}), tmp_path / str(c))
+        values.append(rep.checks[0].value)
+    assert values[0] < 1e-2
+    assert values[1] == pytest.approx(values[0], rel=1e-12)
 
 
 def test_pde_green_factorization(tmp_path):
@@ -239,6 +254,8 @@ def test_cli_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"experiment": "verify-identity"}))
     assert cli_main(["verify-identity", "--config", str(bad)]) == 2
+    bad.write_text("[1, 2]")
+    assert cli_main(["verify-identity", "--config", str(bad)]) == 2
 
 
 def test_cli_overrides(tmp_path):
@@ -252,6 +269,23 @@ def test_cli_overrides(tmp_path):
     assert payload["config"]["count"] == 8
 
 
+def test_cli_overrides_are_applied_before_validation(tmp_path, capsys):
+    # a seed or an experiment given on the command line satisfies the config
+    small = {"count": 4, "basis_order": 10, "quad_order": 16}
+    for name, data in (("no-seed", {"experiment": "kernel", **small}),
+                       ("no-experiment", {"seed": 3, **small})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / name
+        assert cli_main(["kernel", "--config", str(path), "--out", str(out), "--seed", "4"]) == 0
+        payload = json.loads((out / "report.json").read_text())
+        assert payload["experiment"] == "kernel" and payload["config"]["seed"] == 4
+    assert cli_main(["kernel", "--config", str(tmp_path / "no-seed.json"),
+                     "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "a seed is mandatory" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("change, message", [
     ({"count": "5"}, "count must be an integer"),
     ({"weight": {"representation": "holo_modulus_squared", "coefficients": [[0, 0]]}},
@@ -263,6 +297,12 @@ def test_cli_overrides(tmp_path):
     ({"tolerances": {"hermitian": "tiny"}}, "tolerance hermitian must be a number"),
     ({"pairs": [[0.1, 0.2]]}, "pairs must be a list"),
     ({"pairs": []}, "pairs must not be empty"),
+    ({"grid": [64.5, 64]}, "grid must be two positive integers"),
+    ({"grid": [64]}, "grid must be two positive integers"),
+    ({"grid": [0, 64]}, "grid must be two positive integers"),
+    ({"exhaust_steps": 0}, "exhaust_steps must be >= 1"),
+    ({"laurent": [1, 8]}, "laurent must be two integers lo <= 0 <= hi"),
+    ({"laurent": [-8, 8.5]}, "laurent must be two integers lo <= 0 <= hi"),
 ])
 def test_cli_malformed_config_exits_2(tmp_path, capsys, change, message):
     path = tmp_path / "cfg.json"
