@@ -65,7 +65,6 @@ from .pdegreen import (
     DiscreteOperator,
     GridSpec,
     discretize,
-    grid_mixed_derivative,
     grid_pairs,
     mid_mask,
     rectangle_green_series,

@@ -195,6 +195,7 @@ class ExperimentConfig:
             raise ConfigError("exhaust_steps must be >= 1")
         if not _int_pair(self.grid) or min(self.grid) < 1:
             raise ConfigError(f"grid must be two positive integers, got {self.grid!r}")
+        self._validate_grid()
         if not _int_pair(self.laurent) or not self.laurent[0] <= 0 <= self.laurent[1]:
             raise ConfigError(
                 f"laurent must be two integers lo <= 0 <= hi, got {self.laurent!r}"
@@ -202,6 +203,25 @@ class ExperimentConfig:
         if self.study is not None:
             if "parameter" not in self.study or "values" not in self.study:
                 raise ConfigError("study needs 'parameter' and 'values'")
+
+    def _validate_grid(self):
+        """The rules of :class:`pdegreen.GridSpec`, for every grid a run builds."""
+        n1, n2 = self.grid
+        if min(n1, n2) < 8:
+            raise ConfigError(f"grid needs at least 8 nodes per axis, got {self.grid!r}")
+        if self.experiment == "pde-green" and self.pde_check in ("reference", "factorization"):
+            # these checks build n x n grids (n x 2n on annuli) from n = grid[0]
+            if n1 != n2:
+                raise ConfigError(
+                    f"pde_check {self.pde_check!r} solves on a square grid; got {self.grid!r}")
+            if self.pde_check == "factorization" and n1 < 16:
+                raise ConfigError(
+                    f"pde_check 'factorization' also solves at grid[0] // 2, so grid[0] "
+                    f"must be >= 16, got {n1}")
+        elif isinstance(self.domain, dict) and self.domain.get("kind") == "annulus":
+            if n2 % 2 or n2 < 16:
+                raise ConfigError(
+                    f"annulus grids need an even angular count >= 16, got {self.grid!r}")
 
     def tol(self, name: str) -> float:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
@@ -570,9 +590,9 @@ def _grid_identity(cfg: ExperimentConfig, domain: Domain, weight, n_pairs: int =
     records and the CSV table."""
     kernel = _build_kernel(cfg, domain, weight)
     op = pdegreen.discretize(pdegreen.GridSpec(domain, tuple(cfg.grid)), weight)
+    pairs = pdegreen.grid_pairs(op.grid, n_pairs)
     results = []
-    for z, w in pdegreen.grid_pairs(op.grid, n_pairs):
-        mixed = pdegreen.solve_mixed(op, z, w)
+    for (z, w), mixed in zip(pairs, pdegreen.solve_mixed(op, pairs)):
         rz = float(np.real(weight.value(z)))
         rw = float(np.real(weight.value(w)))
         rhs = -2.0 / (math.pi * rz * rw) * mixed

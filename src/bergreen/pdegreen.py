@@ -20,6 +20,15 @@ P reduces to a quarter Laplacian.
 
 Supported grids are Cartesian rectangles and polar annuli (uniform periodic
 angles, metric terms folded into the face coefficients).
+
+The continuum operator is self-adjoint, and the discretization keeps this
+up to the cell-area factor: with D = I on rectangles and D = diag(r) on
+annuli, H = D A is Hermitian (to roundoff).  The source normalization
+divides by the cell area h1 h2 D[s], so the discrete Green's function is
+G_h(x, s) = kappa (H^-1)[x, s] with kappa = -(pi/2)/(h1 h2), and it is
+reciprocal: G_h(z, w) = conj(G_h(w, z)).  :func:`solve_mixed` uses this to
+get d^2 G_h / dz d(conj w) at a pair from one right-hand side at z, where
+differencing across sources would need one solve per neighbour of w.
 """
 
 from __future__ import annotations
@@ -43,7 +52,6 @@ __all__ = [
     "DiscreteGreen",
     "discretize",
     "solve_green",
-    "grid_mixed_derivative",
     "solve_mixed",
     "rectangle_green_series",
     "grid_pairs",
@@ -177,10 +185,15 @@ class DiscreteOperator:
         return (self.matrix @ values.ravel()).reshape(self.grid.shape)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Sparse LU solve; the factorization is computed once and reused."""
+        """Sparse LU solve of one right-hand side or a block of columns; the
+        factorization is computed once and reused.
+
+        The nine-point stencil is structurally symmetric, so the column
+        ordering is minimum degree on A^T + A, which fills less than COLAMD.
+        """
         if self._lu is None:
             try:
-                self._lu = spla.splu(self.matrix.tocsc())
+                self._lu = spla.splu(self.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
             except RuntimeError as exc:
                 raise SolverError(
                     f"sparse factorization failed on {self.size} unknowns: {exc}"
@@ -360,96 +373,79 @@ def solve_green(op: DiscreteOperator, source: complex) -> DiscreteGreen:
 
 
 # ---------------------------------------------------------------------------
-# Mixed derivative from shifted solves
+# Mixed derivative by reciprocity
 # ---------------------------------------------------------------------------
 
 
-def _dz_on_grid(sol: DiscreteGreen, z_index: tuple) -> complex:
-    """d/dz of the solution field at an interior node via centered differences."""
-    grid = sol.grid
-    i, j = z_index
-    n1, n2 = grid.shape
-    h1, h2 = grid.spacing
-    v = sol.values
+def _dz_stencil(grid: GridSpec, idx: tuple) -> list:
+    """Centered d/dz at interior node idx as (flat node index, coefficient) pairs.
 
-    def at(ii, jj):
-        if grid.is_polar:
-            jj %= n2
-        if 0 <= ii < n1 and (grid.is_polar or 0 <= jj < n2):
-            return v[ii, jj]
-        return 0.0  # eliminated Dirichlet node
-
-    d1 = (at(i + 1, j) - at(i - 1, j)) / (2 * h1)
-    d2 = (at(i, j + 1) - at(i, j - 1)) / (2 * h2)
-    if grid.is_polar:
-        r = abs(grid.node_point(i, j))
-        th = math.atan2(grid.node_point(i, j).imag, grid.node_point(i, j).real)
-        ux = math.cos(th) * d1 - math.sin(th) / r * d2
-        uy = math.sin(th) * d1 + math.cos(th) / r * d2
-    else:
-        ux, uy = d1, d2
-    return 0.5 * (ux - 1j * uy)
-
-
-def grid_mixed_derivative(center: DiscreteGreen, z: complex, w_shift_solves) -> complex:
-    """d^2 G(z, w) / dz d(conj w) from four source-shifted solves.
-
-    ``w_shift_solves`` must contain the solves whose sources sit at the four
-    axis neighbors of the center solve's source node (radial and angular
-    neighbors on polar grids).  The z-derivative is taken inside each field,
-    the conj(w)-derivative across the fields.
+    d/dz = (d/dx - i d/dy) / 2 on Cartesian grids and
+    e^(-i theta) (d/dr - (i/r) d/dtheta) / 2 on polar grids; d/d(conj z) has
+    the conjugate coefficients.  The node needs two cells of margin, so every
+    stencil node is an unknown (the angular index wraps on polar grids).
     """
-    grid = center.grid
-    i0, j0 = center.source_index
+    i, j = idx
     n2 = grid.shape[1]
-    by_offset = {}
-    for sol in w_shift_solves:
-        di = sol.source_index[0] - i0
-        dj = sol.source_index[1] - j0
-        if grid.is_polar:
-            dj = (dj + n2 // 2) % n2 - n2 // 2
-        by_offset[(di, dj)] = sol
-    needed = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-    missing = [o for o in needed if o not in by_offset]
-    if missing:
-        raise ParameterError(f"missing shifted solves at offsets {missing}")
-
-    zi = grid.snap_index(z)
-    if grid.margin_cells(zi) < 2:
-        raise ParameterError(f"evaluation point {z} is too close to the boundary")
-    d = {o: _dz_on_grid(by_offset[o], zi) for o in needed}
-
     h1, h2 = grid.spacing
-    d1 = (d[(1, 0)] - d[(-1, 0)]) / (2 * h1)
-    d2 = (d[(0, 1)] - d[(0, -1)]) / (2 * h2)
     if grid.is_polar:
-        wc = center.source
-        r = abs(wc)
-        th = math.atan2(wc.imag, wc.real)
-        du = math.cos(th) * d1 - math.sin(th) / r * d2
-        dv = math.sin(th) * d1 + math.cos(th) / r * d2
+        th = grid.axes[1][j]
+        rot, s2 = complex(math.cos(th), -math.sin(th)), 1.0 / grid.axes[0][i + 1]
     else:
-        du, dv = d1, d2
-    return 0.5 * (du + 1j * dv)
+        rot, s2 = 1.0, 1.0
+    a = 0.5 * rot / (2 * h1)
+    b = -0.5j * rot * s2 / (2 * h2)
+    nodes = ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1))
+    return [(ii * n2 + jj % n2, c) for (ii, jj), c in zip(nodes, (a, -a, b, -b))]
 
 
-def solve_mixed(op: DiscreteOperator, z: complex, w: complex) -> complex:
-    """Convenience wrapper: run the center and four shifted solves, then combine.
+def solve_mixed(op: DiscreteOperator, pairs) -> np.ndarray:
+    """d^2 G_h(z, w) / dz d(conj w) for every (z, w) in ``pairs``, from one
+    batched solve.
 
-    All five solves share the operator factorization, so the marginal cost of
-    each extra source is one sparse triangular solve.
+    Both points snap to their nearest nodes and need two cells of margin.
+    Let D = I on rectangles and D = diag(r) (the polar cell-area factor) on
+    annuli.  Then H = D A is Hermitian, and the source normalization of
+    :func:`solve_green` gives  G_h(x, s) = kappa (H^-1)[x, s]  with
+    kappa = -(pi/2)/(h1 h2).  With c_a the centered d/dz coefficients at z
+    and conj(e_o) those at w (:func:`_dz_stencil`), Hermitian symmetry of
+    H^-1 turns the double difference into one column per pair:
+
+        mixed = kappa sum_o e_o sum_a c_a (H^-1)[z+a, w+o]
+              = kappa sum_o e_o conj(y[w+o]),   A y = D^-1 sum_a conj(c_a) e_(z+a).
+
+    This is Green's reciprocity G_h(z, w) = conj(G_h(w, z)) on the grid.
+    All columns go to one ``op.solve`` call; a real matrix solves the real
+    and imaginary parts of the block as columns of one real block.
     """
     grid = op.grid
-    i0, j0 = grid.snap_index(w)
-    if grid.margin_cells((i0, j0)) < 3:
-        raise ParameterError(f"source {w} needs three cells of margin for shifted solves")
-    center = solve_green(op, grid.node_point(i0, j0))
     n2 = grid.shape[1]
-    shifts = []
-    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        jj = (j0 + dj) % n2 if grid.is_polar else j0 + dj
-        shifts.append(solve_green(op, grid.node_point(i0 + di, jj)))
-    return grid_mixed_derivative(center, z, shifts)
+    h1, h2 = grid.spacing
+    stencils = []
+    for z, w in pairs:
+        zi, wi = grid.snap_index(z), grid.snap_index(w)
+        for point, idx in ((z, zi), (w, wi)):
+            if grid.margin_cells(idx) < 2:
+                raise ParameterError(
+                    f"evaluation point {point} snaps to node {idx}, "
+                    "closer than two cells to the boundary"
+                )
+        stencils.append((_dz_stencil(grid, zi), _dz_stencil(grid, wi)))
+
+    radii = grid.axes[0][1:-1] if grid.is_polar else np.ones(grid.shape[0])
+    m = len(stencils)
+    rhs = np.zeros((op.size, m), dtype=complex)
+    for k, (dz, _) in enumerate(stencils):
+        for node, c in dz:
+            rhs[node, k] = np.conj(c) / radii[node // n2]
+    if np.iscomplexobj(op.matrix):
+        y = op.solve(rhs)
+    else:
+        y = op.solve(np.hstack([rhs.real, rhs.imag]))
+        y = y[:, :m] + 1j * y[:, m:]
+    kappa = -(math.pi / 2.0) / (h1 * h2)
+    return np.array([kappa * np.conj(sum(c * y[node, k] for node, c in dw))
+                     for k, (_, dw) in enumerate(stencils)])
 
 
 def grid_pairs(grid: GridSpec, count: int) -> list:

@@ -101,6 +101,7 @@ def test_exhaust_table(tmp_path):
 
 
 SQUARE = {"kind": "rectangle", "params": {"x0": 0, "x1": 1, "y0": 0, "y1": 1}}
+ANNULUS_SPEC = {"kind": "annulus", "params": {"inner": 0.5, "outer": 1.0}}
 SMALL = {"basis_order": 10, "quad_order": 16}
 
 # every experiment plus one study; the single-resolution pde-green reference
@@ -303,11 +304,21 @@ def test_cli_overrides_are_applied_before_validation(tmp_path, capsys):
     ({"exhaust_steps": 0}, "exhaust_steps must be >= 1"),
     ({"laurent": [1, 8]}, "laurent must be two integers lo <= 0 <= hi"),
     ({"laurent": [-8, 8.5]}, "laurent must be two integers lo <= 0 <= hi"),
+    ({"grid": [4, 4]}, "grid needs at least 8 nodes per axis"),
+    ({"domain": ANNULUS_SPEC, "grid": [16, 15]}, "annulus grids need an even angular count"),
+    ({"domain": ANNULUS_SPEC, "grid": [16, 8]}, "annulus grids need an even angular count"),
+    ({"experiment": "pde-green", "pde_check": "reference", "grid": [32, 128]},
+     "solves on a square grid"),
+    ({"experiment": "pde-green", "pde_check": "factorization", "domain": ANNULUS_SPEC,
+      "grid": [64, 32]}, "solves on a square grid"),
+    ({"experiment": "pde-green", "pde_check": "factorization", "grid": [12, 12]},
+     "grid[0] must be >= 16"),
 ])
 def test_cli_malformed_config_exits_2(tmp_path, capsys, change, message):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"experiment": "kernel", "seed": 3, "count": 4, **change}))
-    assert cli_main(["kernel", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    data = {"experiment": "kernel", "seed": 3, "count": 4, **change}
+    path.write_text(json.dumps(data))
+    assert cli_main([data["experiment"], "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and message in err
     assert "Traceback" not in err

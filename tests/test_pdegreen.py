@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from bergreen import (
     Annulus,
-    DiscreteGreen,
     GridSpec,
     LaurentBasis,
     MonomialBasis,
@@ -15,14 +15,18 @@ from bergreen import (
     WeightError,
     build_quadrature,
     discretize,
-    grid_mixed_derivative,
     kernel_from_gram,
     solve_green,
     solve_mixed,
     unit_weight,
 )
-from bergreen.pdegreen import mid_mask, reference_error
-from bergreen.weights import GenericC1Weight, HoloModulusSquaredWeight, LogHarmonicWeight
+from bergreen.pdegreen import grid_pairs, mid_mask, reference_error
+from bergreen.weights import (
+    GENERIC_BUILTINS,
+    GenericC1Weight,
+    HoloModulusSquaredWeight,
+    LogHarmonicWeight,
+)
 
 SQUARE = Rectangle(0.0, 1.0, 0.0, 1.0)
 
@@ -165,30 +169,84 @@ def test_weighted_factorization_agreement():
     assert rels[-1] < rels[0]
 
 
-def test_grid_mixed_derivative_bilinear_injection():
+ANNULUS = Annulus(0.5, 1.0)
+
+# rho = |z + 2|^2 (a complex matrix), unit weight, and a weight with no gauge
+HERMITIAN_CASES = {
+    "square-|z+2|^2": (GridSpec(SQUARE, (16, 16)), HoloModulusSquaredWeight([2, 1], SQUARE)),
+    "annulus-unit": (GridSpec(ANNULUS, (12, 32)), unit_weight(ANNULUS)),
+    "annulus-|z+2|^2": (GridSpec(ANNULUS, (12, 32)), HoloModulusSquaredWeight([2, 1], ANNULUS)),
+    "square-exp_abs_sq": (GridSpec(SQUARE, (16, 16)), GENERIC_BUILTINS["exp_abs_sq"](SQUARE)),
+    "annulus-exp_abs_sq": (GridSpec(ANNULUS, (12, 32)), GENERIC_BUILTINS["exp_abs_sq"](ANNULUS)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HERMITIAN_CASES))
+def test_scaled_operator_is_hermitian_and_green_reciprocal(case):
+    # solve_mixed rests on H = D A being Hermitian (D = I on rectangles,
+    # diag(r) on annuli), so that G_h(z, w) = conj(G_h(w, z))
+    grid, weight = HERMITIAN_CASES[case]
+    op = discretize(grid, weight)
+    radii = grid.axes[0][1:-1] if grid.is_polar else np.ones(grid.shape[0])
+    H = sp.diags(np.repeat(radii, grid.shape[1])) @ op.matrix
+    assert spla.norm(H - H.conj().T) <= 1e-14 * spla.norm(H)
+
+    z, w = grid.node_point(4, 5), grid.node_point(7, 11)
+    g_w, g_z = solve_green(op, w), solve_green(op, z)
+    scale = max(np.max(np.abs(g_w.values)), np.max(np.abs(g_z.values)))
+    assert abs(g_w.value_at(z) - np.conj(g_z.value_at(w))) <= 1e-12 * scale
+
+
+def five_solve_mixed(op, z, w):
+    """Reference d^2 G_h / dz d(conj w): d/dz inside the fields of four
+    solves whose sources are the axis neighbours of w, d/d(conj w) across them."""
+    grid = op.grid
+    n2 = grid.shape[1]
+    h1, h2 = grid.spacing
+
+    def gradient(f, idx):
+        i, j = idx
+        d1 = (f(i + 1, j) - f(i - 1, j)) / (2 * h1)
+        d2 = (f(i, (j + 1) % n2) - f(i, (j - 1) % n2)) / (2 * h2)
+        if not grid.is_polar:
+            return d1, d2
+        p = grid.node_point(i, j)
+        r, th = abs(p), math.atan2(p.imag, p.real)
+        return (math.cos(th) * d1 - math.sin(th) / r * d2,
+                math.sin(th) * d1 + math.cos(th) / r * d2)
+
+    def dz_of_green(i, j):
+        values = solve_green(op, grid.node_point(i, j)).values
+        ux, uy = gradient(lambda a, b: values[a, b], grid.snap_index(z))
+        return 0.5 * (ux - 1j * uy)
+
+    ux, uy = gradient(dz_of_green, grid.snap_index(w))
+    return 0.5 * (ux + 1j * uy)
+
+
+@pytest.mark.parametrize("grid, weight", [
+    (GridSpec(SQUARE, (24, 24)), HoloModulusSquaredWeight([-(2 + 2j), 1], SQUARE)),
+    (GridSpec(ANNULUS, (16, 32)), unit_weight(ANNULUS)),
+    (GridSpec(ANNULUS, (16, 32)), HoloModulusSquaredWeight([2, 1], ANNULUS)),
+], ids=["square-complex", "annulus-real", "annulus-complex"])
+def test_solve_mixed_matches_five_solve_oracle(grid, weight):
+    op = discretize(grid, weight)
+    pairs = grid_pairs(grid, 5)
+    want = np.array([five_solve_mixed(op, z, w) for z, w in pairs])
+    for batch, ref in ((pairs, want), (pairs[2:3], want[2:3])):
+        got = solve_mixed(op, batch)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-10
+
+
+def test_solve_mixed_margin_error():
     grid = GridSpec(SQUARE, (16, 16))
     op = discretize(grid, unit_weight(SQUARE))
-    i0, j0 = 8, 8
-    pts = grid.interior_points()
-
-    def fake(idx):
-        w = grid.node_point(*idx)
-        return DiscreteGreen(operator=op, source=w, source_index=idx,
-                             values=pts * np.conj(w))
-
-    center = fake((i0, j0))
-    shifts = [fake((i0 + 1, j0)), fake((i0 - 1, j0)), fake((i0, j0 + 1)), fake((i0, j0 - 1))]
-    got = grid_mixed_derivative(center, grid.node_point(5, 10), shifts)
-    assert abs(got - 1.0) < 1e-10
-
-
-def test_grid_mixed_derivative_missing_shift():
-    grid = GridSpec(SQUARE, (16, 16))
-    op = discretize(grid, unit_weight(SQUARE))
-    center = solve_green(op, grid.node_point(8, 8))
-    only_two = [solve_green(op, grid.node_point(9, 8)), solve_green(op, grid.node_point(7, 8))]
-    with pytest.raises(ParameterError, match="missing"):
-        grid_mixed_derivative(center, 0.3 + 0.3j, only_two)
+    inner, edge = grid.node_point(8, 8), grid.node_point(0, 8)
+    assert solve_mixed(op, [(grid.node_point(1, 8), grid.node_point(8, 14))]).shape == (1,)
+    for pair in ((edge, inner), (inner, edge)):
+        with pytest.raises(ParameterError, match="closer than two cells"):
+            solve_mixed(op, [(inner, inner), pair])
 
 
 def test_square_identity_against_quadrature_kernel():
@@ -197,7 +255,7 @@ def test_square_identity_against_quadrature_kernel():
     grid = GridSpec(SQUARE, (64, 64))
     op = discretize(grid, unit_weight(SQUARE))
     z, w = grid.node_point(21, 21), grid.node_point(42, 42)
-    mixed = solve_mixed(op, z, w)
+    (mixed,) = solve_mixed(op, [(z, w)])
     kv = kernel.evaluate(z, w)
     assert abs(kv - (-2 / math.pi) * mixed) / abs(kv) < 0.05
 
@@ -210,7 +268,7 @@ def test_annulus_identity_against_laurent_kernel():
     op = discretize(grid, unit_weight(ann))
     z = grid.node_point(32, 10)
     w = grid.node_point(36, 20)  # about 28 degrees away
-    mixed = solve_mixed(op, z, w)
+    (mixed,) = solve_mixed(op, [(z, w)])
     kv = kernel.evaluate(z, w)
     assert abs(kv - (-2 / math.pi) * mixed) / abs(kv) < 0.05
 
