@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bergman import KernelApproximation
+from .bergman import KernelApproximation, _unbox
 from .errors import (
     DiagonalSingularityError,
     ParameterError,
@@ -42,6 +42,7 @@ __all__ = [
     "TransportedGreen",
     "WeightedGreen",
     "wirtinger_mixed",
+    "stencil_exits",
     "weighted_green",
     "identity_residual",
     "moebius_transport",
@@ -51,29 +52,46 @@ DIAGONAL_TOL = 1e-14
 
 
 class GreenFunction:
-    """Base class: a symmetric positive Green's function vanishing on the boundary."""
+    """Base class: a symmetric positive Green's function vanishing on the boundary.
+
+    Every method takes scalars or arrays; array arguments broadcast against
+    each other and evaluate elementwise, and scalar arguments give Python
+    scalars.
+    """
 
     kind = "green"
     domain: Domain
 
-    def value(self, z: complex, w: complex) -> float:
+    def value(self, z, w):
         raise NotImplementedError
 
-    def harmonic(self, z: complex, w: complex) -> float:
+    def harmonic(self, z, w):
         """The regular part h(z, w) = G(z, w) + ln|z - w|, finite on the diagonal."""
-        if abs(z - w) <= DIAGONAL_TOL:
-            return self.harmonic_diagonal(z)
-        return self.value(z, w) + math.log(abs(z - w))
+        z, w = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
+        on_diag = np.abs(z - w) <= DIAGONAL_TOL
+        off = ~on_diag
+        out = np.empty(z.shape)
+        out[on_diag] = self.harmonic_diagonal(z[on_diag])
+        out[off] = self.value(z[off], w[off]) + np.log(np.abs(z[off] - w[off]))
+        return _unbox(out)
 
-    def harmonic_diagonal(self, z: complex) -> float:
+    def harmonic_diagonal(self, z):
         raise NotImplementedError
 
     @property
     def has_analytic_mixed(self) -> bool:
         return False
 
-    def mixed_analytic(self, z: complex, w: complex) -> complex:
+    def mixed_analytic(self, z, w):
         raise NotImplementedError
+
+
+def _off_diagonal(z, w) -> None:
+    """Raise :class:`DiagonalSingularityError` naming the first pair with z = w."""
+    on_diag = np.abs(np.asarray(z) - np.asarray(w)) <= DIAGONAL_TOL
+    if np.any(on_diag):
+        z0 = complex(np.broadcast_to(z, on_diag.shape)[on_diag][0])
+        raise DiagonalSingularityError(f"G has a logarithmic singularity at z = w = {z0}")
 
 
 @dataclass(frozen=True)
@@ -94,28 +112,27 @@ class DiskGreen(GreenFunction):
         return Disk(self.center, self.radius)
 
     def value(self, z, w):
-        zeta = complex(z) - self.center
-        omega = complex(w) - self.center
-        if abs(zeta - omega) <= DIAGONAL_TOL:
-            raise DiagonalSingularityError(f"G has a logarithmic singularity at z = w = {z}")
-        return (
-            math.log(abs(self.radius**2 - zeta * omega.conjugate()))
+        _off_diagonal(z, w)
+        zeta = np.asarray(z, dtype=complex) - self.center
+        omega = np.asarray(w, dtype=complex) - self.center
+        return _unbox(
+            np.log(np.abs(self.radius**2 - zeta * np.conj(omega)))
             - math.log(self.radius)
-            - math.log(abs(zeta - omega))
+            - np.log(np.abs(zeta - omega))
         )
 
     def harmonic_diagonal(self, z):
-        zeta = complex(z) - self.center
-        return math.log(self.radius**2 - abs(zeta) ** 2) - math.log(self.radius)
+        zeta = np.asarray(z, dtype=complex) - self.center
+        return _unbox(np.log(self.radius**2 - np.abs(zeta) ** 2) - math.log(self.radius))
 
     @property
     def has_analytic_mixed(self):
         return True
 
     def mixed_analytic(self, z, w):
-        zeta = complex(z) - self.center
-        omega = complex(w) - self.center
-        return -self.radius**2 / (2.0 * (self.radius**2 - zeta * omega.conjugate()) ** 2)
+        zeta = np.asarray(z, dtype=complex) - self.center
+        omega = np.asarray(w, dtype=complex) - self.center
+        return _unbox(-self.radius**2 / (2.0 * (self.radius**2 - zeta * np.conj(omega)) ** 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,15 +150,15 @@ class TransportedGreen(GreenFunction):
         return MoebiusDisk(self.map.a, self.map.theta)
 
     def value(self, z, w):
-        if abs(complex(z) - complex(w)) <= DIAGONAL_TOL:
-            raise DiagonalSingularityError(f"G has a logarithmic singularity at z = w = {z}")
+        _off_diagonal(z, w)
         return self.base.value(self.map.inverse(z), self.map.inverse(w))
 
     def harmonic_diagonal(self, z):
         # h(z, z) picks up -ln|phi'(z)| from the change of variable in the
         # logarithmic term, phi being the inverse map.
         zeta = self.map.inverse(z)
-        return self.base.harmonic_diagonal(zeta) - math.log(abs(self.map.inverse_derivative(z)))
+        return _unbox(self.base.harmonic_diagonal(zeta)
+                      - np.log(np.abs(self.map.inverse_derivative(z))))
 
     @property
     def has_analytic_mixed(self):
@@ -150,7 +167,8 @@ class TransportedGreen(GreenFunction):
     def mixed_analytic(self, z, w):
         dz = self.map.inverse_derivative(z)
         dw = self.map.inverse_derivative(w)
-        return dz * np.conj(dw) * self.base.mixed_analytic(self.map.inverse(z), self.map.inverse(w))
+        return _unbox(dz * np.conj(dw)
+                      * self.base.mixed_analytic(self.map.inverse(z), self.map.inverse(w)))
 
 
 # ---------------------------------------------------------------------------
@@ -158,46 +176,69 @@ class TransportedGreen(GreenFunction):
 # ---------------------------------------------------------------------------
 
 
-def _stencil_points(z, w, step):
-    shifts = (step, -step, 1j * step, -1j * step)
-    return [z + s for s in shifts], [w + s for s in shifts]
+def _shifted(x, s):
+    """The stencil neighbours x + s, x - s, x + i s, x - i s along a new first axis."""
+    return np.stack([x + s, x - s, x + 1j * s, x - 1j * s])
 
 
-def _mixed_once(f, z, w, s):
+def stencil_exits(domain: Domain, z, w, step: float):
+    """Which pairs' stencils leave the domain, and where.
+
+    The stencil of a pair is z + s, z - s, z + i s, z - i s, then the same
+    four points around w, at s = ``step``.  Returns a boolean array, true
+    for each pair with a stencil point outside the domain, and a complex
+    array with the first such point of each pair (meaningless where the flag
+    is false).
+    """
+    z, w = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
+    pts = np.concatenate([_shifted(z, step), _shifted(w, step)])
+    outside = ~domain.contains_many(pts).reshape(pts.shape)
+    first = np.argmax(outside, axis=0)
+    return outside.any(axis=0), np.take_along_axis(pts, first[None], 0)[0]
+
+
+def _mixed_once(f_vals, s):
+    # f_vals[a, b] = f(z + shift_a, w + shift_b) over the shifts of _shifted;
     # d/dz = (d/dx - i d/dy)/2 in the first slot, then
-    # d/d(conj w) = (d/du + i d/dv)/2 in the second; 16 evaluations.
-    def dz_at(wp):
-        fx = (f(z + s, wp) - f(z - s, wp)) / (2 * s)
-        fy = (f(z + 1j * s, wp) - f(z - 1j * s, wp)) / (2 * s)
-        return 0.5 * (fx - 1j * fy)
-
-    du = (dz_at(w + s) - dz_at(w - s)) / (2 * s)
-    dv = (dz_at(w + 1j * s) - dz_at(w - 1j * s)) / (2 * s)
+    # d/d(conj w) = (d/du + i d/dv)/2 in the second.
+    fx = (f_vals[0] - f_vals[1]) / (2 * s)
+    fy = (f_vals[2] - f_vals[3]) / (2 * s)
+    dz = 0.5 * (fx - 1j * fy)
+    du = (dz[0] - dz[1]) / (2 * s)
+    dv = (dz[2] - dz[3]) / (2 * s)
     return 0.5 * (du + 1j * dv)
 
 
-def wirtinger_mixed(f, z: complex, w: complex, step: float, richardson: bool = True,
-                    domain: Optional[Domain] = None) -> complex:
+def wirtinger_mixed(f, z, w, step: float, richardson: bool = True,
+                    domain: Optional[Domain] = None):
     """Central-difference d^2 f / dz d(conj w) on a 16-point stencil.
 
     Plain central differences are O(step^2) accurate; with ``richardson``
     (two stencils at steps step and step/2, combined 2:1) the leading error
-    term cancels and the result is O(step^4).  If a domain is supplied every
-    stencil point is checked and a :class:`StencilError` names the first
-    offender.
+    term cancels and the result is O(step^4).  ``z`` and ``w`` broadcast
+    against each other and ``f`` is called once, on the stencil points of
+    every pair and both steps, so it must broadcast its two arguments too.
+    If a domain is supplied every stencil point is checked and a
+    :class:`StencilError` names the first offender.
     """
     if step <= 0:
         raise ParameterError("finite-difference step must be positive")
+    z, w = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
     if domain is not None:
-        zs, ws = _stencil_points(complex(z), complex(w), step)
-        for p in zs + ws:
-            if not domain.contains(p):
-                raise StencilError(f"stencil point {p} leaves the domain", point=p)
-    coarse = _mixed_once(f, complex(z), complex(w), step)
+        leaves, points = stencil_exits(domain, z, w, step)
+        if np.any(leaves):
+            p = complex(points[leaves][0])
+            raise StencilError(f"stencil point {p} leaves the domain", point=p)
+    steps = (step, step / 2) if richardson else (step,)
+    # axes: step, z shift, w shift, then the broadcast shape of the pairs
+    zs = np.stack([_shifted(z, s) for s in steps])[:, :, None]
+    ws = np.stack([_shifted(w, s) for s in steps])[:, None, :]
+    f_vals = np.asarray(f(zs, ws))
+    coarse = _mixed_once(f_vals[0], step)
     if not richardson:
-        return coarse
-    fine = _mixed_once(f, complex(z), complex(w), step / 2)
-    return (4.0 * fine - coarse) / 3.0
+        return _unbox(coarse)
+    fine = _mixed_once(f_vals[1], step / 2)
+    return _unbox((4.0 * fine - coarse) / 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +255,8 @@ class WeightedGreen:
     alone, the mixed z / conj(w) derivative factors exactly:
 
         d^2 G_rho / dz d(conj w) = g(z) conj(g(w)) d^2 G / dz d(conj w).
+
+    Every method works elementwise over the broadcast of ``z`` and ``w``.
     """
 
     base: GreenFunction
@@ -223,21 +266,20 @@ class WeightedGreen:
     def domain(self):
         return self.base.domain
 
-    def factor(self, z: complex, w: complex) -> complex:
+    def factor(self, z, w):
         if self.gauge is None:
-            return 1.0 + 0j
-        return complex(self.gauge(z)) * complex(self.gauge(w)).conjugate()
+            return _unbox(np.ones(np.broadcast_shapes(np.shape(z), np.shape(w)), dtype=complex))
+        return _unbox(self.gauge(z) * np.conj(self.gauge(w)))
 
-    def value(self, z: complex, w: complex) -> complex:
+    def value(self, z, w):
         return self.factor(z, w) * self.base.value(z, w)
 
-    def smooth_value(self, z: complex, w: complex) -> complex:
+    def smooth_value(self, z, w):
         """Gauge factor times the regular part h; shares the mixed derivative
         of ``value`` because the logarithmic term contributes nothing to it."""
         return self.factor(z, w) * self.base.harmonic(z, w)
 
-    def mixed_zwbar(self, z: complex, w: complex, step: float = 1e-3,
-                    method: str = "analytic") -> complex:
+    def mixed_zwbar(self, z, w, step: float = 1e-3, method: str = "analytic"):
         if method == "analytic":
             if not self.base.has_analytic_mixed:
                 raise ParameterError(
@@ -263,23 +305,26 @@ def weighted_green(green: GreenFunction, gauge: Optional[Gauge]) -> WeightedGree
 
 
 def identity_residual(kernel: KernelApproximation, wgreen: WeightedGreen, weight: Weight,
-                      z: complex, w: complex, step: float = 1e-3,
-                      method: str = "analytic") -> float:
+                      z, w, step: float = 1e-3, method: str = "analytic"):
     """Relative residual of K(z,w) = -2/(pi rho(z) rho(w)) d^2 G_rho / dz d(conj w).
 
-    Returns |K - rhs| / max(1, |K|).  The diagonal is excluded with an
-    explicit signal, and finite-difference evaluation verifies its stencil
-    stays inside the domain.
+    Returns |K - rhs| / max(1, |K|), the closed-form residual; the grid
+    identity of the pde-green experiment divides by |K| instead.  Works
+    elementwise over the broadcast of ``z`` and ``w``, with one kernel
+    evaluation and one mixed derivative for all pairs, and returns a
+    ``float`` for scalars.  A diagonal pair raises
+    :class:`DiagonalSingularityError`, and finite-difference evaluation
+    verifies its stencil stays inside the domain.
     """
-    z, w = complex(z), complex(w)
-    if abs(z - w) <= DIAGONAL_TOL:
+    z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
+    if np.any(np.abs(z - w) <= DIAGONAL_TOL):
         raise DiagonalSingularityError("identity residual is undefined on the diagonal z = w")
     mixed = wgreen.mixed_zwbar(z, w, step=step, method=method)
-    rz = float(np.real(weight.value(z)))
-    rw = float(np.real(weight.value(w)))
+    rz = np.real(weight.value(z))
+    rw = np.real(weight.value(w))
     rhs = -2.0 / (math.pi * rz * rw) * mixed
     kv = kernel.evaluate(z, w)
-    return abs(kv - rhs) / max(1.0, abs(kv))
+    return _unbox(np.abs(kv - rhs) / np.maximum(1.0, np.abs(kv)))
 
 
 def moebius_transport(base: GreenFunction, map: MoebiusMap) -> TransportedGreen:

@@ -22,11 +22,8 @@ from . import bergman, green, pdegreen, weights
 from .errors import (
     BergreenError,
     ConfigError,
-    DiagonalSingularityError,
     GaugeInfeasibleError,
-    NumericError,
     ParameterError,
-    StencilError,
     StudyInsufficientError,
     WeightError,
 )
@@ -201,8 +198,19 @@ class ExperimentConfig:
                 f"laurent must be two integers lo <= 0 <= hi, got {self.laurent!r}"
             )
         if self.study is not None:
-            if "parameter" not in self.study or "values" not in self.study:
-                raise ConfigError("study needs 'parameter' and 'values'")
+            self._validate_study()
+
+    def _validate_study(self):
+        if not isinstance(self.study, dict) or not {"parameter", "values"} <= set(self.study):
+            raise ConfigError("study needs 'parameter' and 'values'")
+        values = self.study["values"]
+        if not isinstance(values, (list, tuple)) or not all(_of_type(v, Real) for v in values):
+            raise ConfigError(f"study values must be a list of numbers, got {values!r}")
+        if self.study["parameter"] == "grid_resolution":
+            # the rules of pdegreen.GridSpec for the n x n grids of the study
+            bad = [v for v in values if not (float(v).is_integer() and v >= 8)]
+            if bad:
+                raise ConfigError(f"grid_resolution values must be integers >= 8, got {bad}")
 
     def _validate_grid(self):
         """The rules of :class:`pdegreen.GridSpec`, for every grid a run builds."""
@@ -414,6 +422,11 @@ def _parse_pairs(pairs) -> list:
     return out
 
 
+def _pair_arrays(pairs) -> tuple:
+    """The first and the second points of (z, w) pairs as two complex arrays."""
+    return tuple(np.array(pairs, dtype=complex).reshape(-1, 2).T)
+
+
 def _sample_pairs(cfg: ExperimentConfig, domain: Domain) -> list:
     if cfg.pairs is not None:
         return _parse_pairs(cfg.pairs)
@@ -436,19 +449,21 @@ def _exp_verify_identity(cfg: ExperimentConfig) -> VerificationReport:
     gauge = None if getattr(weight, "is_constant", False) else weights.solve_gauge(weight)
     wg = green.weighted_green(gf, gauge)
 
-    results, notes = [], []
-    for z, w in _sample_pairs(cfg, domain):
-        try:
-            res_a = green.identity_residual(kernel, wg, weight, z, w, method="analytic")
-            res_f = green.identity_residual(kernel, wg, weight, z, w, cfg.fd_step, method="fd")
-        except DiagonalSingularityError:
-            notes.append(f"pair z=w={z} excluded: diagonal singularity")
-            continue
-        except (StencilError, NumericError) as exc:
-            notes.append(f"pair ({z}, {w}) skipped: {exc}")
-            continue
-        results.append((z, w, (res_a, res_f, abs(kernel.evaluate(z, w)))))
-
+    pairs = _sample_pairs(cfg, domain)
+    zs, ws = _pair_arrays(pairs)
+    diagonal = np.abs(zs - ws) <= green.DIAGONAL_TOL
+    leaves, exits = green.stencil_exits(wg.domain, zs, ws, cfg.fd_step)
+    keep = ~(diagonal | leaves)
+    notes = [
+        f"pair z=w={z} excluded: diagonal singularity" if diag
+        else f"pair ({z}, {w}) skipped: stencil point {complex(p)} leaves the domain"
+        for (z, w), diag, p, kept in zip(pairs, diagonal, exits, keep) if not kept
+    ]
+    zs, ws = zs[keep], ws[keep]
+    res_a = green.identity_residual(kernel, wg, weight, zs, ws, method="analytic")
+    res_f = green.identity_residual(kernel, wg, weight, zs, ws, cfg.fd_step, method="fd")
+    abs_k = np.abs(kernel.evaluate(zs, ws))
+    results = zip(zs.tolist(), ws.tolist(), np.column_stack([res_a, res_f, abs_k]).tolist())
     records, table = _pair_table(
         results, {"residual_analytic": "residual", "residual_fd": "residual_fd", "abs_K": None})
     checks = [
@@ -465,15 +480,13 @@ def _exp_kernel(cfg: ExperimentConfig) -> VerificationReport:
     domain = _build_domain(cfg)
     weight = _build_weight(cfg, domain)
     kernel = _build_kernel(cfg, domain, weight)
-    pts = [z for z, _ in _sample_pairs(cfg, domain)]
-
-    rows, herm = [], 0.0
-    for z, w in zip(pts, pts[1:] + pts[:1]):
-        kv = kernel.evaluate(z, w)
-        herm = max(herm, abs(kv - np.conj(kernel.evaluate(w, z))))
-        rows.append((z.real, z.imag, w.real, w.imag, kv.real, kv.imag))
-    sub = pts[: min(6, len(pts))]
-    M = np.array([[kernel.evaluate(a, b) for b in sub] for a in sub])
+    pts = _pair_arrays(_sample_pairs(cfg, domain))[0]
+    nxt = np.roll(pts, -1)
+    kv, kv_swapped = kernel.evaluate(np.stack([pts, nxt]), np.stack([nxt, pts]))
+    herm = float(np.max(np.abs(kv - np.conj(kv_swapped))))
+    rows = np.column_stack([pts.real, pts.imag, nxt.real, nxt.imag, kv.real, kv.imag]).tolist()
+    sub = pts[:6]
+    M = kernel.evaluate(sub[:, None], sub[None, :])
     min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (M + M.conj().T))))
 
     checks = [
@@ -558,14 +571,12 @@ def _exp_distance(cfg: ExperimentConfig) -> VerificationReport:
     kernel = _build_kernel(cfg, domain, weight)
     pairs = _sample_pairs(cfg, domain)
 
-    rows, sym, in_range = [], 0.0, True
-    for z, w in pairs:
-        d = bergman.skwarczynski_distance(kernel, z, w)
-        sym = max(sym, abs(d - bergman.skwarczynski_distance(kernel, w, z)))
-        in_range = in_range and 0.0 <= d <= 1.0
-        rows.append((z.real, z.imag, w.real, w.imag, d))
-    z0 = pairs[0][0]
-    diag = bergman.skwarczynski_distance(kernel, z0, z0)
+    zs, ws = _pair_arrays(pairs)
+    d, d_swapped = bergman.skwarczynski_distance(kernel, np.stack([zs, ws]), np.stack([ws, zs]))
+    sym = float(np.max(np.abs(d - d_swapped)))
+    in_range = bool(np.all((0.0 <= d) & (d <= 1.0)))
+    rows = np.column_stack([zs.real, zs.imag, ws.real, ws.imag, d]).tolist()
+    diag = bergman.skwarczynski_distance(kernel, zs[0], zs[0])
 
     checks = [
         Check("distance symmetry, max |d(z,w) - d(w,z)|", sym, cfg.tol("symmetry")),
@@ -585,19 +596,20 @@ def _field_rows(sol: pdegreen.DiscreteGreen) -> list:
 
 
 def _grid_identity(cfg: ExperimentConfig, domain: Domain, weight, n_pairs: int = 5) -> tuple:
-    """Identity residuals |K - rhs| / |K| at grid node pairs, the right-hand
-    side taken from the grid mixed derivative.  Returns the kernel, the
-    records and the CSV table."""
+    """Identity residuals at grid node pairs, the right-hand side taken from
+    the grid mixed derivative of all pairs at once.  This grid residual is
+    |K - rhs| / |K|; the closed-form residual of ``green.identity_residual``
+    (verify-identity, the gauge perturbation table) divides by max(1, |K|)
+    instead.  Returns the kernel, the records and the CSV table."""
     kernel = _build_kernel(cfg, domain, weight)
     op = pdegreen.discretize(pdegreen.GridSpec(domain, tuple(cfg.grid)), weight)
     pairs = pdegreen.grid_pairs(op.grid, n_pairs)
-    results = []
-    for (z, w), mixed in zip(pairs, pdegreen.solve_mixed(op, pairs)):
-        rz = float(np.real(weight.value(z)))
-        rw = float(np.real(weight.value(w)))
-        rhs = -2.0 / (math.pi * rz * rw) * mixed
-        kv = kernel.evaluate(z, w)
-        results.append((z, w, (abs(kv - rhs) / abs(kv),)))
+    mixed = pdegreen.solve_mixed(op, pairs)
+    zs, ws = _pair_arrays(pairs)
+    rhs = -2.0 / (math.pi * np.real(weight.value(zs)) * np.real(weight.value(ws))) * mixed
+    kv = kernel.evaluate(zs, ws)
+    residual = np.abs(kv - rhs) / np.abs(kv)
+    results = zip(zs.tolist(), ws.tolist(), residual[:, None].tolist())
     records, table = _pair_table(results, {"residual": "residual"})
     return kernel, records, table
 
@@ -700,19 +712,13 @@ def _exp_gauge(cfg: ExperimentConfig) -> VerificationReport:
     if not getattr(weight, "is_constant", False) and not isinstance(domain, (Rectangle, Annulus)):
         kernel = _build_kernel(cfg, domain, weight)
         wg = green.weighted_green(_closed_form_green(domain), gauge)
-        pairs = _sample_pairs(cfg, domain)[:5]
-        rows = []
-        for eps in cfg.perturbations:
-            scale = math.exp(2.0 * eps)
-            worst = 0.0
-            for z, w in pairs:
-                mixed = wg.mixed_zwbar(z, w, method="analytic")
-                rz = float(np.real(weight.value(z)))
-                rw = float(np.real(weight.value(w)))
-                rhs = -2.0 / (math.pi * rz * rw) * mixed * scale
-                kv = kernel.evaluate(z, w)
-                worst = max(worst, abs(kv - rhs) / max(1.0, abs(kv)))
-            rows.append((eps, worst))
+        zs, ws = _pair_arrays(_sample_pairs(cfg, domain)[:5])
+        rhs = (-2.0 / (math.pi * np.real(weight.value(zs)) * np.real(weight.value(ws)))
+               * wg.mixed_zwbar(zs, ws, method="analytic"))
+        kv = kernel.evaluate(zs, ws)
+        rows = [(eps, float(np.max(np.abs(kv - rhs * math.exp(2.0 * eps))
+                                   / np.maximum(1.0, np.abs(kv)))))
+                for eps in cfg.perturbations]
         csv_files["gauge_perturbation.csv"] = (("epsilon", "max_identity_residual"), rows)
         tables["perturbation"] = [{"epsilon": e, "max_identity_residual": r} for e, r in rows]
 
@@ -753,8 +759,40 @@ def run(config: ExperimentConfig, out_dir=None) -> VerificationReport:
 STUDY_PARAMETERS = ("basis_order", "quad_order", "grid_resolution", "fd_step")
 
 
-def _disk_kernel_closed_form(z: complex, w: complex) -> complex:
+def _disk_kernel_closed_form(z, w):
     return 1.0 / (math.pi * (1.0 - z * np.conj(w)) ** 2)
+
+
+# separated pairs with O(1) derivative constants, so central-difference
+# truncation stays far above the rounding floor of the double difference
+_FD_STUDY_PAIRS = [(0.45 + 0.2j, -0.3 + 0.1j), (0.1 - 0.5j, 0.4 + 0.3j), (-0.5 + 0.1j, 0.15 - 0.4j)]
+
+
+def _study_error(parameter: str, v) -> float:
+    """The error metric of one study value (see :func:`convergence_study`)."""
+    if parameter == "basis_order":
+        dom = UnitDisk()
+        rule = build_quadrature(dom, max(int(v) + 5, 20))
+        kern = bergman.kernel_from_gram(
+            bergman.MonomialBasis(dom, int(v)), weights.unit_weight(dom), rule)
+        zs, ws = _pair_arrays([(0.3, 0.2), (0.4 + 0.2j, -0.3j), (0.5, -0.5)])
+        return float(np.max(np.abs(kern.evaluate(zs, ws) - _disk_kernel_closed_form(zs, ws))))
+    if parameter == "quad_order":
+        dom = UnitDisk()
+        f = lambda zs: 1.0 / (1.2 - np.real(zs))  # pole just outside the closure
+        ref = integrate(build_quadrature(dom, 60), f)
+        return abs(integrate(build_quadrature(dom, int(v)), f) - ref)
+    if parameter == "grid_resolution":
+        dom = Rectangle(0.0, 1.0, 0.0, 1.0)
+        # keep only the error, so this resolution's factorization is freed
+        # before the next one is built
+        return pdegreen.reference_error(dom, weights.unit_weight(dom), int(v),
+                                        dom.basis_center)[0]
+    # fd_step
+    gf = green.DiskGreen(0j, 1.0)
+    zs, ws = _pair_arrays(_FD_STUDY_PAIRS)
+    fd = green.wirtinger_mixed(gf.value, zs, ws, float(v), richardson=False)
+    return float(np.mean(np.abs(fd - gf.mixed_analytic(zs, ws))))
 
 
 def convergence_study(config: ExperimentConfig, parameter: str, values) -> dict:
@@ -765,7 +803,9 @@ def convergence_study(config: ExperimentConfig, parameter: str, values) -> dict:
     drift for ``quad_order``, grid-versus-series error for
     ``grid_resolution``, and plain (non-extrapolated) central-difference
     error of the mixed derivative for ``fd_step``.  The fitted order is the
-    log-log slope, signed so that larger is better.
+    log-log slope, signed so that larger is better.  ``skipped`` lists,
+    with its reason, every value that gave no row: its computation raised a
+    :class:`BergreenError`, or its error was zero or not finite.
     """
     if parameter not in STUDY_PARAMETERS:
         raise ConfigError(f"unknown study parameter {parameter!r}")
@@ -776,43 +816,20 @@ def convergence_study(config: ExperimentConfig, parameter: str, values) -> dict:
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ConfigError("study values must be strictly monotone")
 
-    # separated pairs with O(1) derivative constants, so central-difference
-    # truncation stays far above the rounding floor of the double difference
-    test_pairs = [(0.45 + 0.2j, -0.3 + 0.1j), (0.1 - 0.5j, 0.4 + 0.3j), (-0.5 + 0.1j, 0.15 - 0.4j)]
-    rows = []
+    rows, skipped = [], []
     for v in vals:
         try:
-            if parameter == "basis_order":
-                dom = UnitDisk()
-                rule = build_quadrature(dom, max(int(v) + 5, 20))
-                kern = bergman.kernel_from_gram(
-                    bergman.MonomialBasis(dom, int(v)), weights.unit_weight(dom), rule)
-                err = max(abs(kern.evaluate(z, w) - _disk_kernel_closed_form(z, w))
-                          for z, w in [(0.3, 0.2), (0.4 + 0.2j, -0.3j), (0.5, -0.5)])
-            elif parameter == "quad_order":
-                dom = UnitDisk()
-                f = lambda zs: 1.0 / (1.2 - np.real(zs))  # pole just outside the closure
-                ref = integrate(build_quadrature(dom, 60), f)
-                err = abs(integrate(build_quadrature(dom, int(v)), f) - ref)
-            elif parameter == "grid_resolution":
-                dom = Rectangle(0.0, 1.0, 0.0, 1.0)
-                # keep only the error, so this resolution's factorization is
-                # freed before the next one is built
-                err = pdegreen.reference_error(dom, weights.unit_weight(dom), int(v),
-                                               dom.basis_center)[0]
-            else:  # fd_step
-                gf = green.DiskGreen(0j, 1.0)
-                err = float(np.mean([
-                    abs(green.wirtinger_mixed(gf.value, z, w, float(v), richardson=False)
-                        - gf.mixed_analytic(z, w))
-                    for z, w in test_pairs
-                ]))
-            if math.isfinite(err) and err > 0:
-                rows.append({"value": float(v), "error": err})
-        except BergreenError:
+            err = _study_error(parameter, v)
+        except BergreenError as exc:
+            skipped.append(f"study value {v} skipped: {exc}")
             continue
+        if math.isfinite(err) and err > 0:
+            rows.append({"value": float(v), "error": err})
+        else:
+            skipped.append(f"study value {v} skipped: error {err} is not positive and finite")
     if len(rows) < 3:
-        raise StudyInsufficientError(f"only {len(rows)} study rows succeeded; need 3")
+        raise StudyInsufficientError(
+            "; ".join([f"only {len(rows)} study rows succeeded; need 3", *skipped]))
 
     xs = np.log(np.array([r["value"] for r in rows]))
     es = np.log(np.array([r["error"] for r in rows]))
@@ -820,11 +837,12 @@ def convergence_study(config: ExperimentConfig, parameter: str, values) -> dict:
     # sign convention: error ~ value^order for step-like parameters, and
     # ~ value^(-order) for resolution-like ones
     order = slope if parameter == "fd_step" else -slope
-    return {"parameter": parameter, "rows": rows, "fitted_order": order}
+    return {"parameter": parameter, "rows": rows, "fitted_order": order, "skipped": skipped}
 
 
 def _run_study(cfg: ExperimentConfig) -> VerificationReport:
     table = convergence_study(cfg, cfg.study["parameter"], cfg.study["values"])
+    notes = table.pop("skipped")
     param = table["parameter"]
     if param == "grid_resolution":
         checks = [
@@ -840,5 +858,5 @@ def _run_study(cfg: ExperimentConfig) -> VerificationReport:
         errs = [r["error"] for r in table["rows"]]
         dec = all(a > b for a, b in zip(errs, errs[1:]))
         checks = [Check("error strictly decreasing (violations)", 0.0 if dec else 1.0, 0.5)]
-    return _report(cfg, checks, tables={"study": table}, csv_files={
+    return _report(cfg, checks, tables={"study": table}, notes=notes, csv_files={
         "study.csv": (("value", "error"), [(r["value"], r["error"]) for r in table["rows"]])})

@@ -34,7 +34,6 @@ differencing across sources would need one solve per neighbour of w.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -345,7 +344,8 @@ def solve_green(op: DiscreteOperator, source: complex) -> DiscreteGreen:
 
     The source must keep at least two cells of margin from the eliminated
     boundary so derivative stencils around it stay on the grid.  The result
-    carries solver statistics (unknowns, linear residual, wall time).
+    carries solver statistics: unknowns and the relative linear residual, no
+    timings, so a report that embeds them is deterministic.
     """
     grid = op.grid
     idx = grid.snap_index(source)
@@ -361,12 +361,10 @@ def solve_green(op: DiscreteOperator, source: complex) -> DiscreteGreen:
         cell_area = h1 * h2
     rhs = np.zeros(op.size, dtype=op.matrix.dtype)
     rhs[idx[0] * grid.shape[1] + idx[1]] = -(math.pi / 2.0) / cell_area
-    t0 = time.perf_counter()
     sol = op.solve(rhs)
     stats = {
         "unknowns": op.size,
         "residual": float(np.linalg.norm(op.matrix @ sol - rhs) / np.linalg.norm(rhs)),
-        "solve_seconds": time.perf_counter() - t0,
     }
     return DiscreteGreen(operator=op, source=snapped, source_index=idx,
                          values=sol.reshape(grid.shape), solve_stats=stats)

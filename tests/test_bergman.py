@@ -4,9 +4,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 import bergreen
 from bergreen import (
@@ -15,6 +17,7 @@ from bergreen import (
     LaurentBasis,
     MoebiusDisk,
     MonomialBasis,
+    NumericError,
     ParameterError,
     Rectangle,
     UnitDisk,
@@ -110,13 +113,17 @@ def test_gram_matches_fsum_and_is_hermitian(case):
     assert not np.any(G.diagonal().imag)
 
 
+# the Gram matrix and the kernel at 3200 node pairs (one product of 3200
+# basis rows with the inverse factor per argument)
 GRAM_DIGEST = """
 import hashlib
-from bergreen import UnitDisk, MonomialBasis, build_quadrature, gram_matrix
+from bergreen import UnitDisk, MonomialBasis, build_quadrature, gram_matrix, kernel_from_gram
 from bergreen.weights import HoloModulusSquaredWeight
 d = UnitDisk()
-G = gram_matrix(MonomialBasis(d, 30), HoloModulusSquaredWeight([2, 1], d), build_quadrature(d, 40))
-print(hashlib.sha256(G.tobytes()).hexdigest())
+basis, weight, rule = MonomialBasis(d, 30), HoloModulusSquaredWeight([2, 1], d), build_quadrature(d, 40)
+G = gram_matrix(basis, weight, rule)
+K = kernel_from_gram(basis, weight, rule).evaluate(rule.nodes[::2], rule.nodes[1::2])
+print(hashlib.sha256(G.tobytes() + K.tobytes()).hexdigest())
 """
 
 
@@ -130,8 +137,10 @@ def test_gram_identical_under_one_and_two_blas_threads():
                              capture_output=True, text=True)
         digests.add(out.stdout.strip())
     basis, weight, quad = GRAM_CASES["disk"]
-    here = gram_matrix(basis, weight, build_quadrature(DISK, quad))
-    digests.add(hashlib.sha256(here.tobytes()).hexdigest())
+    rule = build_quadrature(DISK, quad)
+    here = gram_matrix(basis, weight, rule)
+    k = kernel_from_gram(basis, weight, rule).evaluate(rule.nodes[::2], rule.nodes[1::2])
+    digests.add(hashlib.sha256(here.tobytes() + k.tobytes()).hexdigest())
     assert len(digests) == 1
 
 
@@ -273,3 +282,83 @@ def test_skwarczynski_distance():
         d2 = skwarczynski_distance(kernel, w, z)
         assert abs(d1 - d2) < 1e-12
         assert 0.0 <= d1 <= 1.0
+
+
+def _per_point_oracle(kernel, z, w):
+    """K(z, w) as the vdot of two single-point triangular solves."""
+    def coords(p):
+        return solve_triangular(kernel.factor, kernel.basis_values([p]).T, lower=True)[:, 0]
+    return np.vdot(coords(w), coords(z))
+
+
+def _array_case(name):
+    rho = [2, 1]  # |z + 2|^2
+    if name == "unit_disk":
+        dom = DISK
+        return dom, kernel_from_gram(MonomialBasis(dom, 20), HoloModulusSquaredWeight(rho, dom),
+                                     build_quadrature(dom, 25))
+    if name == "moebius_disk":
+        dom = MoebiusDisk(0.3 - 0.2j, 0.8)
+        return dom, kernel_from_gram(MonomialBasis(dom, 20), HoloModulusSquaredWeight(rho, dom),
+                                     build_quadrature(dom, 25))
+    dom = Annulus(0.5, 1.0)
+    return dom, kernel_from_gram(LaurentBasis(dom, -8, 8), unit_weight(dom),
+                                 build_quadrature(dom, 20))
+
+
+@pytest.mark.parametrize("case", ["unit_disk", "moebius_disk", "laurent_annulus"])
+def test_broadcast_evaluate_matches_per_point_oracle(case):
+    dom, kernel = _array_case(case)
+    rng = np.random.default_rng(21)
+    zs = dom.sample_interior(rng, 7, margin=0.6)
+    ws = dom.sample_interior(rng, 5, margin=0.6)
+    want = np.array([[_per_point_oracle(kernel, z, w) for w in ws] for z in zs])
+    kzz = np.array([_per_point_oracle(kernel, z, z).real for z in zs])
+    kww = np.array([_per_point_oracle(kernel, w, w).real for w in ws])
+    # rounding scale of each entry: |K(z, w)| <= sqrt(K(z, z) K(w, w))
+    scale = np.sqrt(np.outer(kzz, kww))
+
+    def assert_close(got, idx):
+        assert got.shape == want[idx].shape
+        assert np.max(np.abs(got - want[idx]) / scale[idx]) <= 1e-14
+
+    assert_close(kernel.evaluate(zs[:, None], ws[None, :]), np.s_[:, :])
+    assert_close(kernel.evaluate(zs[:5], ws), (np.arange(5), np.arange(5)))
+    assert_close(kernel.evaluate(zs, ws[2]), np.s_[:, 2])
+    assert_close(kernel.evaluate(zs[3], ws), np.s_[3, :])
+    assert np.max(np.abs(kernel.diagonal(zs) - kzz) / kzz) <= 1e-14
+    assert np.max(np.abs(kernel.diagonal(ws[None, :]) - kww) / kww) <= 1e-14
+
+    scalar = kernel.evaluate(complex(zs[1]), complex(ws[4]))
+    assert type(scalar) is complex
+    assert abs(scalar - want[1, 4]) <= 1e-14 * scale[1, 4]
+    assert type(kernel.diagonal(complex(zs[0]))) is float
+    assert type(kernel.evaluate(zs[1], ws[4])) is complex  # numpy scalars too
+
+
+def test_distance_on_arrays():
+    kernel, _ = build_disk_kernel(maxdeg=20, quad=25)
+    rng = np.random.default_rng(8)
+    zs = DISK.sample_interior(rng, 12, margin=0.7)
+    ws = DISK.sample_interior(rng, 12, margin=0.7)
+    d = skwarczynski_distance(kernel, zs, ws)
+    assert d.shape == (12,)
+    for k in (0, 5, 11):
+        one = skwarczynski_distance(kernel, complex(zs[k]), complex(ws[k]))
+        assert type(one) is float
+        assert one == pytest.approx(d[k], abs=1e-12)
+    grid = skwarczynski_distance(kernel, zs[:, None], zs[None, :])
+    assert grid.shape == (12, 12)
+    assert np.max(np.abs(np.diag(grid))) <= 1e-7
+    assert np.max(np.abs(grid - grid.T)) <= 1e-12
+
+
+def test_distance_rejects_any_negative_radicand():
+    # |K(z, w)| above sqrt(K(z,z) K(w,w)) at one pair of an array
+    def evaluate(z, w):
+        return np.where(np.asarray(z) == 0.5, 1.0 + 1e-9, 0.5)
+
+    fake = SimpleNamespace(diagonal=lambda z: np.ones(np.shape(z)), evaluate=evaluate)
+    assert np.allclose(skwarczynski_distance(fake, np.array([0.1, 0.2]), 0.3), np.sqrt(0.5))
+    with pytest.raises(NumericError, match="radicand"):
+        skwarczynski_distance(fake, np.array([0.1, 0.5, 0.2]), 0.3)

@@ -254,3 +254,133 @@ def test_exhaustion_kernel_convergence_at_fixed_pairs():
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 2e-2
 
+
+
+# ---------------------------------------------------------------------------
+# Array semantics against scalar oracles
+# ---------------------------------------------------------------------------
+
+
+def _scalar_mixed_oracle(f, z, w, step):
+    """Richardson 16-point d^2 f / dz d(conj w), one scalar f call per point."""
+    def once(s):
+        def dz_at(wp):
+            fx = (f(z + s, wp) - f(z - s, wp)) / (2 * s)
+            fy = (f(z + 1j * s, wp) - f(z - 1j * s, wp)) / (2 * s)
+            return 0.5 * (fx - 1j * fy)
+
+        du = (dz_at(w + s) - dz_at(w - s)) / (2 * s)
+        dv = (dz_at(w + 1j * s) - dz_at(w - 1j * s)) / (2 * s)
+        return 0.5 * (du + 1j * dv)
+
+    return (4.0 * once(step / 2) - once(step)) / 3.0
+
+
+def _smooth_oracle(case):
+    """Domain, Green's function, weight and a scalar math-library evaluator of
+    the smooth part g(z) conj(g(w)) h(z, w) off the diagonal."""
+    from bergreen import MoebiusDisk
+
+    mu = [2, 1]  # rho = |z + 2|^2, gauge g(z) = conj(2 + z)
+
+    def gauge_factor(z, w):
+        return (2 + z).conjugate() * (2 + w)
+
+    if case == "disk":
+        dom = Disk(0.1 + 0.2j, 1.5)
+        c, r = dom.center, dom.radius
+        gf = DiskGreen(c, r)
+
+        def h(z, w):
+            return math.log(abs(r * r - (z - c) * (w - c).conjugate())) - math.log(r)
+    else:
+        dom = MoebiusDisk(0.3 - 0.2j, 0.8)
+        gf = moebius_transport(DiskGreen(0, 1.0), dom.map)
+        a, rot = dom.map.a, complex(math.cos(dom.map.theta), -math.sin(dom.map.theta))
+
+        def inv(z):
+            u = rot * z
+            return (u + a) / (1 + a.conjugate() * u)
+
+        def h(z, w):
+            u, v = inv(z), inv(w)
+            return (math.log(abs(1 - u * v.conjugate())) - math.log(abs(u - v))
+                    + math.log(abs(z - w)))
+
+    weight = HoloModulusSquaredWeight(mu, dom)
+    return dom, gf, weight, lambda z, w: gauge_factor(z, w) * h(z, w)
+
+
+@pytest.mark.parametrize("case", ["disk", "moebius"])
+def test_array_mixed_and_residual_match_scalar_oracle(case):
+    dom, gf, weight, f = _smooth_oracle(case)
+    wg = weighted_green(gf, solve_gauge(weight))
+    kernel = kernel_from_gram(MonomialBasis(dom, 20), weight, build_quadrature(dom, 25))
+    rng = np.random.default_rng(17)
+    zs = dom.sample_interior(rng, 9, margin=0.6)
+    ws = dom.sample_interior(rng, 9, margin=0.6)
+    step = 1e-3
+    want = np.array([_scalar_mixed_oracle(f, complex(z), complex(w), step)
+                     for z, w in zip(zs, ws)])
+
+    for got in (wirtinger_mixed(wg.smooth_value, zs, ws, step),
+                wg.mixed_zwbar(zs, ws, step, method="fd")):
+        assert got.shape == zs.shape
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-8
+
+    # the residual |K - rhs| / max(1, |K|) with the oracle's right-hand side
+    kv = np.array([kernel.evaluate(complex(z), complex(w)) for z, w in zip(zs, ws)])
+    rho = np.array([float(weight.value(complex(p))) for p in np.concatenate([zs, ws])])
+    rhs = -2.0 / (math.pi * rho[:9] * rho[9:]) * want
+    res_want = np.abs(kv - rhs) / np.maximum(1.0, np.abs(kv))
+    res = identity_residual(kernel, wg, weight, zs, ws, step, method="fd")
+    assert res.shape == zs.shape
+    assert np.max(np.abs(res - res_want)) <= 1e-8
+    assert np.max(res) < 1e-5
+
+    analytic = identity_residual(kernel, wg, weight, zs, ws, method="analytic")
+    for k in (0, 4, 8):
+        one = identity_residual(kernel, wg, weight, complex(zs[k]), complex(ws[k]))
+        assert type(one) is float
+        assert one == pytest.approx(analytic[k], abs=1e-13)
+
+
+def test_scalar_arguments_give_python_scalars():
+    g = DiskGreen(0, 1.0)
+    wg = weighted_green(g, None)
+    assert type(g.value(0.3, 0.1j)) is float
+    assert type(g.harmonic(0.3, 0.3)) is float
+    assert type(g.mixed_analytic(0.3, 0.1j)) is complex
+    assert type(wg.factor(0.3, 0.1)) is complex
+    assert type(wg.mixed_zwbar(0.3, 0.1, method="fd")) is complex
+    assert type(wirtinger_mixed(lambda z, w: z * np.conj(w), 0.3, 0.1, 1e-3)) is complex
+
+
+def test_harmonic_part_on_arrays_mixes_diagonal_and_off_diagonal():
+    g = moebius_transport(DiskGreen(0, 1.0), MoebiusMap(0.3 - 0.2j, 0.8))
+    zs = np.array([0.2 + 0.1j, -0.3j, 0.5])
+    ws = np.array([0.2 + 0.1j, 0.4, 0.5])
+    got = g.harmonic(zs, ws)
+    assert got.shape == (3,)
+    for k in (0, 2):
+        assert got[k] == pytest.approx(g.harmonic_diagonal(complex(zs[k])), abs=1e-14)
+    want = g.value(complex(zs[1]), complex(ws[1])) + math.log(abs(zs[1] - ws[1]))
+    assert got[1] == pytest.approx(want, abs=1e-14)
+    assert g.harmonic(zs[:, None], ws[None, :]).shape == (3, 3)
+
+
+def test_array_errors_name_the_first_offender():
+    g = DiskGreen(0, 1.0)
+    with pytest.raises(DiagonalSingularityError, match=r"z = w = 0\.4j"):
+        g.value(np.array([0.1, 0.4j, 0.2, 0.3]), np.array([0.2, 0.4j, 0.3, 0.3]))
+    kernel = build_kernel(maxdeg=10, quad=15)
+    wg = weighted_green(g, None)
+    with pytest.raises(DiagonalSingularityError):
+        identity_residual(kernel, wg, unit_weight(DISK), np.array([0.1, 0.3]), np.array([0.2, 0.3]))
+    # the second pair is the first to leave; z - s and z - i s both do
+    zs = np.array([0.2, -0.7071 - 0.7071j, 0.9999])
+    ws = np.array([0.1, 0.0, 0.99995j])
+    with pytest.raises(StencilError) as err:
+        wirtinger_mixed(lambda z, w: z * np.conj(w), zs, ws, 1e-2, domain=DISK)
+    assert err.value.point == -0.7171 - 0.7071j
+    assert str(err.value) == "stencil point (-0.7171-0.7071j) leaves the domain"

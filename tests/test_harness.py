@@ -69,6 +69,39 @@ def test_verify_identity_skips_stencil_failures(tmp_path):
     assert any("skipped" in n for n in report.notes)
 
 
+def test_verify_identity_notes_and_records_keep_pair_order(tmp_path):
+    # good, diagonal, stencil-leaving z, good, diagonal at the boundary (the
+    # diagonal note wins), stencil-leaving w, w with two stencil points
+    # outside (the note names the first), good
+    pairs = [[[0.2, 0.1], [0.0, -0.3]], [[0.3, 0.0], [0.3, 0.0]], [[0.9999, 0.0], [0.2, 0.1]],
+             [[0.1, 0.5], [-0.4, 0.2]], [[0.9999, 0.0], [0.9999, 0.0]],
+             [[0.2, 0.1], [0.0, 0.9995]], [[0.1, 0.1], [-0.7071, -0.7071]],
+             [[0.6, -0.2], [0.1, 0.1]]]
+    report = run(cfg(pairs=pairs, basis_order=20, quad_order=24, weight={
+        "representation": "holo_modulus_squared", "coefficients": [[2, 0], [1, 0]]}), tmp_path)
+    assert report.notes == [
+        "pair z=w=(0.3+0j) excluded: diagonal singularity",
+        "pair ((0.9999+0j), (0.2+0.1j)) skipped: stencil point (1.0009+0j) leaves the domain",
+        "pair z=w=(0.9999+0j) excluded: diagonal singularity",
+        "pair ((0.2+0.1j), 0.9995j) skipped: stencil point 1.0005j leaves the domain",
+        "pair ((0.1+0.1j), (-0.7071-0.7071j)) skipped: "
+        "stencil point (-0.7081-0.7071j) leaves the domain",
+    ]
+    assert [(r["z"], r["w"]) for r in report.records] == [
+        ([0.2, 0.1], [0.0, -0.3]), ([0.1, 0.5], [-0.4, 0.2]), ([0.6, -0.2], [0.1, 0.1])]
+    assert all(set(r) == {"z", "w", "residual", "residual_fd"} for r in report.records)
+    assert max(r["residual"] for r in report.records) < 1e-12
+    assert max(r["residual_fd"] for r in report.records) < 1e-10
+    assert report.passed
+    rows = (tmp_path / "identity.csv").read_text().splitlines()
+    assert rows[0] == "re_z,im_z,re_w,im_w,residual_analytic,residual_fd,abs_K"
+    assert [r.split(",")[:4] for r in rows[1:]] == [
+        ["0.20000000000000001", "0.10000000000000001", "0", "-0.29999999999999999"],
+        ["0.10000000000000001", "0.5", "-0.40000000000000002", "0.20000000000000001"],
+        ["0.59999999999999998", "-0.20000000000000001", "0.10000000000000001",
+         "0.10000000000000001"]]
+
+
 def test_verify_identity_rejects_annulus():
     with pytest.raises(ConfigError, match="pde-green"):
         run(cfg(domain={"kind": "annulus", "params": {"inner": 0.5, "outer": 1.0}},
@@ -104,8 +137,8 @@ SQUARE = {"kind": "rectangle", "params": {"x0": 0, "x1": 1, "y0": 0, "y1": 1}}
 ANNULUS_SPEC = {"kind": "annulus", "params": {"inner": 0.5, "outer": 1.0}}
 SMALL = {"basis_order": 10, "quad_order": 16}
 
-# every experiment plus one study; the single-resolution pde-green reference
-# check is left out because its report carries the wall-clock solve time
+# every experiment, the single-resolution pde-green reference check (its
+# report embeds the solver statistics) and one study
 DETERMINISM_CONFIGS = {
     "verify-identity": {"experiment": "verify-identity", "seed": 7, "count": 25},
     "kernel": {"experiment": "kernel", "seed": 5, "count": 12, **SMALL},
@@ -116,6 +149,8 @@ DETERMINISM_CONFIGS = {
                   "weight": {"representation": "holo_modulus_squared",
                              "coefficients": [[2, 0], [1, 0]]},
                   "grid": [32, 32], "seed": 1, **SMALL},
+    "reference": {"experiment": "pde-green", "pde_check": "reference", "domain": SQUARE,
+                  "grid": [32, 32], "seed": 1},
     "gauge-experiment": {"experiment": "gauge-experiment", "seed": 2, **SMALL,
                          "weight": {"representation": "holo_modulus_squared",
                                     "coefficients": [[2, 0], [1, 0]]}},
@@ -233,6 +268,22 @@ def test_convergence_study_validation():
         convergence_study(cfg(), "warp_factor", [1, 2, 3])
 
 
+def test_study_notes_every_skipped_value(tmp_path):
+    # maxdeg -1 raises; quad_order 60 is the reference, so its error is 0
+    for study, skipped in (
+            ({"parameter": "basis_order", "values": [-1, 10, 20, 30]},
+             "study value -1 skipped: maxdeg must be >= 0"),
+            ({"parameter": "quad_order", "values": [10, 20, 30, 60]},
+             "study value 60 skipped: error 0.0 is not positive and finite")):
+        rep = run(ExperimentConfig.from_dict(
+            {"experiment": "verify-identity", "seed": 1, "study": study}), tmp_path / "o")
+        assert rep.notes == [skipped]
+        assert len(rep.tables["study"]["rows"]) == 3
+        assert "skipped" not in rep.tables["study"]
+    with pytest.raises(StudyInsufficientError, match="study value 60 skipped: error 0.0"):
+        convergence_study(cfg(), "quad_order", [20, 40, 60])
+
+
 def test_study_config_route(tmp_path):
     rep = run(ExperimentConfig.from_dict({
         "experiment": "verify-identity", "seed": 1,
@@ -313,6 +364,17 @@ def test_cli_overrides_are_applied_before_validation(tmp_path, capsys):
       "grid": [64, 32]}, "solves on a square grid"),
     ({"experiment": "pde-green", "pde_check": "factorization", "grid": [12, 12]},
      "grid[0] must be >= 16"),
+    ({"experiment": "pde-green", "pde_check": "reference",
+      "study": {"parameter": "grid_resolution", "values": [4, 16, 32, 64]}},
+     "grid_resolution values must be integers >= 8, got [4]"),
+    ({"experiment": "pde-green", "pde_check": "reference",
+      "study": {"parameter": "grid_resolution", "values": [4, 6, 16]}},
+     "grid_resolution values must be integers >= 8, got [4, 6]"),
+    ({"experiment": "pde-green", "pde_check": "reference",
+      "study": {"parameter": "grid_resolution", "values": [16, 24.5, 32]}},
+     "grid_resolution values must be integers >= 8, got [24.5]"),
+    ({"study": {"parameter": "fd_step", "values": [1e-3, "2e-3", 4e-3]}},
+     "study values must be a list of numbers"),
 ])
 def test_cli_malformed_config_exits_2(tmp_path, capsys, change, message):
     path = tmp_path / "cfg.json"
