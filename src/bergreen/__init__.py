@@ -8,6 +8,8 @@ identity connecting the two:
     K(z, w) = -2 / (pi rho(z) rho(w)) * d^2 G_rho(z, w) / dz d(conj w).
 """
 
+import importlib
+
 from .bergman import (
     ExtremalFunction,
     KernelApproximation,
@@ -60,18 +62,6 @@ from .green import (
     wirtinger_mixed,
 )
 from .harness import ExperimentConfig, VerificationReport, convergence_study, run
-from .pdegreen import (
-    DiscreteGreen,
-    DiscreteOperator,
-    GridSpec,
-    discretize,
-    grid_pairs,
-    mid_mask,
-    rectangle_green_series,
-    reference_error,
-    solve_green,
-    solve_mixed,
-)
 from .weights import (
     AdmissibilityCertificate,
     Gauge,
@@ -89,3 +79,19 @@ from .weights import (
 )
 
 __version__ = "0.1.0"
+
+# The grid solver needs scipy.sparse, which takes longer to import than the
+# rest of the package; it is imported on the first use of one of its names.
+_PDEGREEN_NAMES = frozenset({
+    "DiscreteGreen", "DiscreteOperator", "GridSpec", "discretize", "grid_pairs", "mid_mask",
+    "rectangle_green_series", "reference_error", "solve_green", "solve_mixed",
+})
+
+
+def __getattr__(name):
+    if name == "pdegreen" or name in _PDEGREEN_NAMES:
+        # import_module, not "from . import": the latter looks the name up on
+        # this package first, which would come back here
+        pdegreen = importlib.import_module(".pdegreen", __name__)
+        return pdegreen if name == "pdegreen" else getattr(pdegreen, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cholesky, get_lapack_funcs
 
 from .errors import (
     DegenerateKernelError,
@@ -190,19 +189,20 @@ class KernelApproximation:
 
     @cached_property
     def _factor_inverse(self) -> np.ndarray:
-        """L^-1, from one LAPACK ``trtri`` call per kernel.
+        """L^-1, computed once per kernel.
 
         Points are mapped through this inverse by one matrix product rather
         than by a many-column triangular solve: on a 2-vCPU machine with
         threaded OpenBLAS, many-column ``ztrsm`` calls between the Gram
         products sent a disk-identity iteration from 8 ms to 60-130 ms in
-        about half of all iterations.
+        about half of all iterations.  The inverse of a lower-triangular
+        matrix is lower triangular; ``np.tril`` zeroes the roundoff above
+        the diagonal.
         """
-        trtri = get_lapack_funcs("trtri", (self.factor,))
-        inverse, info = trtri(self.factor, lower=1)
-        if info:
-            raise NumericError(f"Cholesky factor is singular (trtri info {info})")
-        return inverse
+        try:
+            return np.tril(np.linalg.inv(self.factor))
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"Cholesky factor is singular: {exc}") from exc
 
     def _coords(self, zs) -> np.ndarray:
         """Coordinates L^-1 b(z) of every point, from one product for all of
@@ -281,7 +281,7 @@ def kernel_from_gram(basis, weight: Weight, rule: QuadratureRule) -> KernelAppro
             eig_max=float(eigs[-1]) if eigs is not None else None,
         )
     try:
-        L = cholesky(G[:n, :n], lower=True)
+        L = np.linalg.cholesky(G[:n, :n])
     except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by eig check
         raise IllConditionedGramError(
             f"Cholesky factorization failed: {exc}",

@@ -40,16 +40,17 @@ class Domain:
 
     A domain knows a strict membership test (optionally with a positive
     margin), its area, its natural expansion center, and how to sample
-    boundary and interior points.
+    boundary and interior points.  Subclasses write the membership test once,
+    elementwise on arrays, as ``contains_many``.
     """
 
     kind = "domain"
 
     def contains(self, z: complex, margin: float = 0.0) -> bool:
-        raise NotImplementedError
+        return bool(self.contains_many(complex(z), margin))
 
     def contains_many(self, zs, margin: float = 0.0):
-        return np.array([self.contains(z, margin) for z in np.asarray(zs).ravel()])
+        raise NotImplementedError
 
     def closure_distance(self, z: complex) -> float:
         """Distance from z to the closed domain; 0.0 when z lies in the closure."""
@@ -88,9 +89,6 @@ class Disk(Domain):
     def __post_init__(self):
         if not self.radius > 0:
             raise ParameterError(f"disk radius must be positive, got {self.radius}")
-
-    def contains(self, z, margin=0.0):
-        return abs(complex(z) - self.center) < self.radius - margin
 
     def contains_many(self, zs, margin=0.0):
         return np.abs(np.asarray(zs) - self.center) < self.radius - margin
@@ -147,9 +145,6 @@ class MoebiusDisk(Domain):
         if not abs(self.a) < 1:
             raise ParameterError(f"Moebius parameter must satisfy |a| < 1, got |a|={abs(self.a)}")
 
-    def contains(self, z, margin=0.0):
-        return abs(complex(z)) < 1.0 - margin
-
     def contains_many(self, zs, margin=0.0):
         return np.abs(np.asarray(zs)) < 1.0 - margin
 
@@ -190,9 +185,6 @@ class Annulus(Domain):
             raise ParameterError(
                 f"annulus needs 0 < inner < outer, got ({self.inner}, {self.outer})"
             )
-
-    def contains(self, z, margin=0.0):
-        return self.inner + margin < abs(complex(z)) < self.outer - margin
 
     def contains_many(self, zs, margin=0.0):
         r = np.abs(np.asarray(zs))
@@ -243,13 +235,6 @@ class Rectangle(Domain):
     def __post_init__(self):
         if not (self.x0 < self.x1 and self.y0 < self.y1):
             raise ParameterError("rectangle needs x0 < x1 and y0 < y1")
-
-    def contains(self, z, margin=0.0):
-        z = complex(z)
-        return (
-            self.x0 + margin < z.real < self.x1 - margin
-            and self.y0 + margin < z.imag < self.y1 - margin
-        )
 
     def contains_many(self, zs, margin=0.0):
         zs = np.asarray(zs)
@@ -482,19 +467,20 @@ def build_quadrature(domain: Domain, order: int) -> QuadratureRule:
 def integrate(rule: QuadratureRule, f) -> complex:
     """Integrate a pointwise evaluator against the rule's area measure.
 
-    The evaluator may be numpy-vectorized (called once on the node array) or
-    scalar (called per node).  The weighted values are reduced with
+    The evaluator is called once on the node array and must return one
+    value per node, or a scalar for a constant integrand; any other shape
+    raises ``ParameterError``.  The weighted values are reduced with
     ``math.fsum`` on the real and imaginary parts separately, which is
     correctly rounded and therefore independent of evaluation order; results
     are bit-reproducible across runs and thread counts.
     """
     nodes = rule.nodes
-    try:
-        vals = np.asarray(f(nodes), dtype=complex)
-        if vals.shape != nodes.shape:
-            raise TypeError("evaluator is not vectorized")
-    except (TypeError, ValueError):
-        vals = np.fromiter((complex(f(z)) for z in nodes), dtype=complex, count=len(nodes))
+    vals = np.asarray(f(nodes), dtype=complex)
+    if vals.ndim == 0:
+        vals = np.broadcast_to(vals, nodes.shape)
+    elif vals.shape != nodes.shape:
+        raise ParameterError(
+            f"integrand gave shape {vals.shape} on {nodes.shape} nodes; it must be vectorized")
     finite = np.isfinite(vals.real) & np.isfinite(vals.imag)
     if not finite.all():
         k = int(np.argmin(finite))

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bergman, green, pdegreen, weights
+from . import bergman, green, weights
 from .errors import (
     BergreenError,
     ConfigError,
@@ -180,6 +180,7 @@ class ExperimentConfig:
             raise ConfigError("a seed is mandatory when points are drawn randomly")
         if self.pairs is not None:
             _parse_pairs(self.pairs)
+        _build_weight(self, _build_domain(self))
         if self.quad_order < 1 or self.basis_order < 0:
             raise ConfigError("orders must be positive")
         if self.fd_step <= 0:
@@ -376,19 +377,24 @@ def _pair_table(results, columns: dict) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+# what parsing a malformed domain or weight spec raises: a missing key, a
+# field of the wrong type or shape, or a value the constructor rejects
+_SPEC_ERRORS = (LookupError, TypeError, ValueError, AttributeError, ParameterError, WeightError)
+
+
 def _build_domain(cfg: ExperimentConfig) -> Domain:
     spec = cfg.domain
     try:
         return make_domain(spec["kind"], **spec.get("params", {}))
-    except (KeyError, ParameterError) as exc:
-        raise ConfigError(f"bad domain spec: {exc}") from exc
+    except _SPEC_ERRORS as exc:
+        raise ConfigError(f"bad domain spec {spec!r}: {exc}") from exc
 
 
 def _build_weight(cfg: ExperimentConfig, domain: Domain) -> weights.Weight:
     try:
         return weights.weight_from_json(cfg.weight, domain)
-    except (KeyError, ParameterError, WeightError) as exc:
-        raise ConfigError(f"bad weight spec: {exc}") from exc
+    except _SPEC_ERRORS as exc:
+        raise ConfigError(f"bad weight spec {cfg.weight!r}: {exc}") from exc
 
 
 def _build_basis(cfg: ExperimentConfig, domain: Domain):
@@ -586,7 +592,8 @@ def _exp_distance(cfg: ExperimentConfig) -> VerificationReport:
     return _report(cfg, checks, csv_files={"distance.csv": (PAIR_COLUMNS + ("distance",), rows)})
 
 
-def _field_rows(sol: pdegreen.DiscreteGreen) -> list:
+def _field_rows(sol) -> list:
+    """(x, y, re G, im G) at every interior node of a discrete Green's function."""
     pts = sol.grid.interior_points()
     vals = np.asarray(sol.values, dtype=complex)
     return [
@@ -601,6 +608,8 @@ def _grid_identity(cfg: ExperimentConfig, domain: Domain, weight, n_pairs: int =
     |K - rhs| / |K|; the closed-form residual of ``green.identity_residual``
     (verify-identity, the gauge perturbation table) divides by max(1, |K|)
     instead.  Returns the kernel, the records and the CSV table."""
+    from . import pdegreen  # loads scipy, so only when a grid is built
+
     kernel = _build_kernel(cfg, domain, weight)
     op = pdegreen.discretize(pdegreen.GridSpec(domain, tuple(cfg.grid)), weight)
     pairs = pdegreen.grid_pairs(op.grid, n_pairs)
@@ -619,6 +628,7 @@ def _exp_pde_green(cfg: ExperimentConfig) -> VerificationReport:
     if not isinstance(domain, (Rectangle, Annulus)):
         raise ConfigError("pde-green runs on rectangles and annuli")
     weight = _build_weight(cfg, domain)
+    from . import pdegreen  # loads scipy, so only when a grid is built
 
     if cfg.pde_check == "reference":
         # single-resolution comparison; multi-resolution order fitting goes
@@ -783,6 +793,8 @@ def _study_error(parameter: str, v) -> float:
         ref = integrate(build_quadrature(dom, 60), f)
         return abs(integrate(build_quadrature(dom, int(v)), f) - ref)
     if parameter == "grid_resolution":
+        from . import pdegreen  # loads scipy, so only when a grid is built
+
         dom = Rectangle(0.0, 1.0, 0.0, 1.0)
         # keep only the error, so this resolution's factorization is freed
         # before the next one is built

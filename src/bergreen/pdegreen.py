@@ -179,10 +179,6 @@ class DiscreteOperator:
     def size(self) -> int:
         return self.matrix.shape[0]
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Matrix action on a field sampled at interior nodes (shape grid.shape)."""
-        return (self.matrix @ values.ravel()).reshape(self.grid.shape)
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Sparse LU solve of one right-hand side or a block of columns; the
         factorization is computed once and reused.
@@ -333,10 +329,6 @@ class DiscreteGreen:
     @property
     def grid(self) -> GridSpec:
         return self.operator.grid
-
-    def value_at(self, z: complex):
-        i, j = self.grid.snap_index(z)
-        return self.values[i, j]
 
 
 def solve_green(op: DiscreteOperator, source: complex) -> DiscreteGreen:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -362,3 +363,15 @@ def test_distance_rejects_any_negative_radicand():
     assert np.allclose(skwarczynski_distance(fake, np.array([0.1, 0.2]), 0.3), np.sqrt(0.5))
     with pytest.raises(NumericError, match="radicand"):
         skwarczynski_distance(fake, np.array([0.1, 0.5, 0.2]), 0.3)
+
+
+def test_singular_factor_raises_numeric_error():
+    kernel, _ = build_disk_kernel(maxdeg=4, quad=8)
+    inverse = kernel._factor_inverse
+    assert np.array_equal(inverse, np.tril(inverse))
+    assert np.allclose(inverse @ kernel.factor, np.eye(kernel.order), atol=1e-12)
+    factor = kernel.factor.copy()
+    factor[2, 2] = 0.0
+    singular = dataclasses.replace(kernel, factor=factor)
+    with pytest.raises(NumericError, match="singular"):
+        singular.evaluate(0.1, 0.2)

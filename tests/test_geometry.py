@@ -29,6 +29,29 @@ def test_make_domain_membership():
     assert r.contains(0.5 + 0.5j) and not r.contains(1.5 + 0.5j)
 
 
+# points on the real axis and near the edges of the unit square, with the
+# membership of each at margin 0 and at margin 0.05
+MEMBERSHIP_POINTS = [0, 0.5, 0.7, 0.97, 1.0, 0.5 + 0.5j, 0.97 + 0.5j, 0.5 + 0.97j, 2j]
+MEMBERSHIP = {
+    UnitDisk(): ("TTTTFTFFF", "TTTFFTFFF"),
+    Disk(0.2j, 0.8): ("TTTFFTFFF", "TTTFFTFFF"),
+    MoebiusDisk(0.3, 0.5): ("TTTTFTFFF", "TTTFFTFFF"),
+    Annulus(0.5, 1.0): ("FFTTFTFFF", "FFTFFTFFF"),
+    Rectangle(0, 1, 0, 1): ("FFFFFTTTF", "FFFFFTFFF"),
+}
+
+
+@pytest.mark.parametrize("dom", list(MEMBERSHIP), ids=lambda d: d.kind)
+def test_membership_on_scalars_and_arrays(dom):
+    pts = np.array(MEMBERSHIP_POINTS, dtype=complex)
+    for margin, expected in zip((0.0, 0.05), MEMBERSHIP[dom]):
+        want = [c == "T" for c in expected]
+        assert dom.contains_many(pts, margin).tolist() == want
+        scalar = [dom.contains(p, margin) for p in MEMBERSHIP_POINTS]
+        assert all(type(v) is bool for v in scalar)
+        assert scalar == want
+
+
 def test_domain_parameter_errors():
     with pytest.raises(ParameterError):
         make_domain("annulus", inner=1.0, outer=0.5)
@@ -66,6 +89,22 @@ def test_integrate_scalar_evaluator_and_nonfinite():
     assert abs(integrate(rule, lambda z: 1.0) - math.pi) < 1e-12
     with pytest.raises(NumericError, match="node"):
         integrate(rule, lambda z: np.where(np.abs(z) < 0.5, np.inf, 1.0))
+
+
+def test_integrate_calls_the_integrand_once_and_rejects_wrong_shapes():
+    rule = build_quadrature(UnitDisk(), 6)
+    calls = []
+
+    def scalar_only(z):
+        calls.append(np.shape(z))
+        return complex(z)  # raises on the node array
+
+    with pytest.raises(TypeError):
+        integrate(rule, scalar_only)
+    assert calls == [rule.nodes.shape]
+    for wrong in (lambda z: np.ones(3), lambda z: z[:, None], lambda z: np.array([1.0])):
+        with pytest.raises(ParameterError, match="vectorized"):
+            integrate(rule, wrong)
 
 
 def test_quadrature_polynomial_exactness():

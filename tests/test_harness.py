@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bergreen
 from bergreen import ConfigError, StudyInsufficientError
 from bergreen.cli import main as cli_main
 from bergreen.harness import (
@@ -338,6 +343,24 @@ def test_cli_overrides_are_applied_before_validation(tmp_path, capsys):
     assert "a seed is mandatory" in err and "Traceback" not in err
 
 
+# domain and weight specs that fail to parse with a ValueError, TypeError or
+# IndexError rather than a ParameterError
+UNPARSABLE_SPECS = [
+    ({"domain": {"kind": "disk", "params": {"radius": "x"}}}, "bad domain spec"),
+    ({"domain": [1, 2]}, "bad domain spec"),
+    ({"weight": {"representation": "holo_modulus_squared", "coefficients": [[1]]}},
+     "bad weight spec"),
+    ({"weight": {"representation": "holo_modulus_squared", "coefficients": "ab"}},
+     "bad weight spec"),
+]
+
+
+@pytest.mark.parametrize("change, message", UNPARSABLE_SPECS)
+def test_validate_rejects_unparsable_specs(change, message):
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig.from_dict({"experiment": "kernel", "seed": 1, **change})
+
+
 @pytest.mark.parametrize("change, message", [
     ({"count": "5"}, "count must be an integer"),
     ({"weight": {"representation": "holo_modulus_squared", "coefficients": [[0, 0]]}},
@@ -375,6 +398,7 @@ def test_cli_overrides_are_applied_before_validation(tmp_path, capsys):
      "grid_resolution values must be integers >= 8, got [24.5]"),
     ({"study": {"parameter": "fd_step", "values": [1e-3, "2e-3", 4e-3]}},
      "study values must be a list of numbers"),
+    *UNPARSABLE_SPECS,
 ])
 def test_cli_malformed_config_exits_2(tmp_path, capsys, change, message):
     path = tmp_path / "cfg.json"
@@ -410,3 +434,31 @@ def test_check_derives_passed():
     assert Check("a", 0.0, -1e-9, ">=").passed
     assert not Check("a", float("nan"), 1.0).passed
     assert not Check("a", None, 1.0).passed
+
+
+# A closed-form run in a fresh process: no scipy module may be loaded, and the
+# grid names of the package must still resolve afterwards.
+_NO_SCIPY_RUN = """
+import sys
+import bergreen.harness as h
+cfg = h.ExperimentConfig.from_dict({"experiment": "verify-identity", "seed": 7, "count": 5,
+                                    "basis_order": 10, "quad_order": 12})
+assert h.run(cfg).records
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+import bergreen
+from bergreen import GridSpec, pdegreen
+assert bergreen.GridSpec is GridSpec is pdegreen.GridSpec
+assert bergreen.solve_mixed is pdegreen.solve_mixed
+assert bergreen._PDEGREEN_NAMES == set(pdegreen.__all__)
+print("ok")
+"""
+
+
+def test_closed_form_run_loads_no_scipy():
+    src = str(Path(bergreen.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "ok"
