@@ -324,18 +324,16 @@ def extremal_function(kernel: KernelApproximation, t: complex) -> ExtremalFuncti
     return ExtremalFunction(kernel=kernel, t=complex(t), norm_sq=1.0 / ktt)
 
 
-def _eval_scalar(f, t: complex) -> complex:
-    try:
-        v = np.asarray(f(np.array([t], dtype=complex)))
-        if v.shape == (1,):
-            return complex(v[0])
-    except (TypeError, ValueError):
-        pass
-    return complex(f(t))
-
-
 def reproducing_residual(kernel: KernelApproximation, f, t: complex, rule: QuadratureRule) -> float:
-    """| f(t) - <f, K(., t)>_rho | for an evaluator f in the basis span."""
+    """| f(t) - <f, K(., t)>_rho | for an evaluator f in the basis span.
+
+    ``f`` is vectorized as for :func:`integrate`: called on an array, it
+    returns one value per point or a scalar; any other shape raises
+    ``ParameterError``.
+    """
+    ft = np.asarray(f(np.array([t], dtype=complex)), dtype=complex)
+    if ft.shape not in ((), (1,)):
+        raise ParameterError(f"f gave shape {ft.shape} on one point; it must be vectorized")
     weight = kernel.weight
 
     def integrand(zs):
@@ -344,7 +342,7 @@ def reproducing_residual(kernel: KernelApproximation, f, t: complex, rule: Quadr
         return fz * np.conj(kz) * np.asarray(weight.value(zs), dtype=complex)
 
     inner = integrate(rule, integrand)
-    return abs(_eval_scalar(f, complex(t)) - inner)
+    return abs(complex(ft.reshape(())) - inner)
 
 
 def skwarczynski_distance(kernel: KernelApproximation, z, w):

@@ -72,12 +72,6 @@ class Domain:
         """Draw points uniformly from the domain shrunk by the given factor about its center."""
         raise NotImplementedError
 
-    def params(self) -> dict:
-        raise NotImplementedError
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "params": self.params()}
-
 
 @dataclass(frozen=True)
 class Disk(Domain):
@@ -112,9 +106,6 @@ class Disk(Domain):
         phi = rng.uniform(0.0, 2.0 * np.pi, count)
         return self.center + r * np.exp(1j * phi)
 
-    def params(self):
-        return {"center": [self.center.real, self.center.imag], "radius": self.radius}
-
 
 @dataclass(frozen=True)
 class UnitDisk(Disk):
@@ -123,9 +114,6 @@ class UnitDisk(Disk):
     def __post_init__(self):
         if self.center != 0 or self.radius != 1.0:
             raise ParameterError("the unit disk is centered at 0 with radius 1")
-
-    def params(self):
-        return {}
 
 
 @dataclass(frozen=True)
@@ -164,9 +152,6 @@ class MoebiusDisk(Domain):
 
     def sample_interior(self, rng, count, margin=0.7):
         return Disk(0j, 1.0).sample_interior(rng, count, margin)
-
-    def params(self):
-        return {"a": [self.a.real, self.a.imag], "theta": self.theta}
 
     @property
     def map(self) -> "MoebiusMap":
@@ -218,9 +203,6 @@ class Annulus(Domain):
         r = rng.uniform(mid - half, mid + half, count)
         phi = rng.uniform(0.0, 2.0 * np.pi, count)
         return r * np.exp(1j * phi)
-
-    def params(self):
-        return {"inner": self.inner, "outer": self.outer}
 
 
 @dataclass(frozen=True)
@@ -283,9 +265,6 @@ class Rectangle(Domain):
         x = rng.uniform(c.real - hx, c.real + hx, count)
         y = rng.uniform(c.imag - hy, c.imag + hy, count)
         return x + 1j * y
-
-    def params(self):
-        return {"x0": self.x0, "x1": self.x1, "y0": self.y0, "y1": self.y1}
 
 
 def make_domain(kind: str, **params) -> Domain:
@@ -410,9 +389,6 @@ class QuadratureRule:
 
     def __len__(self):
         return len(self.nodes)
-
-    def to_json(self) -> dict:
-        return {"kind": self.domain.kind, "params": self.domain.params(), "order": self.order}
 
 
 def _polar_rule(center: complex, r0: float, r1: float, order: int):

@@ -44,6 +44,7 @@ __all__ = [
     "wirtinger_mixed",
     "stencil_exits",
     "weighted_green",
+    "identity_rhs",
     "identity_residual",
     "moebius_transport",
 ]
@@ -59,7 +60,6 @@ class GreenFunction:
     scalars.
     """
 
-    kind = "green"
     domain: Domain
 
     def value(self, z, w):
@@ -78,10 +78,6 @@ class GreenFunction:
     def harmonic_diagonal(self, z):
         raise NotImplementedError
 
-    @property
-    def has_analytic_mixed(self) -> bool:
-        return False
-
     def mixed_analytic(self, z, w):
         raise NotImplementedError
 
@@ -98,8 +94,6 @@ def _off_diagonal(z, w) -> None:
 class DiskGreen(GreenFunction):
     center: complex = 0j
     radius: float = 1.0
-
-    kind = "disk_closed_form"
 
     def __post_init__(self):
         if not self.radius > 0:
@@ -125,10 +119,6 @@ class DiskGreen(GreenFunction):
         zeta = np.asarray(z, dtype=complex) - self.center
         return _unbox(np.log(self.radius**2 - np.abs(zeta) ** 2) - math.log(self.radius))
 
-    @property
-    def has_analytic_mixed(self):
-        return True
-
     def mixed_analytic(self, z, w):
         zeta = np.asarray(z, dtype=complex) - self.center
         omega = np.asarray(w, dtype=complex) - self.center
@@ -142,8 +132,6 @@ class TransportedGreen(GreenFunction):
 
     base: GreenFunction
     map: MoebiusMap
-
-    kind = "moebius_transported"
 
     @property
     def domain(self):
@@ -159,10 +147,6 @@ class TransportedGreen(GreenFunction):
         zeta = self.map.inverse(z)
         return _unbox(self.base.harmonic_diagonal(zeta)
                       - np.log(np.abs(self.map.inverse_derivative(z))))
-
-    @property
-    def has_analytic_mixed(self):
-        return self.base.has_analytic_mixed
 
     def mixed_analytic(self, z, w):
         dz = self.map.inverse_derivative(z)
@@ -281,10 +265,6 @@ class WeightedGreen:
 
     def mixed_zwbar(self, z, w, step: float = 1e-3, method: str = "analytic"):
         if method == "analytic":
-            if not self.base.has_analytic_mixed:
-                raise ParameterError(
-                    f"{self.base.kind} exposes no analytic mixed derivative; use method='fd'"
-                )
             return self.factor(z, w) * self.base.mixed_analytic(z, w)
         if method == "fd":
             # Differencing the smooth part avoids the large truncation error
@@ -304,6 +284,12 @@ def weighted_green(green: GreenFunction, gauge: Optional[Gauge]) -> WeightedGree
     return WeightedGreen(base=green, gauge=gauge)
 
 
+def identity_rhs(weight: Weight, z, w, mixed):
+    """The identity's right-hand side -2/(pi rho(z) rho(w)) * mixed, for the
+    mixed derivative d^2 G_rho / dz d(conj w) at the pairs (z, w)."""
+    return -2.0 / (math.pi * np.real(weight.value(z)) * np.real(weight.value(w))) * mixed
+
+
 def identity_residual(kernel: KernelApproximation, wgreen: WeightedGreen, weight: Weight,
                       z, w, step: float = 1e-3, method: str = "analytic"):
     """Relative residual of K(z,w) = -2/(pi rho(z) rho(w)) d^2 G_rho / dz d(conj w).
@@ -312,17 +298,13 @@ def identity_residual(kernel: KernelApproximation, wgreen: WeightedGreen, weight
     identity of the pde-green experiment divides by |K| instead.  Works
     elementwise over the broadcast of ``z`` and ``w``, with one kernel
     evaluation and one mixed derivative for all pairs, and returns a
-    ``float`` for scalars.  A diagonal pair raises
-    :class:`DiagonalSingularityError`, and finite-difference evaluation
-    verifies its stencil stays inside the domain.
+    ``float`` for scalars.  Diagonal pairs z = w take the same path: the
+    mixed derivative of G_rho is that of the regular part, finite there.
+    Finite-difference evaluation verifies every stencil stays inside the
+    domain.
     """
     z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
-    if np.any(np.abs(z - w) <= DIAGONAL_TOL):
-        raise DiagonalSingularityError("identity residual is undefined on the diagonal z = w")
-    mixed = wgreen.mixed_zwbar(z, w, step=step, method=method)
-    rz = np.real(weight.value(z))
-    rw = np.real(weight.value(w))
-    rhs = -2.0 / (math.pi * rz * rw) * mixed
+    rhs = identity_rhs(weight, z, w, wgreen.mixed_zwbar(z, w, step=step, method=method))
     kv = kernel.evaluate(z, w)
     return _unbox(np.abs(kv - rhs) / np.maximum(1.0, np.abs(kv)))
 

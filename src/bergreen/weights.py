@@ -29,7 +29,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .errors import GaugeInfeasibleError, ParameterError, WeightError
-from .geometry import Domain, QuadratureRule, build_quadrature, make_domain
+from .geometry import Domain, QuadratureRule, build_quadrature
 
 __all__ = [
     "Weight",
@@ -65,19 +65,12 @@ class Weight:
 
     __call__ = value
 
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
 
 def _coeffs(c):
     arr = np.atleast_1d(np.asarray(c, dtype=complex))
     if arr.ndim != 1 or arr.size == 0:
         raise ParameterError("polynomial coefficients must be a nonempty 1-d sequence")
     return arr
-
-
-def _coeffs_json(arr):
-    return [[float(a.real), float(a.imag)] for a in arr]
 
 
 class HoloModulusSquaredWeight(Weight):
@@ -113,13 +106,6 @@ class HoloModulusSquaredWeight(Weight):
     def is_constant(self):
         return len(self.mu_coefficients) == 1
 
-    def to_json(self):
-        return {
-            "representation": self.representation,
-            "coefficients": _coeffs_json(self.mu_coefficients),
-            "domain": self.domain.to_json(),
-        }
-
 
 class LogHarmonicWeight(Weight):
     """rho(z) = exp(2 Re H(z)) for a polynomial H; log rho is harmonic exactly."""
@@ -136,13 +122,6 @@ class LogHarmonicWeight(Weight):
     def value(self, z):
         return np.exp(2.0 * np.real(self.exponent(z)))
 
-    def to_json(self):
-        return {
-            "representation": self.representation,
-            "coefficients": _coeffs_json(self.h_coefficients),
-            "domain": self.domain.to_json(),
-        }
-
 
 class GenericC1Weight(Weight):
     """Positive C^1 weight given by an evaluator."""
@@ -156,13 +135,6 @@ class GenericC1Weight(Weight):
 
     def value(self, z):
         return self.fn(np.asarray(z) if np.ndim(z) else complex(z))
-
-    def to_json(self):
-        return {
-            "representation": self.representation,
-            "name": self.name,
-            "domain": self.domain.to_json(),
-        }
 
 
 #: Named generic weights available to the JSON config layer.
@@ -180,13 +152,8 @@ def unit_weight(domain: Domain) -> HoloModulusSquaredWeight:
     return HoloModulusSquaredWeight([1.0], domain)
 
 
-def weight_from_json(spec: dict, domain: Optional[Domain] = None) -> Weight:
+def weight_from_json(spec: dict, domain: Domain) -> Weight:
     rep = spec.get("representation", "holo_modulus_squared")
-    if domain is None:
-        dom_spec = spec.get("domain")
-        if dom_spec is None:
-            raise ParameterError("weight JSON needs a domain")
-        domain = make_domain(dom_spec["kind"], **dom_spec.get("params", {}))
     if rep == "holo_modulus_squared":
         coeffs = [complex(c[0], c[1]) for c in spec["coefficients"]]
         return HoloModulusSquaredWeight(coeffs, domain)

@@ -271,6 +271,14 @@ def test_reproducing_residual():
     assert reproducing_residual(kw, lambda z: z, 0.2, rw) < 1e-6
 
 
+def test_reproducing_residual_takes_a_constant_and_rejects_other_shapes():
+    kernel, rule = build_disk_kernel()
+    # a constant evaluator returns a scalar, which integrate accepts too
+    assert reproducing_residual(kernel, lambda z: 2.5, 0.3j, rule) < 1e-10
+    with pytest.raises(ParameterError, match="on one point"):
+        reproducing_residual(kernel, lambda z: np.stack([z, z]), 0.3j, rule)
+
+
 def test_skwarczynski_distance():
     kernel, _ = build_disk_kernel()
     assert skwarczynski_distance(kernel, 0.3 + 0.1j, 0.3 + 0.1j) == pytest.approx(0.0, abs=1e-8)

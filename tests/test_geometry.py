@@ -179,13 +179,20 @@ def test_moebius_disk_is_unit_disk_set():
 
 
 def test_domain_serialization_round_trip():
-    for dom in (UnitDisk(), Disk(1j, 0.5), MoebiusDisk(0.2, 1.0), Annulus(0.3, 0.9),
-                Rectangle(0, 2, -1, 1)):
-        spec = dom.to_json()
-        rebuilt = make_domain(spec["kind"], **spec["params"])
-        assert rebuilt == dom
-    rule = build_quadrature(UnitDisk(), 5)
-    assert rule.to_json() == {"kind": "unit_disk", "params": {}, "order": 5}
+    # hand-written config specs of every kind, complex parameters as [re, im]
+    specs = [
+        ({"kind": "unit_disk"}, UnitDisk()),
+        ({"kind": "disk", "params": {"center": [0, 1], "radius": 0.5}}, Disk(1j, 0.5)),
+        ({"kind": "moebius-disk", "params": {"a": [0.2, -0.1], "theta": 1}},
+         MoebiusDisk(0.2 - 0.1j, 1.0)),
+        ({"kind": "annulus", "params": {"inner": 0.3, "outer": 0.9}}, Annulus(0.3, 0.9)),
+        ({"kind": "rectangle", "params": {"x0": 0, "x1": 2, "y0": -1, "y1": 1}},
+         Rectangle(0, 2, -1, 1)),
+    ]
+    for spec, dom in specs:
+        assert make_domain(spec["kind"], **spec.get("params", {})) == dom
+    with pytest.raises(ParameterError, match="unknown domain kind"):
+        make_domain("square")
 
 
 def test_quadrature_determinism():

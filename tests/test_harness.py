@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -57,11 +58,33 @@ def test_verify_identity_log_harmonic_weight(tmp_path):
     assert max(r["residual"] for r in rep.records) < 1e-8
 
 
-def test_verify_identity_diagonal_note(tmp_path):
-    report = run(cfg(pairs=[[[0.3, 0.0], [0.3, 0.0]], [[0.2, 0.1], [0.0, -0.3]]]), tmp_path)
-    assert report.passed
-    assert len(report.records) == 1
-    assert any("diagonal" in n for n in report.notes)
+# (domain, weight, center, radius) of the diagonal-pair runs
+DIAGONAL_CASES = {
+    "unit disk": ({"kind": "unit_disk"}, {"coefficients": [[2, 0], [1, 0]]}, 0j, 1.0),
+    "Moebius disk": ({"kind": "moebius_disk", "params": {"a": [0.3, 0.1], "theta": 0.5}},
+                     {"coefficients": [[2, 0], [1, 0]]}, 0j, 1.0),
+    "off-center disk": ({"kind": "disk", "params": {"center": [0.5, -0.2], "radius": 2.0}},
+                        {"coefficients": [[3, 0], [1, 0]]}, 0.5 - 0.2j, 2.0),
+    "log-harmonic weight": ({"kind": "unit_disk"}, {"representation": "log_harmonic",
+                                                     "coefficients": [[0.1, 0], [0.4, 0.2]]},
+                            0j, 1.0),
+}
+
+
+def test_verify_identity_diagonal_pairs(tmp_path, capsys):
+    # the identity holds at z = w through the regular part of G, so diagonal
+    # pairs are evaluated like any other: one record each, no note
+    for name, (domain, weight, center, radius) in DIAGONAL_CASES.items():
+        pts = [center + 0.13 * k * radius * np.exp(1.3j * k) for k in range(6)]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"domain": domain, "weight": weight, "pairs": [
+            [[p.real, p.imag], [p.real, p.imag]] for p in pts]}))
+        out = tmp_path / name.replace(" ", "_")
+        assert cli_main(["verify-identity", "--config", str(path), "--out", str(out)]) == 0, name
+        payload = json.loads((out / "report.json").read_text())
+        assert [r["z"] for r in payload["records"]] == [r["w"] for r in payload["records"]]
+        assert len(payload["records"]) == len(pts) and payload["notes"] == [], name
+    assert "[NOTE]" not in capsys.readouterr().out
 
 
 def test_verify_identity_skips_stencil_failures(tmp_path):
@@ -75,9 +98,9 @@ def test_verify_identity_skips_stencil_failures(tmp_path):
 
 
 def test_verify_identity_notes_and_records_keep_pair_order(tmp_path):
-    # good, diagonal, stencil-leaving z, good, diagonal at the boundary (the
-    # diagonal note wins), stencil-leaving w, w with two stencil points
-    # outside (the note names the first), good
+    # good, diagonal, stencil-leaving z, good, diagonal at the boundary (it
+    # leaves the stencil like any pair), stencil-leaving w, w with two
+    # stencil points outside (the note names the first), good
     pairs = [[[0.2, 0.1], [0.0, -0.3]], [[0.3, 0.0], [0.3, 0.0]], [[0.9999, 0.0], [0.2, 0.1]],
              [[0.1, 0.5], [-0.4, 0.2]], [[0.9999, 0.0], [0.9999, 0.0]],
              [[0.2, 0.1], [0.0, 0.9995]], [[0.1, 0.1], [-0.7071, -0.7071]],
@@ -85,15 +108,15 @@ def test_verify_identity_notes_and_records_keep_pair_order(tmp_path):
     report = run(cfg(pairs=pairs, basis_order=20, quad_order=24, weight={
         "representation": "holo_modulus_squared", "coefficients": [[2, 0], [1, 0]]}), tmp_path)
     assert report.notes == [
-        "pair z=w=(0.3+0j) excluded: diagonal singularity",
         "pair ((0.9999+0j), (0.2+0.1j)) skipped: stencil point (1.0009+0j) leaves the domain",
-        "pair z=w=(0.9999+0j) excluded: diagonal singularity",
+        "pair ((0.9999+0j), (0.9999+0j)) skipped: stencil point (1.0009+0j) leaves the domain",
         "pair ((0.2+0.1j), 0.9995j) skipped: stencil point 1.0005j leaves the domain",
         "pair ((0.1+0.1j), (-0.7071-0.7071j)) skipped: "
         "stencil point (-0.7081-0.7071j) leaves the domain",
     ]
     assert [(r["z"], r["w"]) for r in report.records] == [
-        ([0.2, 0.1], [0.0, -0.3]), ([0.1, 0.5], [-0.4, 0.2]), ([0.6, -0.2], [0.1, 0.1])]
+        ([0.2, 0.1], [0.0, -0.3]), ([0.3, 0.0], [0.3, 0.0]), ([0.1, 0.5], [-0.4, 0.2]),
+        ([0.6, -0.2], [0.1, 0.1])]
     assert all(set(r) == {"z", "w", "residual", "residual_fd"} for r in report.records)
     assert max(r["residual"] for r in report.records) < 1e-12
     assert max(r["residual_fd"] for r in report.records) < 1e-10
@@ -102,6 +125,7 @@ def test_verify_identity_notes_and_records_keep_pair_order(tmp_path):
     assert rows[0] == "re_z,im_z,re_w,im_w,residual_analytic,residual_fd,abs_K"
     assert [r.split(",")[:4] for r in rows[1:]] == [
         ["0.20000000000000001", "0.10000000000000001", "0", "-0.29999999999999999"],
+        ["0.29999999999999999", "0", "0.29999999999999999", "0"],
         ["0.10000000000000001", "0.5", "-0.40000000000000002", "0.20000000000000001"],
         ["0.59999999999999998", "-0.20000000000000001", "0.10000000000000001",
          "0.10000000000000001"]]
@@ -125,6 +149,26 @@ def test_unknown_experiment_and_keys():
         ExperimentConfig.from_dict({"experiment": "kernel", "seed": 1, "spam": 2})
     with pytest.raises(ConfigError, match="no experiment named"):
         ExperimentConfig.from_dict({"seed": 1})
+
+
+def test_config_is_validated_once_on_construction(tmp_path, monkeypatch):
+    calls = []
+    validate = ExperimentConfig.validate
+    monkeypatch.setattr(ExperimentConfig, "validate",
+                        lambda self: calls.append(1) or validate(self))
+    run(ExperimentConfig.from_dict({"experiment": "distance", "seed": 1, "count": 3,
+                                    "basis_order": 8, "quad_order": 10}), tmp_path)
+    assert len(calls) == 1
+
+
+def test_config_construction_validates_and_freezes():
+    with pytest.raises(ConfigError, match="unknown experiment"):
+        ExperimentConfig(experiment="frobnicate", seed=1)
+    with pytest.raises(ConfigError, match="fd_step must be positive"):
+        ExperimentConfig(experiment="kernel", seed=1, fd_step=0.0)
+    config = ExperimentConfig(experiment="kernel", seed=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.seed = 2
 
 
 def test_exhaust_table(tmp_path):
@@ -411,15 +455,18 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys, change, message):
 
 
 def test_no_pairs_evaluated_fails(tmp_path, capsys):
-    # the only pair is diagonal, so no identity or symmetry check has a value
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"experiment": "verify-identity",
-                                "pairs": [[[0.1, 0.2], [0.1, 0.2]]]}))
-    for exp in ("verify-identity", "green"):
+    # every identity pair leaves the stencil, and the only green pair is
+    # diagonal, so no identity or symmetry check has a value
+    configs = {"verify-identity": ([[[0.9999, 0.0], [0.2, 0.1]], [[0.1, 0.2], [0.0, -0.9999]]],
+                                   "skipped"),
+               "green": ([[[0.1, 0.2], [0.1, 0.2]]], "excluded")}
+    for exp, (pairs, note) in configs.items():
+        path = tmp_path / f"{exp}.json"
+        path.write_text(json.dumps({"pairs": pairs}))
         out = tmp_path / exp
         assert cli_main([exp, "--config", str(path), "--out", str(out)]) == 1
         payload = json.loads((out / "report.json").read_text())
-        assert any("excluded" in n for n in payload["notes"])
+        assert payload["notes"] and all(note in n for n in payload["notes"])
         failed = [c for c in payload["checks"] if not c["passed"]]
         assert failed and all(c["value"] is None for c in failed)
         assert not payload["passed"]

@@ -165,16 +165,24 @@ def test_solve_gauge_generic_log_harmonic_needs_reexpression():
 
 
 def test_weight_serialization_round_trip():
-    w = HoloModulusSquaredWeight([2, 1j], DISK)
-    spec = w.to_json()
-    back = weight_from_json(spec)
-    assert np.array_equal(back.mu_coefficients, w.mu_coefficients)
-    assert back.domain == DISK
+    # hand-written config specs of all three representations, [re, im] coefficients
+    w = weight_from_json({"representation": "holo_modulus_squared",
+                          "coefficients": [[2, 0], [0, 1]]}, DISK)
+    assert isinstance(w, HoloModulusSquaredWeight) and w.domain == DISK
+    assert np.array_equal(w.mu_coefficients, [2, 1j])
+    # the representation defaults to holo_modulus_squared
+    default = weight_from_json({"coefficients": [[3, -1]]}, DISK)
+    assert np.array_equal(default.mu_coefficients, [3 - 1j])
 
-    lh = LogHarmonicWeight([0.5, 1], DISK)
-    back2 = weight_from_json(lh.to_json())
-    assert np.array_equal(back2.h_coefficients, lh.h_coefficients)
+    lh = weight_from_json({"representation": "log_harmonic",
+                           "coefficients": [[0.5, 0], [1, 0.25]]}, DISK)
+    assert isinstance(lh, LogHarmonicWeight)
+    assert np.array_equal(lh.h_coefficients, [0.5, 1 + 0.25j])
 
-    gen = GENERIC_BUILTINS["exp_abs_sq"](DISK)
-    back3 = weight_from_json(gen.to_json())
-    assert back3.name == "exp_abs_sq"
+    gen = weight_from_json({"representation": "generic_c1", "name": "exp_abs_sq"}, DISK)
+    assert isinstance(gen, GenericC1Weight) and gen.name == "exp_abs_sq"
+    assert gen.value(0.5j) == pytest.approx(math.exp(0.25), rel=1e-15)
+    with pytest.raises(ParameterError, match="unknown generic weight"):
+        weight_from_json({"representation": "generic_c1", "name": "nope"}, DISK)
+    with pytest.raises(ParameterError, match="unknown weight representation"):
+        weight_from_json({"representation": "spline"}, DISK)
