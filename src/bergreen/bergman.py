@@ -31,7 +31,7 @@ from .errors import (
     NumericError,
     ParameterError,
 )
-from .geometry import Annulus, Domain, QuadratureRule, integrate
+from .geometry import Annulus, Disk, Domain, MoebiusDisk, QuadratureRule, integrate
 from .weights import Weight
 
 __all__ = [
@@ -236,10 +236,8 @@ class KernelApproximation:
         t^(N+1) ((N+2) - (N+1) t) / (pi r^2 (1 - t)^2) with t = margin^2.
         Only meaningful for monomial bases on disks; None otherwise.
         """
-        from .geometry import Disk, UnitDisk
-
-        if not (isinstance(self.basis, MonomialBasis)
-                and isinstance(self.basis.domain, (Disk, UnitDisk))):
+        if not (isinstance(self.basis, MonomialBasis) and isinstance(self.basis.domain, Disk)
+                and not isinstance(self.basis.domain, MoebiusDisk)):
             return None
         r = self.basis.domain.radius
         t = margin**2

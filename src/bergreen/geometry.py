@@ -11,7 +11,7 @@ rectangles) that back every area integral in the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -107,23 +107,22 @@ class Disk(Domain):
         return self.center + r * np.exp(1j * phi)
 
 
-@dataclass(frozen=True)
-class UnitDisk(Disk):
-    kind = "unit_disk"
-
-    def __post_init__(self):
-        if self.center != 0 or self.radius != 1.0:
-            raise ParameterError("the unit disk is centered at 0 with radius 1")
+def UnitDisk() -> Disk:
+    """The unit disk, ``Disk(0, 1)``."""
+    return Disk()
 
 
 @dataclass(frozen=True)
-class MoebiusDisk(Domain):
+class MoebiusDisk(Disk):
     """Image of the unit disk under z -> e^{i theta} (z - a) / (1 - conj(a) z).
 
-    The map is a disk automorphism, so as a point set this equals the unit
-    disk; the parameters matter for the transport of Green's functions.
+    The map is a disk automorphism, so as a point set this is the unit disk,
+    and every geometry member is the unit disk's; the parameters matter for
+    the transport of Green's functions.
     """
 
+    center: complex = field(default=0j, init=False)
+    radius: float = field(default=1.0, init=False)
     a: complex = 0j
     theta: float = 0.0
 
@@ -132,26 +131,6 @@ class MoebiusDisk(Domain):
     def __post_init__(self):
         if not abs(self.a) < 1:
             raise ParameterError(f"Moebius parameter must satisfy |a| < 1, got |a|={abs(self.a)}")
-
-    def contains_many(self, zs, margin=0.0):
-        return np.abs(np.asarray(zs)) < 1.0 - margin
-
-    def closure_distance(self, z):
-        return max(0.0, abs(complex(z)) - 1.0)
-
-    @property
-    def area(self):
-        return math.pi
-
-    @property
-    def basis_center(self):
-        return 0j
-
-    def boundary_points(self, count=64):
-        return np.exp(2j * np.pi * np.arange(count) / count)
-
-    def sample_interior(self, rng, count, margin=0.7):
-        return Disk(0j, 1.0).sample_interior(rng, count, margin)
 
     @property
     def map(self) -> "MoebiusMap":
@@ -316,7 +295,7 @@ def exhaustion_sequence(parent: Domain, count: int) -> Exhaustion:
     """
     if count < 1:
         raise ParameterError("exhaustion needs count >= 1")
-    if isinstance(parent, (UnitDisk, Disk)) and not isinstance(parent, MoebiusDisk):
+    if isinstance(parent, Disk) and not isinstance(parent, MoebiusDisk):
         steps = tuple(
             Disk(parent.center, parent.radius * (1.0 - 2.0 ** (-j)))
             for j in range(1, count + 1)
@@ -385,7 +364,6 @@ class QuadratureRule:
     order: int
     nodes: np.ndarray
     weights: np.ndarray
-    scheme: str
 
     def __len__(self):
         return len(self.nodes)
@@ -416,15 +394,10 @@ def build_quadrature(domain: Domain, order: int) -> QuadratureRule:
     """
     if order < 1:
         raise ParameterError("quadrature order must be >= 1")
-    if isinstance(domain, (UnitDisk, Disk)):
+    if isinstance(domain, Disk):
         nodes, weights = _polar_rule(domain.center, 0.0, domain.radius, order)
-        scheme = "polar"
-    elif isinstance(domain, MoebiusDisk):
-        nodes, weights = _polar_rule(0j, 0.0, 1.0, order)
-        scheme = "polar"
     elif isinstance(domain, Annulus):
         nodes, weights = _polar_rule(0j, domain.inner, domain.outer, order)
-        scheme = "polar"
     elif isinstance(domain, Rectangle):
         x, wx = leggauss(order)
         y, wy = leggauss(order)
@@ -434,10 +407,9 @@ def build_quadrature(domain: Domain, order: int) -> QuadratureRule:
         wys = wy * 0.5 * (domain.y1 - domain.y0)
         nodes = (xs[:, None] + 1j * ys[None, :]).ravel()
         weights = (wxs[:, None] * wys[None, :]).ravel()
-        scheme = "cartesian"
     else:
         raise UnsupportedDomainError(f"no quadrature for domain kind {domain.kind}")
-    return QuadratureRule(domain=domain, order=order, nodes=nodes, weights=weights, scheme=scheme)
+    return QuadratureRule(domain=domain, order=order, nodes=nodes, weights=weights)
 
 
 def integrate(rule: QuadratureRule, f) -> complex:

@@ -33,7 +33,7 @@ from .errors import (
     ParameterError,
     StencilError,
 )
-from .geometry import Disk, Domain, MoebiusDisk, MoebiusMap, UnitDisk
+from .geometry import Disk, Domain, MoebiusDisk, MoebiusMap
 from .weights import Gauge, Weight
 
 __all__ = [
@@ -101,8 +101,6 @@ class DiskGreen(GreenFunction):
 
     @property
     def domain(self):
-        if self.center == 0 and self.radius == 1.0:
-            return UnitDisk()
         return Disk(self.center, self.radius)
 
     def value(self, z, w):
@@ -234,9 +232,8 @@ def wirtinger_mixed(f, z, w, step: float, richardson: bool = True,
 class WeightedGreen:
     """G_rho(z, w) = g(z) conj(g(w)) G(z, w) for an antiholomorphic gauge g.
 
-    With ``gauge=None`` the factor is 1 and the object reduces to the base
-    Green's function.  Because g depends on conj(z) alone and conj(g(w)) on w
-    alone, the mixed z / conj(w) derivative factors exactly:
+    Because g depends on conj(z) alone and conj(g(w)) on w alone, the mixed
+    z / conj(w) derivative factors exactly:
 
         d^2 G_rho / dz d(conj w) = g(z) conj(g(w)) d^2 G / dz d(conj w).
 
@@ -244,15 +241,13 @@ class WeightedGreen:
     """
 
     base: GreenFunction
-    gauge: Optional[Gauge]
+    gauge: Gauge
 
     @property
     def domain(self):
         return self.base.domain
 
     def factor(self, z, w):
-        if self.gauge is None:
-            return _unbox(np.ones(np.broadcast_shapes(np.shape(z), np.shape(w)), dtype=complex))
         return _unbox(self.gauge(z) * np.conj(self.gauge(w)))
 
     def value(self, z, w):
@@ -274,9 +269,9 @@ class WeightedGreen:
         raise ParameterError(f"unknown mixed-derivative method {method!r}")
 
 
-def weighted_green(green: GreenFunction, gauge: Optional[Gauge]) -> WeightedGreen:
+def weighted_green(green: GreenFunction, gauge: Gauge) -> WeightedGreen:
     """Attach a gauge factor to a Green's function; domains must agree."""
-    if gauge is not None and gauge.source_weight.domain != green.domain:
+    if gauge.source_weight.domain != green.domain:
         raise ParameterError(
             f"gauge domain {gauge.source_weight.domain.kind} does not match "
             f"Green's function domain {green.domain.kind}"
@@ -311,7 +306,6 @@ def identity_residual(kernel: KernelApproximation, wgreen: WeightedGreen, weight
 
 def moebius_transport(base: GreenFunction, map: MoebiusMap) -> TransportedGreen:
     """Transport a unit-disk Green's function through a disk automorphism."""
-    dom = base.domain
-    if not (isinstance(dom, (UnitDisk, Disk)) and dom.basis_center == 0 and getattr(dom, "radius", None) == 1.0):
+    if base.domain != Disk():
         raise ParameterError("Moebius transport is defined for unit-disk Green's functions")
     return TransportedGreen(base=base, map=map)

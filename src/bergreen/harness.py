@@ -102,6 +102,8 @@ PRIMARY_TOLERANCE = {
     "gauge-experiment": "gauge_residual",
 }
 
+PDE_CHECKS = ("identity", "reference", "factorization")
+
 # numeric config fields and the type each must have
 _FIELD_TYPES = {
     "count": Integral,
@@ -192,6 +194,8 @@ class ExperimentConfig:
             raise ConfigError("count must be >= 1")
         if self.exhaust_steps < 1:
             raise ConfigError("exhaust_steps must be >= 1")
+        if self.pde_check not in PDE_CHECKS:
+            raise ConfigError(f"unknown pde_check {self.pde_check!r}; choose from {PDE_CHECKS}")
         if not _int_pair(self.grid) or min(self.grid) < 1:
             raise ConfigError(f"grid must be two positive integers, got {self.grid!r}")
         self._validate_grid()
@@ -201,6 +205,10 @@ class ExperimentConfig:
             )
         if self.study is not None:
             self._validate_study()
+        if not (isinstance(self.perturbations, (list, tuple))
+                and all(_of_type(v, Real) for v in self.perturbations)):
+            raise ConfigError(
+                f"perturbations must be a list of numbers, got {self.perturbations!r}")
 
     def _validate_study(self):
         if not isinstance(self.study, dict) or not {"parameter", "values"} <= set(self.study):
@@ -410,10 +418,10 @@ def _build_kernel(cfg: ExperimentConfig, domain: Domain, weight):
 
 
 def _closed_form_green(domain: Domain) -> green.GreenFunction:
-    if isinstance(domain, (UnitDisk, Disk)):
-        return green.DiskGreen(domain.center, domain.radius)
     if isinstance(domain, MoebiusDisk):
         return green.moebius_transport(green.DiskGreen(0j, 1.0), domain.map)
+    if isinstance(domain, Disk):
+        return green.DiskGreen(domain.center, domain.radius)
     raise ConfigError(
         f"no closed-form Green's function on {domain.kind}; use the pde-green experiment"
     )
@@ -453,8 +461,7 @@ def _exp_verify_identity(cfg: ExperimentConfig) -> VerificationReport:
     gf = _closed_form_green(domain)
     weight = _build_weight(cfg, domain)
     kernel = _build_kernel(cfg, domain, weight)
-    gauge = None if getattr(weight, "is_constant", False) else weights.solve_gauge(weight)
-    wg = green.weighted_green(gf, gauge)
+    wg = green.weighted_green(gf, weights.solve_gauge(weight))
 
     pairs = _sample_pairs(cfg, domain)
     zs, ws = _pair_arrays(pairs)
@@ -527,7 +534,7 @@ def _exp_green(cfg: ExperimentConfig) -> VerificationReport:
 
 def _exp_exhaust(cfg: ExperimentConfig) -> VerificationReport:
     domain = _build_domain(cfg)
-    if not isinstance(domain, (UnitDisk, Disk)) or isinstance(domain, MoebiusDisk):
+    if not isinstance(domain, Disk) or isinstance(domain, MoebiusDisk):
         raise ConfigError("the exhaust experiment runs on disks")
     ex = exhaustion_sequence(domain, cfg.exhaust_steps)
     z0 = domain.center
@@ -665,15 +672,12 @@ def _exp_pde_green(cfg: ExperimentConfig) -> VerificationReport:
         return _report(cfg, checks, csv_files={
             "pde_factorization.csv": (("resolution", "max_relative_error"), rows)})
 
-    if cfg.pde_check == "identity":
-        kernel, records, table = _grid_identity(cfg, domain, weight)
-        tol_key = "grid_identity_annulus" if isinstance(domain, Annulus) else "grid_identity"
-        checks = [Check("grid identity residual, max over pairs",
-                        _worst(r["residual"] for r in records), cfg.tol(tol_key))]
-        return _report(cfg, checks, records=records, tables={"kernel": kernel.metadata()},
-                       csv_files={"pde_identity.csv": table})
-
-    raise ConfigError(f"unknown pde_check {cfg.pde_check!r}")
+    kernel, records, table = _grid_identity(cfg, domain, weight)
+    tol_key = "grid_identity_annulus" if isinstance(domain, Annulus) else "grid_identity"
+    checks = [Check("grid identity residual, max over pairs",
+                    _worst(r["residual"] for r in records), cfg.tol(tol_key))]
+    return _report(cfg, checks, records=records, tables={"kernel": kernel.metadata()},
+                   csv_files={"pde_identity.csv": table})
 
 
 def _exp_gauge(cfg: ExperimentConfig) -> VerificationReport:

@@ -287,7 +287,6 @@ class Gauge:
     conj_coefficients: Optional[np.ndarray]
     _g: Callable
     _h: Callable
-    kind: str
 
     def __call__(self, w):
         return self._g(np.asarray(w) if np.ndim(w) else complex(w))
@@ -344,7 +343,7 @@ def solve_gauge(weight: Weight) -> Gauge:
         def h(w):
             return -np.log(weight.mu(w))
 
-        return Gauge(source_weight=weight, conj_coefficients=cc, _g=g, _h=h, kind="conj_poly")
+        return Gauge(source_weight=weight, conj_coefficients=cc, _g=g, _h=h)
 
     if isinstance(weight, LogHarmonicWeight):
         hc = weight.h_coefficients
@@ -355,7 +354,7 @@ def solve_gauge(weight: Weight) -> Gauge:
         def h(w):
             return -P.polyval(w, hc)
 
-        return Gauge(source_weight=weight, conj_coefficients=None, _g=g, _h=h, kind="exp_conj")
+        return Gauge(source_weight=weight, conj_coefficients=None, _g=g, _h=h)
 
     rule = build_quadrature(weight.domain, 12)
     check = check_log_harmonic(weight, rule, fd_step=1e-3)

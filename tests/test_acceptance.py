@@ -66,7 +66,7 @@ def test_criterion_01_unweighted_identity():
     rule = build_quadrature(DISK, 40)
     weight = unit_weight(DISK)
     kernel = kernel_from_gram(MonomialBasis(DISK, 30), weight, rule)
-    wg = weighted_green(DiskGreen(0, 1.0), None)
+    wg = weighted_green(DiskGreen(0, 1.0), solve_gauge(weight))
     pairs = seeded_pairs()
     res_a = max(identity_residual(kernel, wg, weight, z, w, method="analytic")
                 for z, w in pairs)

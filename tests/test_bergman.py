@@ -114,6 +114,18 @@ def test_gram_matches_fsum_and_is_hermitian(case):
     assert not np.any(G.diagonal().imag)
 
 
+def test_truncation_tail_estimate_only_for_the_centered_disk_series():
+    # a Moebius disk is a Disk, but its kernel is not the centered-disk series
+    def tail(basis):
+        rule = build_quadrature(basis.domain, 12)
+        return kernel_from_gram(basis, unit_weight(basis.domain), rule).truncation_tail_estimate()
+
+    assert 0 < tail(MonomialBasis(DISK, 8)) < 1
+    assert 0 < tail(MonomialBasis(Disk(0.5j, 2.0), 8)) < 1
+    assert tail(MonomialBasis(MOEBIUS, 8)) is None
+    assert tail(LaurentBasis(ANNULUS, -4, 4)) is None
+
+
 # the Gram matrix and the kernel at 3200 node pairs (one product of 3200
 # basis rows with the inverse factor per argument)
 GRAM_DIGEST = """

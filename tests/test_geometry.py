@@ -33,18 +33,19 @@ def test_make_domain_membership():
 # membership of each at margin 0 and at margin 0.05
 MEMBERSHIP_POINTS = [0, 0.5, 0.7, 0.97, 1.0, 0.5 + 0.5j, 0.97 + 0.5j, 0.5 + 0.97j, 2j]
 MEMBERSHIP = {
-    UnitDisk(): ("TTTTFTFFF", "TTTFFTFFF"),
-    Disk(0.2j, 0.8): ("TTTFFTFFF", "TTTFFTFFF"),
-    MoebiusDisk(0.3, 0.5): ("TTTTFTFFF", "TTTFFTFFF"),
-    Annulus(0.5, 1.0): ("FFTTFTFFF", "FFTFFTFFF"),
-    Rectangle(0, 1, 0, 1): ("FFFFFTTTF", "FFFFFTFFF"),
+    "unit_disk": (UnitDisk(), "TTTTFTFFF", "TTTFFTFFF"),
+    "disk": (Disk(0.2j, 0.8), "TTTFFTFFF", "TTTFFTFFF"),
+    "moebius_disk": (MoebiusDisk(0.3, 0.5), "TTTTFTFFF", "TTTFFTFFF"),
+    "annulus": (Annulus(0.5, 1.0), "FFTTFTFFF", "FFTFFTFFF"),
+    "rectangle": (Rectangle(0, 1, 0, 1), "FFFFFTTTF", "FFFFFTFFF"),
 }
 
 
-@pytest.mark.parametrize("dom", list(MEMBERSHIP), ids=lambda d: d.kind)
-def test_membership_on_scalars_and_arrays(dom):
+@pytest.mark.parametrize("name", list(MEMBERSHIP))
+def test_membership_on_scalars_and_arrays(name):
+    dom, *memberships = MEMBERSHIP[name]
     pts = np.array(MEMBERSHIP_POINTS, dtype=complex)
-    for margin, expected in zip((0.0, 0.05), MEMBERSHIP[dom]):
+    for margin, expected in zip((0.0, 0.05), memberships):
         want = [c == "T" for c in expected]
         assert dom.contains_many(pts, margin).tolist() == want
         scalar = [dom.contains(p, margin) for p in MEMBERSHIP_POINTS]
@@ -151,6 +152,8 @@ def test_exhaustion_compact_containment():
 def test_exhaustion_errors():
     with pytest.raises(UnsupportedDomainError):
         exhaustion_sequence(Rectangle(0, 1, 0, 1), 2)
+    with pytest.raises(UnsupportedDomainError):
+        exhaustion_sequence(MoebiusDisk(0.3, 0.5), 2)
     with pytest.raises(ParameterError):
         exhaustion_sequence(UnitDisk(), 0)
 
@@ -176,12 +179,19 @@ def test_moebius_disk_is_unit_disk_set():
     d = MoebiusDisk(0.4 + 0.1j, 0.7)
     assert d.contains(0.9) and not d.contains(1.1)
     assert abs(d.area - math.pi) < 1e-15
+    # a Moebius disk integrates and samples exactly as the unit disk does
+    rule, unit_rule = build_quadrature(d, 9), build_quadrature(UnitDisk(), 9)
+    assert np.array_equal(rule.nodes, unit_rule.nodes)
+    assert np.array_equal(rule.weights, unit_rule.weights)
+    assert np.array_equal(d.sample_interior(np.random.default_rng(5), 20, 0.6),
+                          UnitDisk().sample_interior(np.random.default_rng(5), 20, 0.6))
 
 
 def test_domain_serialization_round_trip():
     # hand-written config specs of every kind, complex parameters as [re, im]
     specs = [
         ({"kind": "unit_disk"}, UnitDisk()),
+        ({"kind": "disk", "params": {"center": [0, 0], "radius": 1}}, UnitDisk()),
         ({"kind": "disk", "params": {"center": [0, 1], "radius": 0.5}}, Disk(1j, 0.5)),
         ({"kind": "moebius-disk", "params": {"a": [0.2, -0.1], "theta": 1}},
          MoebiusDisk(0.2 - 0.1j, 1.0)),

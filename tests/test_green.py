@@ -110,7 +110,7 @@ def test_wirtinger_stencil_error():
 
 def test_weighted_green_reduction_and_values():
     g = DiskGreen(0, 1.0)
-    wg_unit = weighted_green(g, None)
+    wg_unit = weighted_green(g, solve_gauge(unit_weight(DISK)))
     assert wg_unit.value(0.5, 0) == pytest.approx(math.log(2), abs=1e-14)
 
     mu = HoloModulusSquaredWeight([2, 1], DISK)
@@ -154,7 +154,7 @@ def build_kernel(weight=None, maxdeg=30, quad=40):
 
 def test_identity_residual_unweighted():
     kernel = build_kernel()
-    wg = weighted_green(DiskGreen(0, 1.0), None)
+    wg = weighted_green(DiskGreen(0, 1.0), solve_gauge(unit_weight(DISK)))
     uw = unit_weight(DISK)
     assert identity_residual(kernel, wg, uw, 0.3, 0.1, 1e-3, method="fd") < 1e-6
     assert identity_residual(kernel, wg, uw, 0.3, 0.1, method="analytic") < 1e-10
@@ -206,7 +206,7 @@ def test_identity_residual_off_center_disk():
     weight = unit_weight(dom)
     rule = build_quadrature(dom, 35)
     kernel = kernel_from_gram(MonomialBasis(dom, 25), weight, rule)
-    wg = weighted_green(DiskGreen(dom.center, dom.radius), None)
+    wg = weighted_green(DiskGreen(dom.center, dom.radius), solve_gauge(weight))
     rng = np.random.default_rng(31)
     zs = dom.sample_interior(rng, 10, margin=0.6)
     ws = dom.sample_interior(rng, 10, margin=0.6)
@@ -356,7 +356,7 @@ def test_array_mixed_and_residual_match_scalar_oracle(case):
 
 def test_scalar_arguments_give_python_scalars():
     g = DiskGreen(0, 1.0)
-    wg = weighted_green(g, None)
+    wg = weighted_green(g, solve_gauge(unit_weight(DISK)))
     assert type(g.value(0.3, 0.1j)) is float
     assert type(g.harmonic(0.3, 0.3)) is float
     assert type(g.mixed_analytic(0.3, 0.1j)) is complex

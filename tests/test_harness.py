@@ -68,6 +68,9 @@ DIAGONAL_CASES = {
     "log-harmonic weight": ({"kind": "unit_disk"}, {"representation": "log_harmonic",
                                                      "coefficients": [[0.1, 0], [0.4, 0.2]]},
                             0j, 1.0),
+    "unit disk spelled as a disk": ({"kind": "disk", "params": {"center": [0, 0], "radius": 1}},
+                                    {"coefficients": [[2, 0], [1, 0]]}, 0j, 1.0),
+    "constant weight rho = 4": ({"kind": "unit_disk"}, {"coefficients": [[2, 0]]}, 0j, 1.0),
 }
 
 
@@ -182,6 +185,12 @@ def test_exhaust_table(tmp_path):
     assert all(a < b for a, b in zip(hs, hs[1:]))
 
 
+def test_exhaust_rejects_a_moebius_disk():
+    with pytest.raises(ConfigError, match="runs on disks"):
+        run(ExperimentConfig.from_dict({"experiment": "exhaust", "seed": 1, "domain": {
+            "kind": "moebius_disk", "params": {"a": [0.3, 0.1], "theta": 0.5}}}))
+
+
 SQUARE = {"kind": "rectangle", "params": {"x0": 0, "x1": 1, "y0": 0, "y1": 1}}
 ANNULUS_SPEC = {"kind": "annulus", "params": {"inner": 0.5, "outer": 1.0}}
 SMALL = {"basis_order": 10, "quad_order": 16}
@@ -276,6 +285,18 @@ def test_gauge_experiment_holomorphic(tmp_path):
     assert pert[0]["epsilon"] == 0.0 and pert[0]["max_identity_residual"] < 1e-8
     # rescaling the gauge visibly breaks the identity
     assert pert[-1]["max_identity_residual"] > 1e-3
+
+
+def test_gauge_experiment_on_the_unit_disk_spelled_as_a_disk(tmp_path):
+    # the gauge's domain Disk(0, 1) is the domain of the disk Green's function
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "seed": 2, "domain": {"kind": "disk", "params": {"center": [0, 0], "radius": 1}},
+        "weight": {"coefficients": [[2, 0], [1, 0]]}}))
+    out = tmp_path / "out"
+    assert cli_main(["gauge-experiment", "--config", str(path), "--out", str(out)]) == 0
+    payload = json.loads((out / "report.json").read_text())
+    assert payload["tables"]["perturbation"][0]["max_identity_residual"] < 1e-8
 
 
 def test_gauge_experiment_generic_reports_obstruction(tmp_path):
@@ -443,6 +464,14 @@ def test_validate_rejects_unparsable_specs(change, message):
     ({"study": {"parameter": "fd_step", "values": [1e-3, "2e-3", 4e-3]}},
      "study values must be a list of numbers"),
     *UNPARSABLE_SPECS,
+    ({"experiment": "gauge-experiment", "perturbations": ["a"],
+      "weight": {"coefficients": [[2, 0], [1, 0]]}}, "perturbations must be a list of numbers"),
+    ({"experiment": "gauge-experiment", "perturbations": ["a"]},
+     "perturbations must be a list of numbers"),
+    ({"experiment": "gauge-experiment", "perturbations": 0.1,
+      "weight": {"coefficients": [[2, 0], [1, 0]]}},
+     "perturbations must be a list of numbers"),
+    ({"experiment": "pde-green", "pde_check": "nope"}, "unknown pde_check 'nope'"),
 ])
 def test_cli_malformed_config_exits_2(tmp_path, capsys, change, message):
     path = tmp_path / "cfg.json"
