@@ -134,7 +134,7 @@ class ExperimentConfig:
     basis_order: int = 30
     laurent: tuple = (-15, 15)
     quad_order: int = 40
-    grid: tuple = (64, 64)
+    grid: tuple = (128, 128)
     fd_step: float = 1e-3
     count: int = 25
     seed: int | None = None
@@ -646,6 +646,10 @@ def _exp_pde_green(cfg: ExperimentConfig) -> VerificationReport:
         })
 
     if cfg.pde_check == "factorization":
+        if getattr(weight, "is_constant", False):
+            # the weighted Green's function is then rho times the unweighted
+            # one, so the error is roundoff and cannot improve under refinement
+            raise ConfigError("the factorization check needs a non-constant weight")
         gauge = weights.solve_gauge(weight)
         rows = []
         for n in (cfg.grid[0] // 2, cfg.grid[0]):
@@ -792,8 +796,6 @@ def _study_error(parameter: str, v) -> float:
         from . import pdegreen  # loads scipy, so only when a grid is built
 
         dom = Rectangle(0.0, 1.0, 0.0, 1.0)
-        # keep only the error, so this resolution's factorization is freed
-        # before the next one is built
         return pdegreen.reference_error(dom, weights.unit_weight(dom), int(v),
                                         dom.basis_center)[0]
     # fd_step
@@ -803,7 +805,7 @@ def _study_error(parameter: str, v) -> float:
     return float(np.mean(np.abs(fd - gf.mixed_analytic(zs, ws))))
 
 
-def convergence_study(config: ExperimentConfig, parameter: str, values) -> dict:
+def convergence_study(parameter: str, values) -> dict:
     """Error-versus-parameter table with a least-squares fitted order.
 
     The error metric is parameter specific: kernel truncation against the
@@ -849,7 +851,7 @@ def convergence_study(config: ExperimentConfig, parameter: str, values) -> dict:
 
 
 def _run_study(cfg: ExperimentConfig) -> VerificationReport:
-    table = convergence_study(cfg, cfg.study["parameter"], cfg.study["values"])
+    table = convergence_study(cfg.study["parameter"], cfg.study["values"])
     notes = table.pop("skipped")
     param = table["parameter"]
     if param == "grid_resolution":

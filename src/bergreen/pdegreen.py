@@ -19,7 +19,8 @@ harmonic function, since the Laplacian of -ln|z - w| is -2 pi delta and
 P reduces to a quarter Laplacian.
 
 Supported grids are Cartesian rectangles and polar annuli (uniform periodic
-angles, metric terms folded into the face coefficients).
+angles).  Both share one stencil: the annulus form with metric r, of which
+a rectangle is the case r = 1 with no periodic axis.
 
 The continuum operator is self-adjoint, and the discretization keeps this
 up to the cell-area factor: with D = I on rectangles and D = diag(r) on
@@ -154,7 +155,12 @@ class GridSpec:
 
 
 def _full_weight_grid(grid: GridSpec, weight: Weight) -> np.ndarray:
-    """rho sampled on interior plus boundary layers (angular axis has no layer)."""
+    """rho sampled on interior plus boundary layers, shape (n1 + 2, n2 + 2).
+
+    The periodic angular axis of an annulus has no boundary layer; it is
+    padded with copies of its last and first columns instead, so that
+    neighbour slices wrap around the circle on both grids alike.
+    """
     a1, a2 = grid.axes
     if grid.is_polar:
         pts = a1[:, None] * np.exp(1j * a2[None, :])
@@ -163,105 +169,79 @@ def _full_weight_grid(grid: GridSpec, weight: Weight) -> np.ndarray:
     rho = np.real(np.asarray(weight.value(pts), dtype=complex))
     if np.any(~np.isfinite(rho)) or np.any(rho <= 0):
         raise WeightError("weight must be finite and positive on every grid node")
+    if grid.is_polar:
+        rho = np.concatenate([rho[:, -1:], rho, rho[:, :1]], axis=1)
     return rho
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DiscreteOperator:
     """Sparse discretization of the weighted operator over interior nodes."""
 
     grid: GridSpec
-    weight: Weight
     matrix: sp.csr_matrix
-    _lu: object = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Sparse LU solve of one right-hand side or a block of columns; the
-        factorization is computed once and reused.
+        """Sparse LU solve of one right-hand side or a block of columns.  The
+        factorization is not kept, so batch all columns into one call.
 
         The nine-point stencil is structurally symmetric, so the column
         ordering is minimum degree on A^T + A, which fills less than COLAMD.
         """
-        if self._lu is None:
-            try:
-                self._lu = spla.splu(self.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
-            except RuntimeError as exc:
-                raise SolverError(
-                    f"sparse factorization failed on {self.size} unknowns: {exc}"
-                ) from exc
-        return self._lu.solve(rhs)
+        try:
+            lu = spla.splu(self.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:
+            raise SolverError(
+                f"sparse factorization failed on {self.size} unknowns: {exc}"
+            ) from exc
+        return lu.solve(rhs)
 
 
-def _assemble_rectangle(grid: GridSpec, rho: np.ndarray):
-    nx, ny = grid.shape
-    hx, hy = grid.spacing
-    beta = 1.0 / rho  # on the full (nx+2, ny+2) grid
+def _assemble(grid: GridSpec, rho: np.ndarray):
+    """Per-offset coefficients of the divergence and rotational parts (before
+    their factors 1/4 and i/4), one formula for both grids.
 
-    # interior slabs of rho for face harmonic means
+    Axis 1 is x or r, axis 2 is y or theta.  On annuli the metric r is the
+    node radius, and r +- h1/2 at the radial faces; on rectangles it is the
+    scalar 1.  ``rho`` is padded on both axes (:func:`_full_weight_grid`).
+    """
+    h1, h2 = grid.spacing
+    if grid.is_polar:
+        r = grid.axes[0][1:-1][:, None]
+        r_p, r_m = r + 0.5 * h1, r - 0.5 * h1
+    else:
+        r = r_p = r_m = 1.0
+    beta = 1.0 / rho
+
+    # divergence part: harmonic means of rho at the faces
     c = rho[1:-1, 1:-1]
-    face_xp = 2.0 / (c + rho[2:, 1:-1]) / hx**2
-    face_xm = 2.0 / (c + rho[:-2, 1:-1]) / hx**2
-    face_yp = 2.0 / (c + rho[1:-1, 2:]) / hy**2
-    face_ym = 2.0 / (c + rho[1:-1, :-2]) / hy**2
+    face_p1 = r_p * (2.0 / (c + rho[2:, 1:-1])) / (r * h1**2)
+    face_m1 = r_m * (2.0 / (c + rho[:-2, 1:-1])) / (r * h1**2)
+    face_p2 = (2.0 / (c + rho[1:-1, 2:])) / (r**2 * h2**2)
+    face_m2 = (2.0 / (c + rho[1:-1, :-2])) / (r**2 * h2**2)
 
-    cross = 1.0 / (4.0 * hx * hy)
-    rot_pp = (beta[1:-1, 2:] - beta[2:, 1:-1]) * cross
-    rot_mp = (beta[:-2, 1:-1] - beta[1:-1, 2:]) * cross
-    rot_pm = (beta[2:, 1:-1] - beta[1:-1, :-2]) * cross
-    rot_mm = (beta[1:-1, :-2] - beta[:-2, 1:-1]) * cross
-
-    div_entries = {
-        (0, 0): -(face_xp + face_xm + face_yp + face_ym),
-        (1, 0): face_xp,
-        (-1, 0): face_xm,
-        (0, 1): face_yp,
-        (0, -1): face_ym,
-    }
-    rot_entries = {(1, 1): rot_pp, (-1, 1): rot_mp, (1, -1): rot_pm, (-1, -1): rot_mm}
-    return div_entries, rot_entries
-
-
-def _assemble_annulus(grid: GridSpec, rho: np.ndarray):
-    nr, nt = grid.shape
-    hr, ht = grid.spacing
-    radii = grid.axes[0]  # length nr + 2
-    r = radii[1:-1][:, None]  # interior radii, broadcast over angles
-    beta = 1.0 / rho  # shape (nr+2, nt), periodic in the angle
-
-    c = rho[1:-1, :]
-    roll_p = np.roll(rho[1:-1, :], -1, axis=1)
-    roll_m = np.roll(rho[1:-1, :], 1, axis=1)
-    rp_half = radii[1:-1][:, None] + 0.5 * hr
-    rm_half = radii[1:-1][:, None] - 0.5 * hr
-
-    face_rp = rp_half * (2.0 / (c + rho[2:, :])) / (r * hr**2)
-    face_rm = rm_half * (2.0 / (c + rho[:-2, :])) / (r * hr**2)
-    face_tp = (2.0 / (c + roll_p)) / (r**2 * ht**2)
-    face_tm = (2.0 / (c + roll_m)) / (r**2 * ht**2)
-
-    # rotational term -(1/r) [ dr(beta u_t) - dt(beta u_r) ]
-    cross = 1.0 / (4.0 * hr * ht)
-    b_rp = beta[2:, :]
-    b_rm = beta[:-2, :]
-    b_tp = np.roll(beta[1:-1, :], -1, axis=1)
-    b_tm = np.roll(beta[1:-1, :], 1, axis=1)
-    rot_pp = -(b_rp - b_tp) * cross / r
-    rot_mp = -(b_tp - b_rm) * cross / r
-    rot_pm = -(b_tm - b_rp) * cross / r
-    rot_mm = -(b_rm - b_tm) * cross / r
+    # rotational part (1/r) [ d2(beta d1 u) - d1(beta d2 u) ], centered
+    cross = 1.0 / (4.0 * h1 * h2)
+    b_p1, b_m1 = beta[2:, 1:-1], beta[:-2, 1:-1]
+    b_p2, b_m2 = beta[1:-1, 2:], beta[1:-1, :-2]
 
     div_entries = {
-        (0, 0): -(face_rp + face_rm + face_tp + face_tm),
-        (1, 0): face_rp,
-        (-1, 0): face_rm,
-        (0, 1): face_tp,
-        (0, -1): face_tm,
+        (0, 0): -(face_p1 + face_m1 + face_p2 + face_m2),
+        (1, 0): face_p1,
+        (-1, 0): face_m1,
+        (0, 1): face_p2,
+        (0, -1): face_m2,
     }
-    rot_entries = {(1, 1): rot_pp, (-1, 1): rot_mp, (1, -1): rot_pm, (-1, -1): rot_mm}
+    rot_entries = {
+        (1, 1): (b_p2 - b_p1) * cross / r,
+        (-1, 1): (b_m1 - b_p2) * cross / r,
+        (1, -1): (b_p1 - b_m2) * cross / r,
+        (-1, -1): (b_m2 - b_m1) * cross / r,
+    }
     return div_entries, rot_entries
 
 
@@ -274,15 +254,11 @@ def discretize(grid: GridSpec, weight: Weight) -> DiscreteOperator:
     exactly zero and the matrix is real.
     """
     rho = _full_weight_grid(grid, weight)
-    if grid.is_polar:
-        div_entries, rot_entries = _assemble_annulus(grid, rho)
-    else:
-        div_entries, rot_entries = _assemble_rectangle(grid, rho)
+    div_entries, rot_entries = _assemble(grid, rho)
 
     n1, n2 = grid.shape
-    size = n1 * n2
     ii, jj = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
-    row_index = (ii * n2 + jj).ravel()
+    row_index = ii * n2 + jj
 
     rotational = any(np.max(np.abs(v)) > 0 for v in rot_entries.values())
     dtype = complex if rotational else float
@@ -290,16 +266,12 @@ def discretize(grid: GridSpec, weight: Weight) -> DiscreteOperator:
     rows, cols, data = [], [], []
 
     def add(offset, coeff, scale):
-        di, dj = offset
-        ti = ii + di
-        tj = jj + dj
-        if grid.is_polar:
-            tj = tj % n2
-            mask = (ti >= 0) & (ti < n1)
-        else:
-            mask = (ti >= 0) & (ti < n1) & (tj >= 0) & (tj < n2)
-        rows.append(row_index.reshape(n1, n2)[mask])
-        cols.append((ti * n2 + tj)[mask])
+        ti, tj = ii + offset[0], jj + offset[1]
+        # angular neighbours wrap around; other neighbours off the grid are
+        # eliminated Dirichlet nodes
+        mask = (ti >= 0) & (ti < n1) & (grid.is_polar | ((tj >= 0) & (tj < n2)))
+        rows.append(row_index[mask])
+        cols.append((ti * n2 + tj % n2)[mask])
         data.append((scale * coeff)[mask].astype(dtype))
 
     for offset, coeff in div_entries.items():
@@ -310,47 +282,45 @@ def discretize(grid: GridSpec, weight: Weight) -> DiscreteOperator:
 
     matrix = sp.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size),
+        shape=(n1 * n2, n1 * n2),
     ).tocsr()
     matrix.sum_duplicates()
-    return DiscreteOperator(grid=grid, weight=weight, matrix=matrix)
+    return DiscreteOperator(grid=grid, matrix=matrix)
 
 
 @dataclass(eq=False)
 class DiscreteGreen:
     """Field of the discrete Green's function for one snapped source."""
 
-    operator: DiscreteOperator
+    grid: GridSpec
     source: complex
     source_index: tuple
     values: np.ndarray  # shape grid.shape; boundary values are implicitly zero
     solve_stats: dict = field(default_factory=dict)
 
-    @property
-    def grid(self) -> GridSpec:
-        return self.operator.grid
+
+def _snap_inside(grid: GridSpec, z: complex, what: str) -> tuple:
+    """Index of the node nearest to z, which must keep at least two cells of
+    margin from the eliminated boundary so derivative stencils around it stay
+    on the grid."""
+    idx = grid.snap_index(z)
+    if grid.margin_cells(idx) < 2:
+        raise ParameterError(f"{what} {z} snaps to node {idx}, closer than two cells to the boundary")
+    return idx
 
 
 def solve_green(op: DiscreteOperator, source: complex) -> DiscreteGreen:
     """Solve  P G = -(pi/2) delta_h  for a source snapped to the nearest node.
 
-    The source must keep at least two cells of margin from the eliminated
-    boundary so derivative stencils around it stay on the grid.  The result
+    The source needs two cells of margin (:func:`_snap_inside`).  The result
     carries solver statistics: unknowns and the relative linear residual, no
     timings, so a report that embeds them is deterministic.
     """
     grid = op.grid
-    idx = grid.snap_index(source)
-    if grid.margin_cells(idx) < 2:
-        raise ParameterError(
-            f"source {source} snaps to node {idx}, closer than two cells to the boundary"
-        )
+    idx = _snap_inside(grid, source, "source")
     snapped = grid.node_point(*idx)
     h1, h2 = grid.spacing
-    if grid.is_polar:
-        cell_area = abs(snapped) * h1 * h2
-    else:
-        cell_area = h1 * h2
+    cell_area = (abs(snapped) if grid.is_polar else 1.0) * h1 * h2
     rhs = np.zeros(op.size, dtype=op.matrix.dtype)
     rhs[idx[0] * grid.shape[1] + idx[1]] = -(math.pi / 2.0) / cell_area
     sol = op.solve(rhs)
@@ -358,7 +328,7 @@ def solve_green(op: DiscreteOperator, source: complex) -> DiscreteGreen:
         "unknowns": op.size,
         "residual": float(np.linalg.norm(op.matrix @ sol - rhs) / np.linalg.norm(rhs)),
     }
-    return DiscreteGreen(operator=op, source=snapped, source_index=idx,
+    return DiscreteGreen(grid=grid, source=snapped, source_index=idx,
                          values=sol.reshape(grid.shape), solve_stats=stats)
 
 
@@ -411,16 +381,8 @@ def solve_mixed(op: DiscreteOperator, pairs) -> np.ndarray:
     grid = op.grid
     n2 = grid.shape[1]
     h1, h2 = grid.spacing
-    stencils = []
-    for z, w in pairs:
-        zi, wi = grid.snap_index(z), grid.snap_index(w)
-        for point, idx in ((z, zi), (w, wi)):
-            if grid.margin_cells(idx) < 2:
-                raise ParameterError(
-                    f"evaluation point {point} snaps to node {idx}, "
-                    "closer than two cells to the boundary"
-                )
-        stencils.append((_dz_stencil(grid, zi), _dz_stencil(grid, wi)))
+    stencils = [tuple(_dz_stencil(grid, _snap_inside(grid, p, "evaluation point"))
+                      for p in pair) for pair in pairs]
 
     radii = grid.axes[0][1:-1] if grid.is_polar else np.ones(grid.shape[0])
     m = len(stencils)

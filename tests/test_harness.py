@@ -312,30 +312,30 @@ def test_gauge_experiment_generic_reports_obstruction(tmp_path):
 
 
 def test_convergence_study_fd_step():
-    table = convergence_study(cfg(), "fd_step", [4e-3, 2e-3, 1e-3])
+    table = convergence_study("fd_step", [4e-3, 2e-3, 1e-3])
     assert abs(table["fitted_order"] - 2.0) <= 0.3
     errs = [r["error"] for r in table["rows"]]
     assert all(a > b for a, b in zip(errs, errs[1:]))
 
 
 def test_convergence_study_basis_order():
-    table = convergence_study(cfg(), "basis_order", [10, 20, 30])
+    table = convergence_study("basis_order", [10, 20, 30])
     errs = [r["error"] for r in table["rows"]]
     assert all(a > b for a, b in zip(errs, errs[1:]))
 
 
 def test_convergence_study_grid_resolution():
-    table = convergence_study(cfg(), "grid_resolution", [32, 64, 128])
+    table = convergence_study("grid_resolution", [32, 64, 128])
     assert table["fitted_order"] >= 1.5
 
 
 def test_convergence_study_validation():
     with pytest.raises(StudyInsufficientError):
-        convergence_study(cfg(), "fd_step", [1e-3, 1e-4])
+        convergence_study("fd_step", [1e-3, 1e-4])
     with pytest.raises(ConfigError):
-        convergence_study(cfg(), "fd_step", [1e-3, 4e-3, 2e-3])
+        convergence_study("fd_step", [1e-3, 4e-3, 2e-3])
     with pytest.raises(ConfigError):
-        convergence_study(cfg(), "warp_factor", [1, 2, 3])
+        convergence_study("warp_factor", [1, 2, 3])
 
 
 def test_study_notes_every_skipped_value(tmp_path):
@@ -351,7 +351,7 @@ def test_study_notes_every_skipped_value(tmp_path):
         assert len(rep.tables["study"]["rows"]) == 3
         assert "skipped" not in rep.tables["study"]
     with pytest.raises(StudyInsufficientError, match="study value 60 skipped: error 0.0"):
-        convergence_study(cfg(), "quad_order", [20, 40, 60])
+        convergence_study("quad_order", [20, 40, 60])
 
 
 def test_study_config_route(tmp_path):
@@ -472,6 +472,8 @@ def test_validate_rejects_unparsable_specs(change, message):
       "weight": {"coefficients": [[2, 0], [1, 0]]}},
      "perturbations must be a list of numbers"),
     ({"experiment": "pde-green", "pde_check": "nope"}, "unknown pde_check 'nope'"),
+    ({"experiment": "pde-green", "pde_check": "factorization", "domain": SQUARE,
+      "weight": {"coefficients": [[3, 0]]}}, "the factorization check needs a non-constant weight"),
 ])
 def test_cli_malformed_config_exits_2(tmp_path, capsys, change, message):
     path = tmp_path / "cfg.json"
@@ -512,15 +514,27 @@ def test_check_derives_passed():
     assert not Check("a", None, 1.0).passed
 
 
-# A closed-form run in a fresh process: no scipy module may be loaded, and the
-# grid names of the package must still resolve afterwards.
+# A closed-form run in a fresh process: no scipy module may be loaded, and
+# validating grid configs must not load the grid solver either, since a fresh
+# process pays to import (and may compile) every module it loads.  The grid
+# names of the package must still resolve afterwards.
 _NO_SCIPY_RUN = """
 import sys
 import bergreen.harness as h
 cfg = h.ExperimentConfig.from_dict({"experiment": "verify-identity", "seed": 7, "count": 5,
                                     "basis_order": 10, "quad_order": 12})
 assert h.run(cfg).records
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+square = {"kind": "rectangle", "params": {"x0": 0, "x1": 1, "y0": 0, "y1": 1}}
+for grid_cfg in (
+        {"experiment": "pde-green", "pde_check": "identity", "domain": square, "seed": 1,
+         "weight": {"coefficients": [[2, 0], [1, 0]]}, "grid": [128, 128]},
+        {"experiment": "pde-green", "pde_check": "identity", "grid": [128, 256], "seed": 1,
+         "domain": {"kind": "annulus", "params": {"inner": 0.5, "outer": 1.0}}},
+        {"experiment": "pde-green", "pde_check": "reference", "domain": square, "seed": 1,
+         "study": {"parameter": "grid_resolution", "values": [64, 128, 192]}}):
+    h.ExperimentConfig.from_dict(grid_cfg)
+loaded = sorted(m for m in sys.modules
+                if m in ("scipy", "bergreen.pdegreen") or m.startswith("scipy."))
 assert not loaded, loaded
 import bergreen
 from bergreen import GridSpec, pdegreen
