@@ -179,11 +179,12 @@ class ExperimentConfig:
                 raise ConfigError(f"tolerance {name} must be a number, got {value!r}")
         if self.seed is not None and not _of_type(self.seed, Integral):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if self.pairs is None and self.seed is None:
-            raise ConfigError("a seed is mandatory when points are drawn randomly")
         if self.pairs is not None:
             _parse_pairs(self.pairs)
-        _build_weight(self, _build_domain(self))
+        domain = _build_domain(self)
+        _build_weight(self, domain)
+        if self.pairs is None and self.seed is None and self._draws_points(domain):
+            raise ConfigError("a seed is mandatory when points are drawn randomly")
         if self.quad_order < 1 or self.basis_order < 0:
             raise ConfigError("orders must be positive")
         if self.fd_step <= 0:
@@ -209,6 +210,12 @@ class ExperimentConfig:
                 and all(_of_type(v, Real) for v in self.perturbations)):
             raise ConfigError(
                 f"perturbations must be a list of numbers, got {self.perturbations!r}")
+
+    def _draws_points(self, domain: Domain) -> bool:
+        """Whether the run draws its points at random (:func:`_sample_pairs`)."""
+        if self.experiment == "gauge-experiment":
+            return not isinstance(domain, (Rectangle, Annulus))
+        return self.experiment in ("verify-identity", "kernel", "green", "distance")
 
     def _validate_study(self):
         if not isinstance(self.study, dict) or not {"parameter", "values"} <= set(self.study):
@@ -650,7 +657,10 @@ def _exp_pde_green(cfg: ExperimentConfig) -> VerificationReport:
             # the weighted Green's function is then rho times the unweighted
             # one, so the error is roundoff and cannot improve under refinement
             raise ConfigError("the factorization check needs a non-constant weight")
-        gauge = weights.solve_gauge(weight)
+        try:
+            gauge = weights.solve_gauge(weight)
+        except GaugeInfeasibleError as exc:
+            raise ConfigError(f"the factorization check needs a weight with a gauge: {exc}") from exc
         rows = []
         for n in (cfg.grid[0] // 2, cfg.grid[0]):
             shape = (n, n) if isinstance(domain, Rectangle) else (n, 2 * n)

@@ -141,8 +141,22 @@ def test_verify_identity_rejects_annulus():
 
 
 def test_seed_mandatory_for_random_points():
-    with pytest.raises(ConfigError, match="seed"):
-        ExperimentConfig.from_dict({"experiment": "verify-identity"})
+    # the experiments that draw points at random need a seed, unless the
+    # pairs are given; the others do not draw and take none
+    for data in ({"experiment": "verify-identity"}, {"experiment": "kernel"},
+                 {"experiment": "green"}, {"experiment": "distance"},
+                 {"experiment": "gauge-experiment", "weight": {"coefficients": [[2, 0], [1, 0]]}}):
+        with pytest.raises(ConfigError, match="a seed is mandatory"):
+            ExperimentConfig.from_dict(data)
+        ExperimentConfig.from_dict({**data, "pairs": [[[0.1, 0.2], [0.3, -0.1]]]})
+    for data in ({"experiment": "pde-green", "domain": SQUARE},
+                 {"experiment": "pde-green", "pde_check": "reference", "domain": SQUARE},
+                 {"experiment": "pde-green", "pde_check": "factorization", "domain": SQUARE,
+                  "weight": {"coefficients": [[2, 0], [1, 0]]}},
+                 {"experiment": "exhaust"},
+                 {"experiment": "gauge-experiment", "domain": SQUARE,
+                  "weight": {"representation": "generic_c1", "name": "exp_abs_sq"}}):
+        assert ExperimentConfig.from_dict(data).seed is None
 
 
 def test_unknown_experiment_and_keys():
@@ -474,6 +488,9 @@ def test_validate_rejects_unparsable_specs(change, message):
     ({"experiment": "pde-green", "pde_check": "nope"}, "unknown pde_check 'nope'"),
     ({"experiment": "pde-green", "pde_check": "factorization", "domain": SQUARE,
       "weight": {"coefficients": [[3, 0]]}}, "the factorization check needs a non-constant weight"),
+    ({"experiment": "pde-green", "pde_check": "factorization", "domain": SQUARE,
+      "weight": {"representation": "generic_c1", "name": "exp_abs_sq"}},
+     "the factorization check needs a weight with a gauge"),
 ])
 def test_cli_malformed_config_exits_2(tmp_path, capsys, change, message):
     path = tmp_path / "cfg.json"

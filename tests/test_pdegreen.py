@@ -312,6 +312,49 @@ def test_weighted_factorization_on_annulus():
     assert rels[-1] < rels[0]
 
 
+TRANSFORM_CASES = {
+    "rectangle-rho9": (GridSpec(Rectangle(-1.0, 2.0, 0.0, 0.5), (40, 70)),
+                       HoloModulusSquaredWeight([3], Rectangle(-1.0, 2.0, 0.0, 0.5))),
+    "square-64": (GridSpec(SQUARE, (64, 64)), unit_weight(SQUARE)),
+    "annulus": (GridSpec(Annulus(0.3, 2.0), (50, 64)), unit_weight(Annulus(0.3, 2.0))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRANSFORM_CASES))
+def test_transform_solve_matches_sparse_lu(case, monkeypatch):
+    grid, weight = TRANSFORM_CASES[case]
+    op = discretize(grid, weight)
+    assert op.method == "transform" and op.constant_rho == float(weight.value(0.5))
+    rng = np.random.default_rng(5)
+    real_1d = rng.standard_normal(op.size)
+    real_block = rng.standard_normal((op.size, 4))
+    complex_block = rng.standard_normal((op.size, 3)) + 1j * rng.standard_normal((op.size, 3))
+    # SuperLU takes no complex right-hand side for a real matrix, so its
+    # reference solves the real and imaginary parts apart
+    lu = spla.splu(op.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    refs = [lu.solve(real_1d), lu.solve(real_block),
+            lu.solve(complex_block.real) + 1j * lu.solve(complex_block.imag)]
+
+    def no_lu(*args, **kwargs):
+        raise AssertionError("a constant weight must not factor")
+
+    monkeypatch.setattr(spla, "splu", no_lu)
+    for rhs, ref in zip((real_1d, real_block, complex_block), refs):
+        got = op.solve(rhs)
+        assert got.shape == rhs.shape and got.dtype == rhs.dtype
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.linalg.norm(op.matrix @ got - rhs) <= 1e-13 * np.linalg.norm(rhs)
+
+
+def test_non_constant_weight_takes_sparse_lu():
+    op = discretize(GridSpec(SQUARE, (16, 16)), HoloModulusSquaredWeight([2, 1], SQUARE))
+    assert op.method == "sparse_lu" and op.constant_rho is None
+    sol = solve_green(op, 0.5 + 0.5j)
+    assert sol.solve_stats["method"] == "sparse_lu" and sol.solve_stats["residual"] < 1e-13
+    assert solve_green(discretize(GridSpec(SQUARE, (16, 16)), unit_weight(SQUARE)),
+                       0.5 + 0.5j).solve_stats["method"] == "transform"
+
+
 def test_unit_weight_solution_is_real():
     ann = Annulus(0.5, 1.0)
     op = discretize(GridSpec(ann, (16, 32)), unit_weight(ann))
