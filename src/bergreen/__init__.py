@@ -80,8 +80,9 @@ from .weights import (
 
 __version__ = "0.1.0"
 
-# The grid solver needs scipy.sparse, which takes longer to import than the
-# rest of the package; it is imported on the first use of one of its names.
+# The grid solver is imported on the first use of one of its names, so a
+# closed-form run never loads it; it imports scipy, which takes longer to
+# import than the rest of the package, only for a sparse LU factorization.
 _PDEGREEN_NAMES = frozenset({
     "DiscreteGreen", "DiscreteOperator", "GridSpec", "discretize", "grid_pairs", "mid_mask",
     "rectangle_green_series", "reference_error", "solve_green", "solve_mixed",

@@ -616,7 +616,7 @@ def _grid_identity(cfg: ExperimentConfig, domain: Domain, weight, n_pairs: int =
     |K - rhs| / |K|; the closed-form residual of ``green.identity_residual``
     (verify-identity, the gauge perturbation table) divides by max(1, |K|)
     instead.  Returns the kernel, the records and the CSV table."""
-    from . import pdegreen  # loads scipy, so only when a grid is built
+    from . import pdegreen  # only when a grid is built
 
     kernel = _build_kernel(cfg, domain, weight)
     op = pdegreen.discretize(pdegreen.GridSpec(domain, tuple(cfg.grid)), weight)
@@ -636,7 +636,7 @@ def _exp_pde_green(cfg: ExperimentConfig) -> VerificationReport:
     if not isinstance(domain, (Rectangle, Annulus)):
         raise ConfigError("pde-green runs on rectangles and annuli")
     weight = _build_weight(cfg, domain)
-    from . import pdegreen  # loads scipy, so only when a grid is built
+    from . import pdegreen  # only when a grid is built
 
     if cfg.pde_check == "reference":
         # single-resolution comparison; multi-resolution order fitting goes
@@ -803,7 +803,7 @@ def _study_error(parameter: str, v) -> float:
         ref = integrate(build_quadrature(dom, 60), f)
         return abs(integrate(build_quadrature(dom, int(v)), f) - ref)
     if parameter == "grid_resolution":
-        from . import pdegreen  # loads scipy, so only when a grid is built
+        from . import pdegreen  # only when a grid is built
 
         dom = Rectangle(0.0, 1.0, 0.0, 1.0)
         return pdegreen.reference_error(dom, weights.unit_weight(dom), int(v),

@@ -9,7 +9,7 @@ rotational part,
 both of which are discretized to second order: harmonic-mean face
 coefficients for the divergence part, centered differences for the
 rotational part, Dirichlet rows eliminated.  For rho = 1 the rotational
-coefficients cancel entrywise and the matrix is exactly one quarter of the
+coefficients cancel entrywise and the stencil is exactly one quarter of the
 standard Laplacian stencil.
 
 The discrete Green's function solves  P G = -(pi/2) delta_h  with delta_h
@@ -27,7 +27,7 @@ operator has constant coefficients along axis 2 (y, or the angle), and
 :meth:`DiscreteOperator.solve` diagonalizes that axis by a sine transform
 (rectangles) or a Fourier transform (annuli) and solves one tridiagonal
 system along axis 1 per mode (Hockney 1965; Buzbee, Golub & Nielson 1970).
-Every other weight goes through a sparse LU factorization.
+Every other weight goes through a sparse LU factorization, which alone needs scipy.
 
 The continuum operator is self-adjoint, and the discretization keeps this
 up to the cell-area factor: with D = I on rectangles and D = diag(r) on
@@ -46,8 +46,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ParameterError, SolverError, WeightError
 from .geometry import Annulus, Domain, Rectangle
@@ -181,26 +179,73 @@ def _full_weight_grid(grid: GridSpec, weight: Weight) -> np.ndarray:
     return rho
 
 
+def _shifted(d: int, n: int, periodic: bool) -> list:
+    """(target, source) slices taking entry k + d of an axis to entry k; a periodic axis wraps."""
+    main = (slice(max(-d, 0), n - max(d, 0)), slice(max(d, 0), n - max(-d, 0)))
+    wrap = (slice(n - 1, n), slice(0, 1)) if d > 0 else (slice(0, 1), slice(n - 1, n))
+    return [main, wrap] if periodic and d else [main]
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
-    """Sparse discretization of the weighted operator over interior nodes.
+    """The weighted operator over interior nodes, held as stencil arrays.
 
-    ``constant_rho`` is the weight when it is the same number on every node
-    of the grid, boundary layers included, and None otherwise.
+    ``stencil`` maps an offset (d1, d2) to the coefficients, times 1/4 or
+    i/4, of node (i + d1, j + d2) in row (i, j): five divergence offsets, and
+    four rotational ones if the operator is complex.  ``constant_rho`` is rho
+    when it is one number on every node, boundary layers included, and the
+    coefficients then have one column; else it is None.
     """
 
     grid: GridSpec
-    matrix: sp.csr_matrix
+    stencil: dict
     constant_rho: float | None = None
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
+        return self.grid.shape[0] * self.grid.shape[1]
+
+    @property
+    def dtype(self) -> np.dtype:
+        return np.result_type(*self.stencil.values())
 
     @property
     def method(self) -> str:
         """How :meth:`solve` solves: ``"transform"`` or ``"sparse_lu"``."""
         return "sparse_lu" if self.constant_rho is None else "transform"
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The operator times x of shape (size,) or (size, m), one slice of x
+        per offset and per wrap of the periodic angle; off the grid is zero."""
+        n1, n2 = self.grid.shape
+        nodes = np.reshape(x, (n1, n2, -1))
+        out = np.zeros(nodes.shape, dtype=np.result_type(self.dtype, nodes.dtype))
+        for (d1, d2), coeff in self.stencil.items():
+            coeff = np.broadcast_to(coeff, (n1, n2))[:, :, None]
+            (r_out, r_in), = _shifted(d1, n1, False)
+            for c_out, c_in in _shifted(d2, n2, self.grid.is_polar):
+                out[r_out, c_out] += coeff[r_out, c_out] * nodes[r_in, c_in]
+        return out.reshape(np.shape(x))
+
+    @cached_property
+    def matrix(self):
+        """The operator as CSR, built for the sparse LU only: row i n2 + j holds
+        each offset whose neighbour is an unknown, zeros included, by column."""
+        import scipy.sparse as sp
+        n1, n2 = self.grid.shape
+        i = np.arange(n1)[:, None, None, None] + np.arange(-1, 2)[:, None]
+        j = np.arange(n2)[:, None, None] + np.arange(-1, 2)
+        keep, data = np.zeros((n1, n2, 3, 3), dtype=bool), np.zeros((n1, n2, 3, 3), self.dtype)
+        for (d1, d2), coeff in self.stencil.items():
+            keep[:, :, d1 + 1, d2 + 1] = True
+            data[:, :, d1 + 1, d2 + 1] = coeff
+        keep &= (i >= 0) & (i < n1) & (self.grid.is_polar | ((j >= 0) & (j < n2)))
+        cols = i * n2 + j % n2
+        if self.grid.is_polar:  # the wrapped neighbour goes to the other end of its d1 block
+            for a in (cols, keep, data):
+                a[:, 0], a[:, -1] = np.roll(a[:, 0], -1, axis=-1), np.roll(a[:, -1], 1, axis=-1)
+        indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=(2, 3)))])
+        return sp.csr_matrix((data[keep], cols[keep], indptr), shape=(self.size, self.size))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for one right-hand side or a block of columns.  Nothing is
@@ -208,20 +253,21 @@ class DiscreteOperator:
 
         For a constant weight (``method == "transform"``) the solve is
         :func:`_transform_solver` plus one step of iterative refinement
-        against ``matrix``, x += T(b - A x).  The refinement is needed: the
+        against :meth:`apply`, x += T(b - A x).  The refinement is needed: the
         transform alone is off by up to about 1e-13 relative, and the fitted
         convergence order of the reference study, whose errors of about 1e-4
         are differences of O(1) fields, magnifies that by about 1e4.  A real
         right-hand side gives a real solution.
 
-        Otherwise it is a sparse LU solve.  The nine-point stencil is
-        structurally symmetric, so the column ordering is minimum degree on
-        A^T + A, which fills less than COLAMD.
+        Otherwise it is a sparse LU solve of :attr:`matrix`.  The nine-point
+        stencil is structurally symmetric, so the column ordering is minimum
+        degree on A^T + A, which fills less than COLAMD.
         """
         if self.constant_rho is not None:
             transform = _transform_solver(self.grid, self.constant_rho)
             x = transform(rhs)
-            return x + transform(rhs - self.matrix @ x)
+            return x + transform(rhs - self.apply(x))
+        import scipy.sparse.linalg as spla
         try:
             lu = spla.splu(self.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
@@ -333,48 +379,22 @@ def _assemble(grid: GridSpec, rho: np.ndarray):
 
 
 def discretize(grid: GridSpec, weight: Weight) -> DiscreteOperator:
-    """Second-order sparse discretization of the weighted operator.
+    """Second-order stencil discretization of the weighted operator.
 
     The divergence part uses harmonic-mean face coefficients of 1/rho; the
     rotational part uses centered differences of nodal 1/rho.  Rows touch at
     most nine unknowns.  For constant weights the rotational coefficients are
-    exactly zero and the matrix is real, and a weight that is the same number
+    exactly zero and the stencil is real, and a weight that is the same number
     on every node selects the transform solver of :meth:`DiscreteOperator.solve`.
     """
     rho = _full_weight_grid(grid, weight)
     constant_rho = float(rho.flat[0]) if np.all(rho == rho.flat[0]) else None
+    rho = rho if constant_rho is None else rho[:, :3]  # all columns alike: coefficients for one
     div_entries, rot_entries = _assemble(grid, rho)
-
-    n1, n2 = grid.shape
-    ii, jj = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
-    row_index = ii * n2 + jj
-
-    rotational = any(np.max(np.abs(v)) > 0 for v in rot_entries.values())
-    dtype = complex if rotational else float
-
-    rows, cols, data = [], [], []
-
-    def add(offset, coeff, scale):
-        ti, tj = ii + offset[0], jj + offset[1]
-        # angular neighbours wrap around; other neighbours off the grid are
-        # eliminated Dirichlet nodes
-        mask = (ti >= 0) & (ti < n1) & (grid.is_polar | ((tj >= 0) & (tj < n2)))
-        rows.append(row_index[mask])
-        cols.append((ti * n2 + tj % n2)[mask])
-        data.append((scale * coeff)[mask].astype(dtype))
-
-    for offset, coeff in div_entries.items():
-        add(offset, coeff, 0.25)
-    if rotational:
-        for offset, coeff in rot_entries.items():
-            add(offset, coeff, 0.25j)
-
-    matrix = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n1 * n2, n1 * n2),
-    ).tocsr()
-    matrix.sum_duplicates()
-    return DiscreteOperator(grid=grid, matrix=matrix, constant_rho=constant_rho)
+    stencil = {offset: 0.25 * coeff for offset, coeff in div_entries.items()}
+    if any(np.max(np.abs(v)) > 0 for v in rot_entries.values()):
+        stencil.update((offset, 0.25j * coeff) for offset, coeff in rot_entries.items())
+    return DiscreteOperator(grid=grid, stencil=stencil, constant_rho=constant_rho)
 
 
 @dataclass(eq=False)
@@ -411,12 +431,12 @@ def solve_green(op: DiscreteOperator, source: complex) -> DiscreteGreen:
     snapped = grid.node_point(*idx)
     h1, h2 = grid.spacing
     cell_area = (abs(snapped) if grid.is_polar else 1.0) * h1 * h2
-    rhs = np.zeros(op.size, dtype=op.matrix.dtype)
+    rhs = np.zeros(op.size, dtype=op.dtype)
     rhs[idx[0] * grid.shape[1] + idx[1]] = -(math.pi / 2.0) / cell_area
     sol = op.solve(rhs)
     stats = {
         "unknowns": op.size,
-        "residual": float(np.linalg.norm(op.matrix @ sol - rhs) / np.linalg.norm(rhs)),
+        "residual": float(np.linalg.norm(op.apply(sol) - rhs) / np.linalg.norm(rhs)),
         "method": op.method,
     }
     return DiscreteGreen(grid=grid, source=snapped, source_index=idx,
@@ -481,7 +501,7 @@ def solve_mixed(op: DiscreteOperator, pairs) -> np.ndarray:
     for k, (dz, _) in enumerate(stencils):
         for node, c in dz:
             rhs[node, k] = np.conj(c) / radii[node // n2]
-    if np.iscomplexobj(op.matrix):
+    if np.issubdtype(op.dtype, np.complexfloating):
         y = op.solve(rhs)
     else:
         y = op.solve(np.hstack([rhs.real, rhs.imag]))

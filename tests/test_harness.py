@@ -562,10 +562,61 @@ print("ok")
 """
 
 
-def test_closed_form_run_loads_no_scipy():
+def _fresh_python(code, *args, **env):
+    """stdout of ``code`` run by a fresh interpreter with extra environment."""
     src = str(Path(bergreen.__file__).resolve().parents[1])
-    env = {**os.environ,
+    env = {**os.environ, **env,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
                          capture_output=True, text=True)
-    assert out.stdout.strip() == "ok"
+    return out.stdout.strip()
+
+
+def test_closed_form_run_loads_no_scipy():
+    assert _fresh_python(_NO_SCIPY_RUN) == "ok"
+
+
+_GRID_REFERENCE = {"experiment": "pde-green", "pde_check": "reference", "seed": 1,
+                   "domain": {"kind": "rectangle", "params": {"x0": 0, "x1": 1, "y0": 0, "y1": 1}},
+                   "study": {"parameter": "grid_resolution", "values": [64, 128, 192]}}
+
+# The constant-weight grid solver works without scipy; only a sparse LU
+# factorization (here of rho = |z+2|^2 on the square) loads it.
+_GRID_SCIPY_RUN = f"""
+import sys
+import bergreen.harness as h
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert h.run(h.ExperimentConfig.from_dict({_GRID_REFERENCE!r})).passed
+assert not scipy_loaded(), scipy_loaded()
+lu_cfg = {{**{_GRID_REFERENCE!r}, "pde_check": "identity", "grid": [48, 48], "study": None,
+          "weight": {{"coefficients": [[2, 0], [1, 0]]}}}}
+assert h.run(h.ExperimentConfig.from_dict(lu_cfg)).records
+assert "scipy.sparse.linalg" in scipy_loaded()
+print("ok")
+"""
+
+
+def test_transform_grid_run_loads_no_scipy():
+    assert _fresh_python(_GRID_SCIPY_RUN) == "ok"
+
+
+# SHA-256 of every file a grid-reference run writes
+_GRID_REFERENCE_DIGEST = f"""
+import hashlib, sys
+from pathlib import Path
+import bergreen.harness as h
+out = Path(sys.argv[1])
+h.run(h.ExperimentConfig.from_dict({_GRID_REFERENCE!r}), out)
+for f in sorted(out.iterdir()):
+    print(f.name, hashlib.sha256(f.read_bytes()).hexdigest())
+"""
+
+
+def test_grid_reference_outputs_identical_under_one_and_two_blas_threads(tmp_path):
+    # the transform solver, the series reference and their BLAS products give
+    # the same bytes at either thread count (the sparse LU of a non-constant
+    # weight does not, and is not tested here)
+    digests = {_fresh_python(_GRID_REFERENCE_DIGEST, str(tmp_path / n), OPENBLAS_NUM_THREADS=n,
+                             OMP_NUM_THREADS=n) for n in ("1", "2")}
+    assert len(digests) == 1 and "report.json" in digests.pop()

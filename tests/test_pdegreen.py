@@ -20,7 +20,7 @@ from bergreen import (
     solve_mixed,
     unit_weight,
 )
-from bergreen.pdegreen import grid_pairs, mid_mask, reference_error
+from bergreen.pdegreen import _assemble, _full_weight_grid, grid_pairs, mid_mask, reference_error
 from bergreen.weights import (
     GENERIC_BUILTINS,
     GenericC1Weight,
@@ -29,11 +29,6 @@ from bergreen.weights import (
 )
 
 SQUARE = Rectangle(0.0, 1.0, 0.0, 1.0)
-
-
-def apply(op, values):
-    """The operator's matrix applied to a field sampled at the interior nodes."""
-    return (op.matrix @ values.ravel()).reshape(op.grid.shape)
 
 
 def value_at(sol, z):
@@ -118,7 +113,7 @@ def test_operator_consistency_order(domain, shape):
         grid = GridSpec(domain, shape(n))
         op = discretize(grid, weight)
         pts = grid.interior_points()
-        applied = apply(op, pts**2)
+        applied = op.apply((pts**2).ravel()).reshape(grid.shape)
         exact = pf(pts.real, pts.imag)
         # rows whose nine-point stencil stays strictly interior; the angular
         # axis of an annulus is periodic, so all of its columns count
@@ -212,6 +207,73 @@ def test_scaled_operator_is_hermitian_and_green_reciprocal(case):
     g_w, g_z = solve_green(op, w), solve_green(op, z)
     scale = max(np.max(np.abs(g_w.values)), np.max(np.abs(g_z.values)))
     assert abs(value_at(g_w, z) - np.conj(value_at(g_z, w))) <= 1e-12 * scale
+
+
+# rectangles and annuli, real and complex operators, constant and
+# non-constant weights; on annuli the angular wrap reorders the columns of
+# the first and last angular nodes
+STENCIL_CASES = {
+    **HERMITIAN_CASES,
+    "square-unit": (GridSpec(SQUARE, (12, 12)), unit_weight(SQUARE)),
+    "rectangle-rho9": (GridSpec(Rectangle(-1.0, 2.0, 0.0, 0.5), (9, 13)),
+                       HoloModulusSquaredWeight([3], Rectangle(-1.0, 2.0, 0.0, 0.5))),
+    "annulus-16-e^(2x)": (GridSpec(Annulus(0.3, 2.0), (10, 16)),
+                          LogHarmonicWeight([0, 1], Annulus(0.3, 2.0))),
+}
+
+
+def coo_matrix_oracle(grid, weight):
+    """The operator assembled from COO triplets, one masked block per stencil
+    offset, then converted to CSR with duplicates summed."""
+    div_entries, rot_entries = _assemble(grid, _full_weight_grid(grid, weight))
+    n1, n2 = grid.shape
+    ii, jj = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
+    rotational = any(np.max(np.abs(v)) > 0 for v in rot_entries.values())
+    dtype = complex if rotational else float
+    rows, cols, data = [], [], []
+    entries = [(o, c, 0.25) for o, c in div_entries.items()]
+    if rotational:
+        entries += [(o, c, 0.25j) for o, c in rot_entries.items()]
+    for (d1, d2), coeff, scale in entries:
+        ti, tj = ii + d1, jj + d2
+        mask = (ti >= 0) & (ti < n1) & (grid.is_polar | ((tj >= 0) & (tj < n2)))
+        rows.append((ii * n2 + jj)[mask])
+        cols.append((ti * n2 + tj % n2)[mask])
+        data.append((scale * coeff)[mask].astype(dtype))
+    matrix = sp.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                           shape=(n1 * n2, n1 * n2)).tocsr()
+    matrix.sum_duplicates()
+    return matrix
+
+
+@pytest.mark.parametrize("case", sorted(STENCIL_CASES))
+def test_matrix_matches_coo_assembly_bytes(case):
+    grid, weight = STENCIL_CASES[case]
+    got, want = discretize(grid, weight).matrix, coo_matrix_oracle(grid, weight)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("case", sorted(STENCIL_CASES))
+def test_apply_matches_matrix_product(case):
+    grid, weight = STENCIL_CASES[case]
+    op = discretize(grid, weight)
+    assert op.dtype == op.matrix.dtype
+    rng = np.random.default_rng(3)
+    for x in (rng.standard_normal(op.size), rng.standard_normal((op.size, 3)),
+              rng.standard_normal((op.size, 2)) + 1j * rng.standard_normal((op.size, 2))):
+        got, want = op.apply(x), op.matrix @ x
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_constant_weight_never_builds_the_matrix():
+    for grid, weight in (STENCIL_CASES["square-unit"], HERMITIAN_CASES["annulus-unit"]):
+        op = discretize(grid, weight)
+        sol = solve_green(op, grid.node_point(4, 5))
+        solve_mixed(op, grid_pairs(grid, 2))
+        assert sol.solve_stats["method"] == "transform" and "matrix" not in vars(op)
 
 
 def five_solve_mixed(op, z, w):
