@@ -615,20 +615,22 @@ def _grid_identity(cfg: ExperimentConfig, domain: Domain, weight, n_pairs: int =
     the grid mixed derivative of all pairs at once.  This grid residual is
     |K - rhs| / |K|; the closed-form residual of ``green.identity_residual``
     (verify-identity, the gauge perturbation table) divides by max(1, |K|)
-    instead.  Returns the kernel, the records and the CSV table."""
+    instead.  Returns the kernel, the records, the CSV table and the block
+    solve's statistics."""
     from . import pdegreen  # only when a grid is built
 
     kernel = _build_kernel(cfg, domain, weight)
     op = pdegreen.discretize(pdegreen.GridSpec(domain, tuple(cfg.grid)), weight)
     pairs = pdegreen.grid_pairs(op.grid, n_pairs)
-    mixed = pdegreen.solve_mixed(op, pairs)
+    solver = {}
+    mixed = pdegreen.solve_mixed(op, pairs, solver)
     zs, ws = _pair_arrays(pairs)
     rhs = green.identity_rhs(weight, zs, ws, mixed)
     kv = kernel.evaluate(zs, ws)
     residual = np.abs(kv - rhs) / np.abs(kv)
     results = zip(zs.tolist(), ws.tolist(), residual[:, None].tolist())
     records, table = _pair_table(results, {"residual": "residual"})
-    return kernel, records, table
+    return kernel, records, table, solver
 
 
 def _exp_pde_green(cfg: ExperimentConfig) -> VerificationReport:
@@ -686,11 +688,12 @@ def _exp_pde_green(cfg: ExperimentConfig) -> VerificationReport:
         return _report(cfg, checks, csv_files={
             "pde_factorization.csv": (("resolution", "max_relative_error"), rows)})
 
-    kernel, records, table = _grid_identity(cfg, domain, weight)
+    kernel, records, table, solver = _grid_identity(cfg, domain, weight)
     tol_key = "grid_identity_annulus" if isinstance(domain, Annulus) else "grid_identity"
     checks = [Check("grid identity residual, max over pairs",
                     _worst(r["residual"] for r in records), cfg.tol(tol_key))]
-    return _report(cfg, checks, records=records, tables={"kernel": kernel.metadata()},
+    return _report(cfg, checks, records=records,
+                   tables={"kernel": kernel.metadata(), "solver": solver},
                    csv_files={"pde_identity.csv": table})
 
 
@@ -705,7 +708,7 @@ def _exp_gauge(cfg: ExperimentConfig) -> VerificationReport:
             raise ConfigError(
                 "the generic-weight experiment needs a rectangle or annulus domain"
             ) from exc
-        _, records, table = _grid_identity(cfg, domain, weight)
+        _, records, table, solver = _grid_identity(cfg, domain, weight)
         finite = all(math.isfinite(r["residual"]) for r in records)
         checks = [Check("identity residuals computed and finite (violations)",
                         0.0 if finite else 1.0, 0.5)]
@@ -715,7 +718,7 @@ def _exp_gauge(cfg: ExperimentConfig) -> VerificationReport:
             "below are reported without a pass/fail judgement"
         ]
         return _report(cfg, checks, records=records, notes=notes,
-                       tables={"log_laplacian_residual": exc.residual},
+                       tables={"log_laplacian_residual": exc.residual, "solver": solver},
                        csv_files={"gauge_identity.csv": table})
 
     rule = build_quadrature(domain, max(4, cfg.quad_order // 8))

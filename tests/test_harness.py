@@ -264,6 +264,10 @@ def test_pde_green_reference_and_identity(tmp_path):
         "grid": [64, 64], "basis_order": 24,
         "tolerances": {"grid_identity": 0.05}}), tmp_path / "id")
     assert rep2.passed
+    for name, n in (("ref", 128), ("id", 64)):
+        solver = json.loads((tmp_path / name / "report.json").read_text())["tables"]["solver"]
+        assert solver == {"method": "transform", "unknowns": n * n, "refinement_steps": 1,
+                          "residual": solver["residual"]} and solver["residual"] < 1e-13
 
 
 def test_pde_green_reference_with_constant_weight(tmp_path):
@@ -580,18 +584,25 @@ _GRID_REFERENCE = {"experiment": "pde-green", "pde_check": "reference", "seed": 
                    "domain": {"kind": "rectangle", "params": {"x0": 0, "x1": 1, "y0": 0, "y1": 1}},
                    "study": {"parameter": "grid_resolution", "values": [64, 128, 192]}}
 
-# The constant-weight grid solver works without scipy; only a sparse LU
-# factorization (here of rho = |z+2|^2 on the square) loads it.
+_GRID_IDENTITY_SQUARE = {"experiment": "pde-green", "pde_check": "identity", "seed": 1,
+                         "domain": _GRID_REFERENCE["domain"], "grid": [128, 128],
+                         "basis_order": 20, "quad_order": 24,
+                         "weight": {"coefficients": [[2, 0], [1, 0]]}}
+
+# The constant-weight and the gauge-preconditioned grid solvers work without
+# scipy; only a sparse LU factorization (here of the generic weight
+# exp(|z|^2), which has no gauge) loads it.
 _GRID_SCIPY_RUN = f"""
 import sys
 import bergreen.harness as h
 def scipy_loaded():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert h.run(h.ExperimentConfig.from_dict({_GRID_REFERENCE!r})).passed
+gauge_cfg = {{**{_GRID_IDENTITY_SQUARE!r}, "grid": [48, 48]}}
+assert h.run(h.ExperimentConfig.from_dict(gauge_cfg)).tables["solver"]["method"] == "gauge"
 assert not scipy_loaded(), scipy_loaded()
-lu_cfg = {{**{_GRID_REFERENCE!r}, "pde_check": "identity", "grid": [48, 48], "study": None,
-          "weight": {{"coefficients": [[2, 0], [1, 0]]}}}}
-assert h.run(h.ExperimentConfig.from_dict(lu_cfg)).records
+lu_cfg = {{**gauge_cfg, "weight": {{"representation": "generic_c1", "name": "exp_abs_sq"}}}}
+assert h.run(h.ExperimentConfig.from_dict(lu_cfg)).tables["solver"]["method"] == "sparse_lu"
 assert "scipy.sparse.linalg" in scipy_loaded()
 print("ok")
 """
@@ -601,22 +612,33 @@ def test_transform_grid_run_loads_no_scipy():
     assert _fresh_python(_GRID_SCIPY_RUN) == "ok"
 
 
-# SHA-256 of every file a grid-reference run writes
-_GRID_REFERENCE_DIGEST = f"""
-import hashlib, sys
+# SHA-256 of every file a run of the JSON config in argv[2] writes
+_DIGEST = """
+import hashlib, json, sys
 from pathlib import Path
 import bergreen.harness as h
 out = Path(sys.argv[1])
-h.run(h.ExperimentConfig.from_dict({_GRID_REFERENCE!r}), out)
+h.run(h.ExperimentConfig.from_dict(json.loads(sys.argv[2])), out)
 for f in sorted(out.iterdir()):
     print(f.name, hashlib.sha256(f.read_bytes()).hexdigest())
 """
 
 
+def _digests_at_one_and_two_blas_threads(cfg, tmp_path):
+    return {_fresh_python(_DIGEST, str(tmp_path / n), json.dumps(cfg), OPENBLAS_NUM_THREADS=n,
+                          OMP_NUM_THREADS=n) for n in ("1", "2")}
+
+
 def test_grid_reference_outputs_identical_under_one_and_two_blas_threads(tmp_path):
     # the transform solver, the series reference and their BLAS products give
-    # the same bytes at either thread count (the sparse LU of a non-constant
-    # weight does not, and is not tested here)
-    digests = {_fresh_python(_GRID_REFERENCE_DIGEST, str(tmp_path / n), OPENBLAS_NUM_THREADS=n,
-                             OMP_NUM_THREADS=n) for n in ("1", "2")}
+    # the same bytes at either thread count (the sparse LU of a weight with
+    # no gauge does not, and is not tested here)
+    digests = _digests_at_one_and_two_blas_threads(_GRID_REFERENCE, tmp_path)
     assert len(digests) == 1 and "report.json" in digests.pop()
+
+
+def test_grid_identity_square_outputs_identical_under_one_and_two_blas_threads(tmp_path):
+    # rho = |z+2|^2 takes the gauge-preconditioned transform solve; with a
+    # sparse LU its residuals moved by up to 7e-12 between the two
+    digests = _digests_at_one_and_two_blas_threads(_GRID_IDENTITY_SQUARE, tmp_path)
+    assert len(digests) == 1 and "pde_identity.csv" in digests.pop()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,15 @@ from bergreen import (
     solve_mixed,
     unit_weight,
 )
-from bergreen.pdegreen import _assemble, _full_weight_grid, grid_pairs, mid_mask, reference_error
+from bergreen.pdegreen import (
+    GAUGE_MAX_STEPS,
+    GAUGE_TOLERANCE,
+    _assemble,
+    _full_weight_grid,
+    grid_pairs,
+    mid_mask,
+    reference_error,
+)
 from bergreen.weights import (
     GENERIC_BUILTINS,
     GenericC1Weight,
@@ -409,12 +418,88 @@ def test_transform_solve_matches_sparse_lu(case, monkeypatch):
 
 
 def test_non_constant_weight_takes_sparse_lu():
-    op = discretize(GridSpec(SQUARE, (16, 16)), HoloModulusSquaredWeight([2, 1], SQUARE))
-    assert op.method == "sparse_lu" and op.constant_rho is None
-    sol = solve_green(op, 0.5 + 0.5j)
-    assert sol.solve_stats["method"] == "sparse_lu" and sol.solve_stats["residual"] < 1e-13
-    assert solve_green(discretize(GridSpec(SQUARE, (16, 16)), unit_weight(SQUARE)),
-                       0.5 + 0.5j).solve_stats["method"] == "transform"
+    grid = GridSpec(SQUARE, (16, 16))
+    gauge_steps = range(1, GAUGE_MAX_STEPS + 1)
+    for weight, method, steps in ((GENERIC_BUILTINS["exp_abs_sq"](SQUARE), "sparse_lu", {0}),
+                                  (HoloModulusSquaredWeight([2, 1], SQUARE), "gauge", gauge_steps),
+                                  (unit_weight(SQUARE), "transform", {1})):
+        op = discretize(grid, weight)
+        assert op.method == method and (op.constant_rho is None) == (method != "transform")
+        stats = solve_green(op, 0.5 + 0.5j).solve_stats
+        assert stats["method"] == method and stats["unknowns"] == op.size
+        assert stats["residual"] < 1e-13 and stats["refinement_steps"] in steps
+
+
+# weights with a gauge: rho = |mu|^2 on a square, a 3 x 0.5 rectangle and an
+# annulus, and rho = exp(2 Re H) with H = 3i z^2
+THIN = Rectangle(-1.0, 2.0, 0.0, 0.5)
+GAUGE_CASES = {
+    "square-|z+2|^2": (GridSpec(SQUARE, (64, 64)), HoloModulusSquaredWeight([2, 1], SQUARE)),
+    "rectangle-|z+2|^2": (GridSpec(THIN, (90, 30)), HoloModulusSquaredWeight([2, 1], THIN)),
+    "annulus-|z+1.2|^2": (GridSpec(ANNULUS, (32, 64)), HoloModulusSquaredWeight([1.2, 1], ANNULUS)),
+    "square-log_harmonic": (GridSpec(SQUARE, (48, 48)), LogHarmonicWeight([0, 0, 3j], SQUARE)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GAUGE_CASES))
+def test_gauge_solve_matches_sparse_lu(case, monkeypatch):
+    grid, weight = GAUGE_CASES[case]
+    op = discretize(grid, weight)
+    rho = weight.value(grid.interior_points()).ravel()
+    assert op.method == "gauge" and np.max(np.abs(np.abs(op.gauge) ** 2 / rho - 1)) < 1e-14
+    rng = np.random.default_rng(7)
+    rhs = [rng.standard_normal(op.size), rng.standard_normal((op.size, 3)),
+           rng.standard_normal(op.size) + 1j * rng.standard_normal(op.size),
+           rng.standard_normal((op.size, 3)) + 1j * rng.standard_normal((op.size, 3))]
+    lu = spla.splu(op.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    refs = [lu.solve(b.astype(complex)) for b in rhs]
+
+    def no_lu(*args, **kwargs):
+        raise AssertionError("a converging gauge solve must not factor")
+
+    monkeypatch.setattr(spla, "splu", no_lu)
+    for b, ref in zip(rhs, refs):
+        stats = {}
+        got = op.solve(b, stats)
+        assert got.shape == b.shape and got.dtype == np.complex128
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert stats["method"] == "gauge" and 1 <= stats["refinement_steps"] <= GAUGE_MAX_STEPS
+        residuals = np.linalg.norm(np.reshape(op.apply(got) - b, (op.size, -1)), axis=0)
+        assert stats["residual"] == pytest.approx(
+            np.max(residuals / np.linalg.norm(np.reshape(b, (op.size, -1)), axis=0)), rel=1e-12)
+        assert stats["residual"] <= GAUGE_TOLERANCE
+
+
+def test_grid_identity_square_converges_in_six_steps():
+    # the square of the pde-green identity benchmark; a wrong gauge
+    # (conj mu for mu) still converges, but takes 17 steps
+    grid = GridSpec(SQUARE, (128, 128))
+    op = discretize(grid, HoloModulusSquaredWeight([2, 1], SQUARE))
+    stats = {}
+    solve_mixed(op, grid_pairs(grid, 5), stats)
+    assert stats["method"] == "gauge" and stats["refinement_steps"] <= 6
+    assert stats["residual"] <= GAUGE_TOLERANCE and stats["unknowns"] == 128 * 128
+
+
+NEAR_ROOT = (GridSpec(SQUARE, (32, 32)), HoloModulusSquaredWeight([0.005, 1], SQUARE))
+
+
+@pytest.mark.parametrize("case", ["stalls", "grows", "overflows"])
+def test_stalling_gauge_falls_back_to_sparse_lu(case):
+    # with 1/mu for mu the refinement contracts by only about 0.97 a step on
+    # the square, grows about 400-fold a step on the annulus, and with a root
+    # of mu 0.005 off the square would overflow within 30 steps (an error
+    # under this suite's warning filter); each time the LU must solve
+    grid, weight = {"stalls": GAUGE_CASES["square-|z+2|^2"],
+                    "grows": GAUGE_CASES["annulus-|z+1.2|^2"], "overflows": NEAR_ROOT}[case]
+    op = discretize(grid, weight)
+    wrong = dataclasses.replace(op, gauge=1.0 / op.gauge)
+    b = np.random.default_rng(3).standard_normal((op.size, 2)) + 0j
+    stats = {}
+    got = wrong.solve(b, stats)
+    assert stats["method"] == "sparse_lu" and stats["refinement_steps"] == 0
+    assert stats["residual"] <= GAUGE_TOLERANCE
+    assert np.max(np.abs(got - op.solve(b))) <= 1e-12 * np.max(np.abs(got))
 
 
 def test_unit_weight_solution_is_real():
