@@ -63,16 +63,13 @@ from .green import (
 )
 from .harness import ExperimentConfig, VerificationReport, convergence_study, run
 from .weights import (
-    AdmissibilityCertificate,
     Gauge,
     GenericC1Weight,
     HoloModulusSquaredWeight,
     LogHarmonicCheck,
     LogHarmonicWeight,
     Weight,
-    check_admissible,
     check_log_harmonic,
-    eval_weight,
     solve_gauge,
     unit_weight,
     weight_from_json,

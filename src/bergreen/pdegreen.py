@@ -22,28 +22,22 @@ Supported grids are Cartesian rectangles and polar annuli (uniform periodic
 angles).  Both share one stencil: the annulus form with metric r, of which
 a rectangle is the case r = 1 with no periodic axis.
 
-When rho is the same number on every node, boundary layers included, the
-operator has constant coefficients along axis 2 (y, or the angle), and
-:meth:`DiscreteOperator.solve` diagonalizes that axis by a sine transform
-(rectangles) or a Fourier transform (annuli) and solves one tridiagonal
-system along axis 1 per mode (Hockney 1965; Buzbee, Golub & Nielson 1970).
-
 A weight with a gauge, rho = |mu|^2 with mu holomorphic and zero-free
 (``holo_modulus_squared``, and ``log_harmonic`` with mu = e^H), factors the
 operator itself: since d(conj mu)/dz = 0 and d(1/mu)/d(conj z) = 0,
 
     d/d(conj z) (1/rho) d/dz u = (1/(4 mu)) Delta (u / conj mu).
 
-So P^-1 b = conj(mu) (Delta/4)^-1 (mu b) up to the O(h^2) of the
-discretization, and the unweighted transform solver T_1, scaled this way,
-is a near-exact preconditioner (fast Poisson solvers on nonseparable
-problems: Concus & Golub 1973).  The solve iterates x += M(b - A x) with
-M b = conj(mu) T_1(mu b) until ||b - A x|| <= 1e-14 ||b|| in every column,
-and falls back to the sparse LU if that fails.  The gate is on A's own
-residual, so the ``factorization`` check, which compares the solution with
-the gauge-factored unweighted one, still measures the discretization.
-Every other weight goes through the sparse LU factorization, which alone
-needs scipy.
+A constant weight is the case mu = sqrt(rho).  So P^-1 b = conj(mu) T_1(mu b)
+up to the O(h^2) of the discretization (exactly, for a constant weight),
+where T_1 solves rho = 1 by a sine (rectangles) or Fourier (annuli)
+transform along axis 2 and a tridiagonal system along axis 1 per mode
+(Hockney 1965; Buzbee, Golub & Nielson 1970).  :meth:`DiscreteOperator.solve`
+preconditions iterative refinement with it (Concus & Golub 1973), gated on
+the backward error of A itself, so the ``factorization`` check, which
+compares the solution with the gauge-factored unweighted one, still
+measures the discretization.  Every other weight, and a refinement that
+does not converge, goes through the sparse LU, which alone needs scipy.
 
 The continuum operator is self-adjoint, and the discretization keeps this
 up to the cell-area factor: with D = I on rectangles and D = diag(r) on
@@ -202,11 +196,11 @@ def _shifted(d: int, n: int, periodic: bool) -> list:
     return [main, wrap] if periodic and d else [main]
 
 
-#: The gauge-preconditioned solve stops at ||b - A x|| <= GAUGE_TOLERANCE ||b||
-#: in every column, a bound roundoff allows for the point sources of the
-#: experiments' grids, and gives up after GAUGE_MAX_STEPS corrections.
-GAUGE_TOLERANCE = 1e-14
-GAUGE_MAX_STEPS = 30
+#: The refinement of :meth:`DiscreteOperator.solve` stops at the first
+#: correction whose normwise backward error is at most REFINEMENT_TOLERANCE in
+#: every column, and gives up after REFINEMENT_MAX_STEPS corrections.
+REFINEMENT_TOLERANCE = 1e-15
+REFINEMENT_MAX_STEPS = 30
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,17 +209,16 @@ class DiscreteOperator:
 
     ``stencil`` maps an offset (d1, d2) to the coefficients, times 1/4 or
     i/4, of node (i + d1, j + d2) in row (i, j): five divergence offsets, and
-    four rotational ones if the operator is complex.  ``constant_rho`` is rho
-    when it is one number on every node, boundary layers included, and the
-    coefficients then have one column; else it is None.  ``gauge`` holds mu
-    at the interior nodes, flattened, when rho = |mu|^2 is a weight with a
-    gauge and not constant; else it is None.
+    four rotational ones if the operator is complex.  ``gauge`` is mu for
+    rho = |mu|^2: the real scalar sqrt(rho) when rho is one number on every
+    node, boundary layers included (the coefficients then have one column),
+    or mu at the interior nodes, flattened, for any other weight with a
+    gauge; else it is None.
     """
 
     grid: GridSpec
     stencil: dict
-    constant_rho: float | None = None
-    gauge: np.ndarray | None = None
+    gauge: np.ndarray | float | None = None
 
     @property
     def size(self) -> int:
@@ -237,11 +230,9 @@ class DiscreteOperator:
 
     @property
     def method(self) -> str:
-        """How :meth:`solve` solves: ``"transform"``, ``"gauge"`` (which may
-        still fall back to the LU) or ``"sparse_lu"``."""
-        if self.constant_rho is not None:
-            return "transform"
-        return "sparse_lu" if self.gauge is None else "gauge"
+        """How :meth:`solve` solves: ``"transform"`` (which may still fall
+        back to the LU) or ``"sparse_lu"``."""
+        return "sparse_lu" if self.gauge is None else "transform"
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The operator times x of shape (size,) or (size, m), one slice of x
@@ -280,67 +271,82 @@ class DiscreteOperator:
         """Solve for one right-hand side or a block of columns.  Nothing is
         kept between calls, so batch all columns into one call.
 
-        For a constant weight (``method == "transform"``) the solve is
-        :func:`_transform_solver` plus one step of iterative refinement
-        against :meth:`apply`, x += T(b - A x).  The refinement is needed: the
-        transform alone is off by up to about 1e-13 relative, and the fitted
-        convergence order of the reference study, whose errors of about 1e-4
-        are differences of O(1) fields, magnifies that by about 1e4.  A real
-        right-hand side gives a real solution.
-
-        For a weight with a gauge (``method == "gauge"``) it is iterative
-        refinement preconditioned by M b = conj(mu) T_1(mu b), with T_1 the
-        transform solver for rho = 1 (the gauge identity of the module
-        docstring): x = M b, then x += M (b - A x), each step shrinking the
-        residual about 500-fold on the identity check's square.  The iterate
-        is returned once ||b - A x|| / ||b|| of A itself is at most
-        ``GAUGE_TOLERANCE`` in every column, so it solves the discrete system
-        to roundoff as the LU does, and the ``factorization`` check, which
-        compares it with the gauge-factored unweighted solution, still
-        measures the discretization.  After ``GAUGE_MAX_STEPS`` corrections,
-        or one that does not shrink the residual, the sparse LU solves instead.
+        For a weight with a gauge (``method == "transform"``) it is iterative
+        refinement preconditioned by M b = conj(mu) T_1(mu b), T_1 the rho = 1
+        transform solver (the gauge identity of the module docstring): x = M b,
+        then x += M (b - A x) until a correction brings the backward error
+        (below) to at most ``REFINEMENT_TOLERANCE`` in every column.  It makes
+        at least one: M b alone is off by up to about 1e-13 for a constant
+        weight, which the fitted order of the reference study magnifies about
+        1e4.  One suffices there (a real b then gives a real x), about five on
+        the identity check's square.  After ``REFINEMENT_MAX_STEPS``
+        corrections, or one that does not shrink the backward error, the
+        sparse LU solves instead.
 
         Otherwise it is a sparse LU solve of :attr:`matrix`.  The nine-point
         stencil is structurally symmetric, so the column ordering is minimum
         degree on A^T + A, which fills less than COLAMD.
 
         A ``stats`` dict receives the method that solved, the unknowns, the
-        refinement steps taken and the largest relative residual
-        ||b - A x|| / ||b|| over the columns; these are deterministic.
+        corrections taken and the largest normwise backward error over the
+        columns (Rigal & Gaches 1967), ||D^-1 (b - A x)|| / (||D^-1 A|| ||x||
+        + ||D^-1 b||) in the max norm with D = |diag A|.  Its norms are maxima,
+        so it is deterministic and independent of the BLAS thread count.
         """
-        residual = None
-        if self.constant_rho is not None:
-            transform = _transform_solver(self.grid, self.constant_rho)
-            x = transform(rhs)
-            x, method, steps = x + transform(rhs - self.apply(x)), "transform", 1
-        elif self.gauge is not None and (refined := self._gauge_refinement(rhs)) is not None:
-            (x, steps, residual), method = refined, "gauge"
-        else:
-            x, method, steps = self._lu_solve(rhs), "sparse_lu", 0
-        if stats is not None:
-            if residual is None:
-                residual = _relative_residual(rhs - self.apply(x), rhs)
-            stats.update(method=method, unknowns=self.size, refinement_steps=steps,
-                         residual=residual)
+        backward_error = self._backward_error(rhs)
+        refined = None if self.gauge is None else self._refinement(rhs, backward_error)
+        if refined is None:
+            x = self._lu_solve(rhs)
+            refined = x, 0, backward_error(rhs - self.apply(x), x)
+        x, steps, eta = refined
+        if stats is not None:  # the refinement makes at least one correction, the LU none
+            stats.update(method="transform" if steps else "sparse_lu", unknowns=self.size,
+                         refinement_steps=steps, backward_error=eta)
         return x
 
-    def _gauge_refinement(self, rhs: np.ndarray):
-        """(x, corrections, relative residual) of the gauge-preconditioned
-        refinement of :meth:`solve`, or None if it does not converge."""
+    def _refinement(self, rhs: np.ndarray, backward_error):
+        """(x, corrections, backward error) of the refinement of :meth:`solve`,
+        or None if it does not converge.  Corrections are made in place."""
         mu = np.reshape(self.gauge, (-1,) + (1,) * (np.ndim(rhs) - 1))
         mu_bar = np.conj(mu)
-        unweighted = _transform_solver(self.grid, 1.0)
-        x = mu_bar * unweighted(mu * rhs)
+        unweighted = _transform_solver(self.grid)
+        x = unweighted(mu * rhs)
+        x *= mu_bar
         previous = math.inf
-        for steps in range(GAUGE_MAX_STEPS + 1):
+        for steps in range(REFINEMENT_MAX_STEPS + 1):
             r = rhs - self.apply(x)
-            residual = _relative_residual(r, rhs)
-            if residual <= GAUGE_TOLERANCE:
-                return x, steps, residual
-            if not residual < previous or steps == GAUGE_MAX_STEPS:
+            eta = backward_error(r, x)
+            if steps and eta <= REFINEMENT_TOLERANCE:
+                return x, steps, eta
+            if not eta < previous or steps == REFINEMENT_MAX_STEPS:
                 return None
-            previous = residual
-            x += mu_bar * unweighted(mu * r)
+            previous = eta
+            r *= mu
+            dx = unweighted(r)
+            dx *= mu_bar
+            x += dx
+            del r, dx  # held into the next residual, they would add a block to the peak
+
+    def _backward_error(self, rhs: np.ndarray):
+        """The function (r, x) -> largest normwise backward error over the
+        columns of x, given r = rhs - A x.  D = |diag A| scales the rows, and
+        ||D^-1 A|| is the largest absolute row sum of the scaled stencil."""
+        n1, n2 = self.grid.shape
+        inverse = 1.0 / np.abs(self.stencil[(0, 0)])[:, :, None]
+        a_norm = np.max(sum(np.abs(c) for c in self.stencil.values())[:, :, None] * inverse)
+
+        def column_max(v, scale=None):
+            a = np.abs(np.reshape(v, (n1, n2, -1)))
+            if scale is not None:
+                a *= scale
+            return a.max(axis=0).max(axis=0)  # several times faster than axis=(0, 1)
+
+        def backward_error(r, x):
+            scale = a_norm * column_max(x) + b_norm
+            return float(np.max(column_max(r, inverse) / np.where(scale > 0, scale, 1.0)))
+
+        b_norm = column_max(rhs, inverse)
+        return backward_error
 
     def _lu_solve(self, rhs: np.ndarray) -> np.ndarray:
         import scipy.sparse.linalg as spla
@@ -353,24 +359,17 @@ class DiscreteOperator:
         return lu.solve(rhs)
 
 
-def _relative_residual(r: np.ndarray, rhs: np.ndarray) -> float:
-    """max over columns of ||r|| / ||b|| (||r|| where b is zero), summed by
-    numpy rather than the BLAS, so it does not depend on the thread count."""
-    r_norm, b_norm = np.linalg.norm(r, axis=0), np.linalg.norm(rhs, axis=0)
-    return float(np.max(r_norm / np.where(b_norm > 0, b_norm, 1.0)))
+def _transform_solver(grid: GridSpec):
+    """Direct solver T_1(b) of the rho = 1 operator, for b of shape (size,)
+    or (size, m).
 
-
-def _transform_solver(grid: GridSpec, rho: float):
-    """Direct solver T(b) of the constant-weight operator, for b of shape
-    (size,) or (size, m).
-
-    The operator is 1/(4 rho) [ (1/r) d1(r d1) + (1/r^2) d2^2 ], discretized
+    The operator is 1/4 [ (1/r) d1(r d1) + (1/r^2) d2^2 ], discretized
     with the metric of :func:`_assemble` (r = 1 on rectangles).  An
     orthonormal DST-I matrix (Dirichlet rectangles) or a real FFT (the
     periodic angle of annuli) diagonalizes the axis-2 second difference, with
     eigenvalues lam_k.  Each mode k is then one tridiagonal system along
     axis 1, with diagonal  -(r+ + r-)/(r h1^2) + lam_k/r^2  and
-    off-diagonals r+-/(r h1^2), all times 1/(4 rho), solved by a Thomas
+    off-diagonals r+-/(r h1^2), all times 1/4, solved by a Thomas
     sweep over all modes and columns at once.  The transforms run on real
     arrays, so a complex b is solved as a real block of its real and
     imaginary parts.
@@ -390,10 +389,9 @@ def _transform_solver(grid: GridSpec, rho: float):
         # reduced mod 2 (n2 + 1) so that the sine arguments stay exact
         sine = math.sqrt(2.0 / (n2 + 1)) * np.sin(np.pi * (np.outer(k, k) % (2 * n2 + 2)) / (n2 + 1))
         forward = backward = partial(np.matmul, sine)
-    scale = 1.0 / (4.0 * rho)
-    lower = scale * r_m / (r * h1**2)
-    upper = scale * r_p / (r * h1**2)
-    diag = scale * (lam[None, :] / (r**2)[:, None] - ((r_p + r_m) / (r * h1**2))[:, None])
+    lower = 0.25 * r_m / (r * h1**2)
+    upper = 0.25 * r_p / (r * h1**2)
+    diag = 0.25 * (lam[None, :] / (r**2)[:, None] - ((r_p + r_m) / (r * h1**2))[:, None])
 
     # elimination factors, shared by every right-hand side: pivot[i] is the
     # reciprocal pivot of row i and sup[i] its eliminated super-diagonal
@@ -469,23 +467,25 @@ def discretize(grid: GridSpec, weight: Weight) -> DiscreteOperator:
     The divergence part uses harmonic-mean face coefficients of 1/rho; the
     rotational part uses centered differences of nodal 1/rho.  Rows touch at
     most nine unknowns.  For constant weights the rotational coefficients are
-    exactly zero and the stencil is real, and a weight that is the same number
-    on every node selects the transform solver of :meth:`DiscreteOperator.solve`.
-    Any other weight with a closed-form gauge g (``solve_gauge``, no
-    numerical check for these two classes) records mu = conj(g) at the
-    interior nodes, which selects the gauge-preconditioned solve.
+    exactly zero and the stencil is real.  A weight that is the same number
+    on every node records the real gauge sqrt(rho); any other weight with a
+    closed-form gauge g (``solve_gauge``, no numerical check for these two
+    classes) records mu = conj(g) at the interior nodes.  Either selects the
+    transform-preconditioned solve of :meth:`DiscreteOperator.solve`.
     """
     rho = _full_weight_grid(grid, weight)
-    constant_rho = float(rho.flat[0]) if np.all(rho == rho.flat[0]) else None
-    rho = rho if constant_rho is None else rho[:, :3]  # all columns alike: coefficients for one
+    constant = bool(np.all(rho == rho.flat[0]))
+    rho = rho[:, :3] if constant else rho  # all columns alike: coefficients for one
     div_entries, rot_entries = _assemble(grid, rho)
     stencil = {offset: 0.25 * coeff for offset, coeff in div_entries.items()}
     if any(np.max(np.abs(v)) > 0 for v in rot_entries.values()):
         stencil.update((offset, 0.25j * coeff) for offset, coeff in rot_entries.items())
     gauge = None
-    if constant_rho is None and isinstance(weight, (HoloModulusSquaredWeight, LogHarmonicWeight)):
+    if constant:
+        gauge = math.sqrt(rho.flat[0])
+    elif isinstance(weight, (HoloModulusSquaredWeight, LogHarmonicWeight)):
         gauge = np.conj(solve_gauge(weight)(grid.interior_points())).ravel()
-    return DiscreteOperator(grid=grid, stencil=stencil, constant_rho=constant_rho, gauge=gauge)
+    return DiscreteOperator(grid=grid, stencil=stencil, gauge=gauge)
 
 
 @dataclass(eq=False)
@@ -514,8 +514,8 @@ def solve_green(op: DiscreteOperator, source: complex) -> DiscreteGreen:
 
     The source needs two cells of margin (:func:`_snap_inside`).  The result
     carries the solver statistics of :meth:`DiscreteOperator.solve`: the
-    method that solved, unknowns, refinement steps and the relative linear
-    residual, no timings, so a report that embeds them is deterministic.
+    method that solved, unknowns, refinement steps and the backward error,
+    no timings, so a report that embeds them is deterministic.
     """
     grid = op.grid
     idx = _snap_inside(grid, source, "source")

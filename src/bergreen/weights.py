@@ -1,4 +1,4 @@
-"""Weight representations, admissibility checks, and the antiholomorphic gauge.
+"""Weight representations, log-harmonicity diagnostics, and the antiholomorphic gauge.
 
 A weight is a positive function rho on a domain in one of three forms:
 
@@ -21,7 +21,6 @@ reported as the obstruction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -36,12 +35,9 @@ __all__ = [
     "HoloModulusSquaredWeight",
     "LogHarmonicWeight",
     "GenericC1Weight",
-    "AdmissibilityCertificate",
     "LogHarmonicCheck",
     "Gauge",
     "unit_weight",
-    "eval_weight",
-    "check_admissible",
     "check_log_harmonic",
     "solve_gauge",
     "weight_from_json",
@@ -166,67 +162,6 @@ def weight_from_json(spec: dict, domain: Domain) -> Weight:
             raise ParameterError(f"unknown generic weight {name!r}")
         return GENERIC_BUILTINS[name](domain)
     raise ParameterError(f"unknown weight representation {rep!r}")
-
-
-def eval_weight(weight: Weight, z: complex) -> float:
-    """Evaluate rho(z), rejecting nonpositive or non-finite values."""
-    v = float(np.real(weight.value(complex(z))))
-    if not math.isfinite(v) or v <= 0.0:
-        raise WeightError(f"weight value {v} at z={z} violates positivity")
-    return v
-
-
-# ---------------------------------------------------------------------------
-# Admissibility
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AdmissibilityCertificate:
-    admissible: bool
-    exponent: float
-    integral_estimate: float
-    method: str
-    coarse_estimate: float = float("nan")
-
-
-def check_admissible(
-    weight: Weight, exponent: float, step: Domain, order: int = 24
-) -> AdmissibilityCertificate:
-    """Numerically test integrability of rho^(-a) over a subdomain.
-
-    Integrates at two successive quadrature orders; the weight is declared
-    admissible when both estimates are finite and agree within 5%.  A
-    diverging refinement yields ``admissible=False`` rather than an error.
-    """
-    if exponent <= 0:
-        raise ParameterError("admissibility exponent must be positive")
-    for p in step.boundary_points(32):
-        if weight.domain.closure_distance(p) > 1e-12:
-            raise ParameterError("step must be contained in the weight's domain")
-
-    def estimate(q):
-        rule = build_quadrature(step, q)
-        vals = np.real(np.asarray(weight.value(rule.nodes), dtype=complex))
-        if np.any(vals <= 0) or not np.all(np.isfinite(vals)):
-            return math.inf
-        terms = rule.weights * vals ** (-exponent)
-        return math.fsum(terms)
-
-    coarse = estimate(order)
-    fine = estimate(order + 1)
-    stable = (
-        math.isfinite(coarse)
-        and math.isfinite(fine)
-        and abs(fine - coarse) <= 0.05 * max(abs(fine), 1e-300)
-    )
-    return AdmissibilityCertificate(
-        admissible=stable,
-        exponent=exponent,
-        integral_estimate=fine,
-        method=f"quadrature refinement agreement at orders {order}/{order + 1} (5% threshold)",
-        coarse_estimate=coarse,
-    )
 
 
 # ---------------------------------------------------------------------------

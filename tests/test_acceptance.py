@@ -324,16 +324,24 @@ def test_criterion_11_generic_weight_experiment(tmp_path):
 
 
 def test_criterion_12_determinism(tmp_path):
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import bergreen
+
+    # the CLI runs from the source tree this suite imports, installed or not
+    src = str(Path(bergreen.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"experiment": "verify-identity", "seed": 7, "count": 25}))
     for d in ("first", "second"):
         proc = subprocess.run(
             [sys.executable, "-m", "bergreen.cli", "verify-identity",
              "--config", str(cfg_path), "--out", str(tmp_path / d)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
     a = (tmp_path / "first" / "identity.csv").read_bytes()
     b = (tmp_path / "second" / "identity.csv").read_bytes()

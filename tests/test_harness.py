@@ -19,6 +19,7 @@ from bergreen.harness import (
     convergence_study,
     run,
 )
+from bergreen.pdegreen import REFINEMENT_TOLERANCE
 
 
 def cfg(**kw):
@@ -267,7 +268,8 @@ def test_pde_green_reference_and_identity(tmp_path):
     for name, n in (("ref", 128), ("id", 64)):
         solver = json.loads((tmp_path / name / "report.json").read_text())["tables"]["solver"]
         assert solver == {"method": "transform", "unknowns": n * n, "refinement_steps": 1,
-                          "residual": solver["residual"]} and solver["residual"] < 1e-13
+                          "backward_error": solver["backward_error"]}
+        assert solver["backward_error"] <= REFINEMENT_TOLERANCE
 
 
 def test_pde_green_reference_with_constant_weight(tmp_path):
@@ -589,9 +591,9 @@ _GRID_IDENTITY_SQUARE = {"experiment": "pde-green", "pde_check": "identity", "se
                          "basis_order": 20, "quad_order": 24,
                          "weight": {"coefficients": [[2, 0], [1, 0]]}}
 
-# The constant-weight and the gauge-preconditioned grid solvers work without
-# scipy; only a sparse LU factorization (here of the generic weight
-# exp(|z|^2), which has no gauge) loads it.
+# The transform-preconditioned grid solve, for a constant weight or one with a
+# gauge, works without scipy; only a sparse LU factorization (here of the
+# generic weight exp(|z|^2), which has no gauge) loads it.
 _GRID_SCIPY_RUN = f"""
 import sys
 import bergreen.harness as h
@@ -599,7 +601,7 @@ def scipy_loaded():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert h.run(h.ExperimentConfig.from_dict({_GRID_REFERENCE!r})).passed
 gauge_cfg = {{**{_GRID_IDENTITY_SQUARE!r}, "grid": [48, 48]}}
-assert h.run(h.ExperimentConfig.from_dict(gauge_cfg)).tables["solver"]["method"] == "gauge"
+assert h.run(h.ExperimentConfig.from_dict(gauge_cfg)).tables["solver"]["method"] == "transform"
 assert not scipy_loaded(), scipy_loaded()
 lu_cfg = {{**gauge_cfg, "weight": {{"representation": "generic_c1", "name": "exp_abs_sq"}}}}
 assert h.run(h.ExperimentConfig.from_dict(lu_cfg)).tables["solver"]["method"] == "sparse_lu"

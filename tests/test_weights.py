@@ -14,9 +14,7 @@ from bergreen import (
     UnitDisk,
     WeightError,
     build_quadrature,
-    check_admissible,
     check_log_harmonic,
-    eval_weight,
     solve_gauge,
     unit_weight,
     weight_from_json,
@@ -24,14 +22,6 @@ from bergreen import (
 from bergreen.weights import GENERIC_BUILTINS
 
 DISK = UnitDisk()
-
-
-def test_eval_weight_examples():
-    w = HoloModulusSquaredWeight([2, 1], DISK)  # mu = z + 2
-    assert eval_weight(w, 0) == pytest.approx(4.0, abs=1e-14)
-    assert eval_weight(w, 1j) == pytest.approx(5.0, abs=1e-14)
-    lh = LogHarmonicWeight([0, 1], DISK)  # H = z, rho = e^(2 Re z)
-    assert eval_weight(lh, 1.0) == pytest.approx(math.e**2, rel=1e-14)
 
 
 def test_holo_weight_rejects_roots_near_closure():
@@ -45,53 +35,11 @@ def test_holo_weight_rejects_roots_near_closure():
         HoloModulusSquaredWeight([0, 1], DISK)
 
 
-def test_eval_weight_positivity_violation():
-    w = GENERIC_BUILTINS["abs_sq"](DISK)
-    with pytest.raises(WeightError):
-        eval_weight(w, 0.0)
-
-
 def test_representation_consistency():
     w = HoloModulusSquaredWeight([2, 1], DISK)
     rng = np.random.default_rng(5)
     zs = DISK.sample_interior(rng, 50, margin=0.95)
     assert np.max(np.abs(w.value(zs) - np.abs(zs + 2) ** 2)) < 1e-14
-
-
-def test_check_admissible_examples():
-    step = Disk(0, 0.9)
-    w = HoloModulusSquaredWeight([2, 1], DISK)
-    cert = check_admissible(w, 1.0, step)
-    # rho >= 1 on the closure, so the integral is bounded by the step area
-    assert cert.admissible and 0 < cert.integral_estimate <= math.pi * 0.81 + 1e-12
-
-    cert_const = check_admissible(unit_weight(DISK), 1.0, step)
-    assert cert_const.admissible
-    assert cert_const.integral_estimate == pytest.approx(step.area, rel=1e-12)
-
-    wabs = GENERIC_BUILTINS["abs_sq"](DISK)
-    cert_abs = check_admissible(wabs, 0.5, step)
-    assert cert_abs.admissible
-    assert cert_abs.integral_estimate == pytest.approx(2 * math.pi * 0.9, rel=1e-10)
-    # the full-domain integral of |z|^(-1) is 2 pi
-    cert_full = check_admissible(wabs, 0.5, DISK)
-    assert cert_full.integral_estimate == pytest.approx(2 * math.pi, rel=1e-10)
-
-
-def test_check_admissible_monotonicity():
-    # rho1 = |z+2|^2 >= rho2 = 1 pointwise on the disk
-    step = Disk(0, 0.8)
-    big = HoloModulusSquaredWeight([2, 1], DISK)
-    small = unit_weight(DISK)
-    assert check_admissible(small, 1.0, step).admissible
-    assert check_admissible(big, 1.0, step).admissible
-
-
-def test_check_admissible_errors():
-    with pytest.raises(ParameterError):
-        check_admissible(unit_weight(DISK), -1.0, Disk(0, 0.5))
-    with pytest.raises(ParameterError):
-        check_admissible(unit_weight(Disk(0, 0.5)), 1.0, DISK)  # step sticks out
 
 
 def test_check_log_harmonic_values():
