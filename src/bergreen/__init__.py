@@ -61,7 +61,7 @@ from .green import (
     weighted_green,
     wirtinger_mixed,
 )
-from .harness import ExperimentConfig, VerificationReport, convergence_study, run
+from .harness import ExperimentConfig, VerificationReport, run
 from .weights import (
     Gauge,
     GenericC1Weight,

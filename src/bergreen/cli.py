@@ -8,12 +8,13 @@ passed, 1 when any failed, and 2 for configuration errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from .errors import BergreenError, ConfigError
-from .harness import EXPERIMENTS, PRIMARY_TOLERANCE, ExperimentConfig, run
+from .harness import EXPERIMENTS, ExperimentConfig, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -32,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ExperimentConfig:
-    """The config file with the command-line overrides applied, validated once."""
+    """The config file with the command-line overrides applied, validated."""
     with open(args.config, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -42,10 +43,11 @@ def _load_config(args) -> ExperimentConfig:
         data["seed"] = args.seed
     if args.points is not None:
         data["count"] = args.points
-    tolerances = data.get("tolerances", {})
-    if args.tol is not None and isinstance(tolerances, dict):
-        data["tolerances"] = {**tolerances, PRIMARY_TOLERANCE[args.experiment]: args.tol}
-    return ExperimentConfig.from_dict(data)
+    config = ExperimentConfig.from_dict(data)
+    if args.tol is not None:
+        config = dataclasses.replace(config, tolerances={
+            **config.tolerances, config.primary_tolerance(): args.tol})
+    return config
 
 
 def main(argv=None) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -33,10 +33,8 @@ from .geometry import (
     Domain,
     MoebiusDisk,
     Rectangle,
-    UnitDisk,
     build_quadrature,
     exhaustion_sequence,
-    integrate,
     make_domain,
 )
 
@@ -48,7 +46,6 @@ __all__ = [
     "ExperimentConfig",
     "VerificationReport",
     "run",
-    "convergence_study",
 ]
 
 SCHEMA_VERSION = 1
@@ -91,18 +88,22 @@ DEFAULT_TOLERANCES = {
     "fit_order_grid": 1.5,
 }
 
-# the tolerance key the CLI --tol flag overrides, per experiment
+# the tolerance key the CLI --tol flag overrides, per experiment; pde-green
+# takes that of its pde_check (ExperimentConfig.primary_tolerance)
 PRIMARY_TOLERANCE = {
     "verify-identity": "identity_analytic",
     "kernel": "hermitian",
     "green": "symmetry",
     "exhaust": "closed_form",
     "distance": "symmetry",
-    "pde-green": "grid_identity",
     "gauge-experiment": "gauge_residual",
 }
+PDE_TOLERANCE = {"identity": "grid_identity", "reference": "grid_reference",
+                 "factorization": "factorization"}
+PDE_CHECKS = tuple(PDE_TOLERANCE)
 
-PDE_CHECKS = ("identity", "reference", "factorization")
+# each sets the config key of its name, but grid_resolution sets grid = (v, v)
+STUDY_PARAMETERS = ("basis_order", "quad_order", "grid_resolution", "fd_step")
 
 # numeric config fields and the type each must have
 _FIELD_TYPES = {
@@ -204,12 +205,12 @@ class ExperimentConfig:
             raise ConfigError(
                 f"laurent must be two integers lo <= 0 <= hi, got {self.laurent!r}"
             )
-        if self.study is not None:
-            self._validate_study()
         if not (isinstance(self.perturbations, (list, tuple))
                 and all(_of_type(v, Real) for v in self.perturbations)):
             raise ConfigError(
                 f"perturbations must be a list of numbers, got {self.perturbations!r}")
+        if self.study is not None:
+            self._validate_study()
 
     def _draws_points(self, domain: Domain) -> bool:
         """Whether the run draws its points at random (:func:`_sample_pairs`)."""
@@ -220,14 +221,31 @@ class ExperimentConfig:
     def _validate_study(self):
         if not isinstance(self.study, dict) or not {"parameter", "values"} <= set(self.study):
             raise ConfigError("study needs 'parameter' and 'values'")
-        values = self.study["values"]
+        parameter, values = self.study["parameter"], self.study["values"]
+        if parameter not in STUDY_PARAMETERS:
+            raise ConfigError(
+                f"unknown study parameter {parameter!r}; choose from {STUDY_PARAMETERS}")
         if not isinstance(values, (list, tuple)) or not all(_of_type(v, Real) for v in values):
             raise ConfigError(f"study values must be a list of numbers, got {values!r}")
-        if self.study["parameter"] == "grid_resolution":
-            # the rules of pdegreen.GridSpec for the n x n grids of the study
-            bad = [v for v in values if not (float(v).is_integer() and v >= 8)]
-            if bad:
-                raise ConfigError(f"grid_resolution values must be integers >= 8, got {bad}")
+        if not all(v > 0 for v in values):
+            # the order is fitted to the logarithms of the values
+            raise ConfigError(f"study values must be positive, got {list(values)}")
+        if len(values) < 3:
+            raise ConfigError(f"a study needs at least three values, got {list(values)}")
+        steps = list(zip(values, values[1:]))
+        if not (all(a < b for a, b in steps) or all(a > b for a, b in steps)):
+            raise ConfigError(f"study values must be strictly monotone, got {list(values)}")
+        for value in values:
+            self._swept(value)
+
+    def _swept(self, value) -> "ExperimentConfig":
+        """This config without its study, the study parameter set to ``value``."""
+        parameter = self.study["parameter"]
+        change = {"grid": (value, value)} if parameter == "grid_resolution" else {parameter: value}
+        try:
+            return replace(self, study=None, **change)
+        except ConfigError as exc:
+            raise ConfigError(f"study value {value!r} of {parameter}: {exc}") from exc
 
     def _validate_grid(self):
         """The rules of :class:`pdegreen.GridSpec`, for every grid a run builds."""
@@ -250,6 +268,14 @@ class ExperimentConfig:
 
     def tol(self, name: str) -> float:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
+
+    def primary_tolerance(self) -> str:
+        """The tolerance name the CLI --tol flag overrides."""
+        if self.experiment != "pde-green":
+            return PRIMARY_TOLERANCE[self.experiment]
+        if self.pde_check == "identity" and isinstance(_build_domain(self), Annulus):
+            return "grid_identity_annulus"
+        return PDE_TOLERANCE[self.pde_check]
 
 
 _COMPARISONS = {"<": operator.lt, "<=": operator.le, ">=": operator.ge}
@@ -281,8 +307,9 @@ class Check:
 
 @dataclass
 class VerificationReport:
-    experiment: str
-    config: dict
+    # echoed only when written: echoes of the reports a study discards took
+    # 180 grid-reference iterations from 57.8 to 62.3 MB peak RSS (glibc)
+    config: ExperimentConfig
     checks: list
     records: list = dc_field(default_factory=list)
     tables: dict = dc_field(default_factory=dict)
@@ -304,8 +331,8 @@ class VerificationReport:
     def to_json(self) -> dict:
         return {
             "schema": SCHEMA_VERSION,
-            "experiment": self.experiment,
-            "config": self.config,
+            "experiment": self.config.experiment,
+            "config": asdict(self.config),
             "assumptions": ASSUMPTIONS,
             "checks": [
                 {
@@ -360,7 +387,7 @@ def _json_default(o):
 
 
 def _report(cfg: ExperimentConfig, checks: list, **parts) -> VerificationReport:
-    return VerificationReport(cfg.experiment, asdict(cfg), checks, **parts)
+    return VerificationReport(cfg, checks, **parts)
 
 
 def _worst(values):
@@ -463,6 +490,10 @@ def _sample_pairs(cfg: ExperimentConfig, domain: Domain) -> list:
 # ---------------------------------------------------------------------------
 
 
+# the only check that reads fd_step, and so the one an fd_step study reads
+FD_IDENTITY_CHECK = "identity residual (finite-difference mixed derivative), max over pairs"
+
+
 def _exp_verify_identity(cfg: ExperimentConfig) -> VerificationReport:
     domain = _build_domain(cfg)
     gf = _closed_form_green(domain)
@@ -485,8 +516,7 @@ def _exp_verify_identity(cfg: ExperimentConfig) -> VerificationReport:
     checks = [
         Check("identity residual (analytic mixed derivative), max over pairs",
               _worst(r["residual"] for r in records), cfg.tol("identity_analytic")),
-        Check("identity residual (finite-difference mixed derivative), max over pairs",
-              _worst(r["residual_fd"] for r in records), cfg.tol("identity_fd")),
+        Check(FD_IDENTITY_CHECK, _worst(r["residual_fd"] for r in records), cfg.tol("identity_fd")),
     ]
     return _report(cfg, checks, records=records, notes=notes,
                    tables={"kernel": kernel.metadata()}, csv_files={"identity.csv": table})
@@ -600,14 +630,21 @@ def _exp_distance(cfg: ExperimentConfig) -> VerificationReport:
     return _report(cfg, checks, csv_files={"distance.csv": (PAIR_COLUMNS + ("distance",), rows)})
 
 
-def _field_rows(sol) -> list:
-    """(x, y, re G, im G) at every interior node of a discrete Green's function."""
-    pts = sol.grid.interior_points()
-    vals = np.asarray(sol.values, dtype=complex)
-    return [
-        (p.real, p.imag, v.real, v.imag)
-        for p, v in zip(pts.ravel().tolist(), vals.ravel().tolist())
-    ]
+@dataclass(frozen=True)
+class _FieldRows:
+    """(x, y, re G, im G) at every interior node of a discrete Green's function,
+    built only when the CSV is written (a study discards its reports unwritten)."""
+
+    sol: object
+
+    def __len__(self) -> int:
+        return self.sol.values.size
+
+    def __iter__(self):
+        pts = self.sol.grid.interior_points()
+        vals = np.asarray(self.sol.values, dtype=complex)
+        for p, v in zip(pts.ravel().tolist(), vals.ravel().tolist()):
+            yield p.real, p.imag, v.real, v.imag
 
 
 def _grid_identity(cfg: ExperimentConfig, domain: Domain, weight, n_pairs: int = 5) -> tuple:
@@ -641,8 +678,7 @@ def _exp_pde_green(cfg: ExperimentConfig) -> VerificationReport:
     from . import pdegreen  # only when a grid is built
 
     if cfg.pde_check == "reference":
-        # single-resolution comparison; multi-resolution order fitting goes
-        # through the grid_resolution convergence study
+        # single-resolution comparison; a grid_resolution study fits the order
         if not isinstance(domain, Rectangle) or not getattr(weight, "is_constant", False):
             raise ConfigError("the reference check needs a rectangle with a constant weight")
         n = int(cfg.grid[0])
@@ -650,7 +686,7 @@ def _exp_pde_green(cfg: ExperimentConfig) -> VerificationReport:
         checks = [Check("grid Green vs series reference, max mid-grid error",
                         err, cfg.tol("grid_reference"))]
         return _report(cfg, checks, tables={"solver": sol.solve_stats}, csv_files={
-            "pde_field.csv": (("x", "y", "re_G", "im_G"), _field_rows(sol)),
+            "pde_field.csv": (("x", "y", "re_G", "im_G"), _FieldRows(sol)),
             "pde_reference.csv": (("resolution", "max_error"), [(n, err)]),
         })
 
@@ -689,9 +725,8 @@ def _exp_pde_green(cfg: ExperimentConfig) -> VerificationReport:
             "pde_factorization.csv": (("resolution", "max_relative_error"), rows)})
 
     kernel, records, table, solver = _grid_identity(cfg, domain, weight)
-    tol_key = "grid_identity_annulus" if isinstance(domain, Annulus) else "grid_identity"
     checks = [Check("grid identity residual, max over pairs",
-                    _worst(r["residual"] for r in records), cfg.tol(tol_key))]
+                    _worst(r["residual"] for r in records), cfg.tol(cfg.primary_tolerance()))]
     return _report(cfg, checks, records=records,
                    tables={"kernel": kernel.metadata(), "solver": solver},
                    csv_files={"pde_identity.csv": table})
@@ -765,6 +800,8 @@ def run(config: ExperimentConfig, out_dir=None) -> VerificationReport:
 
     Configuration errors surface before any computation; per-point numeric
     failures are recorded as notes and the run continues where meaningful.
+    A config with a ``study`` runs its experiment once per study value (see
+    :func:`_run_study`) and reports the error table and its fitted order.
     """
     if config.study is not None:
         report = _run_study(config)
@@ -775,111 +812,71 @@ def run(config: ExperimentConfig, out_dir=None) -> VerificationReport:
     return report
 
 
-# ---------------------------------------------------------------------------
-# Convergence studies
-# ---------------------------------------------------------------------------
+def _run_study(cfg: ExperimentConfig) -> VerificationReport:
+    """Run the configured experiment at every study value and fit the order.
 
-STUDY_PARAMETERS = ("basis_order", "quad_order", "grid_resolution", "fd_step")
-
-
-def _disk_kernel_closed_form(z, w):
-    return 1.0 / (math.pi * (1.0 - z * np.conj(w)) ** 2)
-
-
-# separated pairs with O(1) derivative constants, so central-difference
-# truncation stays far above the rounding floor of the double difference
-_FD_STUDY_PAIRS = [(0.45 + 0.2j, -0.3 + 0.1j), (0.1 - 0.5j, 0.4 + 0.3j), (-0.5 + 0.1j, 0.15 - 0.4j)]
-
-
-def _study_error(parameter: str, v) -> float:
-    """The error metric of one study value (see :func:`convergence_study`)."""
-    if parameter == "basis_order":
-        dom = UnitDisk()
-        rule = build_quadrature(dom, max(int(v) + 5, 20))
-        kern = bergman.kernel_from_gram(
-            bergman.MonomialBasis(dom, int(v)), weights.unit_weight(dom), rule)
-        zs, ws = _pair_arrays([(0.3, 0.2), (0.4 + 0.2j, -0.3j), (0.5, -0.5)])
-        return float(np.max(np.abs(kern.evaluate(zs, ws) - _disk_kernel_closed_form(zs, ws))))
-    if parameter == "quad_order":
-        dom = UnitDisk()
-        f = lambda zs: 1.0 / (1.2 - np.real(zs))  # pole just outside the closure
-        ref = integrate(build_quadrature(dom, 60), f)
-        return abs(integrate(build_quadrature(dom, int(v)), f) - ref)
-    if parameter == "grid_resolution":
-        from . import pdegreen  # only when a grid is built
-
-        dom = Rectangle(0.0, 1.0, 0.0, 1.0)
-        return pdegreen.reference_error(dom, weights.unit_weight(dom), int(v),
-                                        dom.basis_center)[0]
-    # fd_step
-    gf = green.DiskGreen(0j, 1.0)
-    zs, ws = _pair_arrays(_FD_STUDY_PAIRS)
-    fd = green.wirtinger_mixed(gf.value, zs, ws, float(v), richardson=False)
-    return float(np.mean(np.abs(fd - gf.mixed_analytic(zs, ws))))
-
-
-def convergence_study(parameter: str, values) -> dict:
-    """Error-versus-parameter table with a least-squares fitted order.
-
-    The error metric is parameter specific: kernel truncation against the
-    closed unit-disk form for ``basis_order``, smooth-integrand quadrature
-    drift for ``quad_order``, grid-versus-series error for
-    ``grid_resolution``, and plain (non-extrapolated) central-difference
-    error of the mixed derivative for ``fd_step``.  The fitted order is the
-    log-log slope, signed so that larger is better.  ``skipped`` lists,
-    with its reason, every value that gave no row: its computation raised a
-    :class:`BergreenError`, or its error was zero or not finite.
+    The error of a value is the value of its report's first check, and for
+    ``fd_step`` that of the finite-difference identity check.  The fitted
+    order is the log-log slope, signed so that larger is better.  A value
+    whose run raises a :class:`BergreenError` other than a
+    :class:`ConfigError`, or whose error is not positive and finite, gives
+    no row and a note.  If every run gives the same error, the parameter
+    does not reach the check, and that is a configuration error.
     """
-    if parameter not in STUDY_PARAMETERS:
-        raise ConfigError(f"unknown study parameter {parameter!r}")
-    vals = list(values)
-    if len(vals) < 3:
-        raise StudyInsufficientError("a study needs at least three parameter values")
-    diffs = np.diff(np.asarray(vals, dtype=float))
-    if not (np.all(diffs > 0) or np.all(diffs < 0)):
-        raise ConfigError("study values must be strictly monotone")
-
-    rows, skipped = [], []
-    for v in vals:
+    parameter = cfg.study["parameter"]
+    studied, errors, notes = [], [], []
+    for v in cfg.study["values"]:
         try:
-            err = _study_error(parameter, v)
+            report = _EXPERIMENT_FUNCS[cfg.experiment](cfg._swept(v))
+        except ConfigError:
+            raise
         except BergreenError as exc:
-            skipped.append(f"study value {v} skipped: {exc}")
+            notes.append(f"study value {v} skipped: {exc}")
             continue
-        if math.isfinite(err) and err > 0:
-            rows.append({"value": float(v), "error": err})
+        checks = report.checks
+        if parameter == "fd_step":
+            checks = [c for c in checks if c.name == FD_IDENTITY_CHECK] or checks
+        check = checks[0]
+        notes.extend(f"study value {v}: {note}" for note in report.notes)
+        # a grid solution kept through the next solve made glibc trim and re-fault
+        # the heap: 210k vs 88k page faults in 180 grid-reference runs, 10% slower
+        del report
+        if check.value is not None:  # None: the check evaluated nothing
+            errors.append(check.value)
+        if check.value is not None and math.isfinite(check.value) and check.value > 0:
+            studied.append((v, check))
         else:
-            skipped.append(f"study value {v} skipped: error {err} is not positive and finite")
-    if len(rows) < 3:
+            notes.append(f"study value {v} skipped: error {check.value} is not positive and finite")
+    if len(errors) > 1 and len(set(errors)) == 1:
+        raise ConfigError(f"study parameter {parameter} does not reach the check {check.name!r} "
+                          f"of {cfg.experiment}: every value gives {errors[0]}")
+    if len(studied) < 3:
         raise StudyInsufficientError(
-            "; ".join([f"only {len(rows)} study rows succeeded; need 3", *skipped]))
+            "; ".join([f"only {len(studied)} study rows succeeded; need 3", *notes]))
 
+    rows = [{"value": float(v), "error": c.value} for v, c in studied]
     xs = np.log(np.array([r["value"] for r in rows]))
     es = np.log(np.array([r["error"] for r in rows]))
     slope = float(np.polyfit(xs, es, 1)[0])
     # sign convention: error ~ value^order for step-like parameters, and
     # ~ value^(-order) for resolution-like ones
     order = slope if parameter == "fd_step" else -slope
-    return {"parameter": parameter, "rows": rows, "fitted_order": order, "skipped": skipped}
-
-
-def _run_study(cfg: ExperimentConfig) -> VerificationReport:
-    table = convergence_study(cfg.study["parameter"], cfg.study["values"])
-    notes = table.pop("skipped")
-    param = table["parameter"]
-    if param == "grid_resolution":
+    if parameter == "grid_resolution":
+        finest = max(studied, key=lambda vc: vc[0])[1]
         checks = [
-            Check("fitted convergence order", table["fitted_order"],
-                  cfg.tol("fit_order_grid"), ">="),
-            Check("max mid-grid error at finest resolution", table["rows"][-1]["error"],
-                  cfg.tol("grid_reference")),
+            Check("fitted convergence order", order, cfg.tol("fit_order_grid"), ">="),
+            Check("max mid-grid error at finest resolution", finest.value, finest.tolerance,
+                  finest.comparison),
         ]
-    elif param == "fd_step":
-        checks = [Check("fitted order deviation from central-difference theory",
-                        abs(table["fitted_order"] - 2.0), 0.3, "<=")]
+    elif parameter == "fd_step":
+        # verify-identity extrapolates the central difference (Richardson),
+        # which is fourth order
+        checks = [Check("fitted order deviation from Richardson-extrapolated theory (4)",
+                        abs(order - 4.0), 0.3, "<=")]
     else:
-        errs = [r["error"] for r in table["rows"]]
+        errs = [r["error"] for r in sorted(rows, key=lambda r: r["value"])]
         dec = all(a > b for a, b in zip(errs, errs[1:]))
         checks = [Check("error strictly decreasing (violations)", 0.0 if dec else 1.0, 0.5)]
+    table = {"parameter": parameter, "rows": rows, "fitted_order": order}
     return _report(cfg, checks, tables={"study": table}, notes=notes, csv_files={
-        "study.csv": (("value", "error"), [(r["value"], r["error"]) for r in table["rows"]])})
+        "study.csv": (("value", "error"), [(r["value"], r["error"]) for r in rows])})

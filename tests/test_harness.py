@@ -10,13 +10,12 @@ import numpy as np
 import pytest
 
 import bergreen
-from bergreen import ConfigError, StudyInsufficientError
+from bergreen import ConfigError, NumericError, StudyInsufficientError, harness
 from bergreen.cli import main as cli_main
 from bergreen.harness import (
     ASSUMPTIONS,
     Check,
     ExperimentConfig,
-    convergence_study,
     run,
 )
 from bergreen.pdegreen import REFINEMENT_TOLERANCE
@@ -227,8 +226,8 @@ DETERMINISM_CONFIGS = {
     "gauge-experiment": {"experiment": "gauge-experiment", "seed": 2, **SMALL,
                          "weight": {"representation": "holo_modulus_squared",
                                     "coefficients": [[2, 0], [1, 0]]}},
-    "study": {"experiment": "verify-identity", "seed": 1,
-              "study": {"parameter": "fd_step", "values": [4e-3, 2e-3, 1e-3]}},
+    "study": {"experiment": "verify-identity", "seed": 1, "count": 10,
+              "study": {"parameter": "fd_step", "values": [0.08, 0.04, 0.02]}},
 }
 
 
@@ -331,55 +330,133 @@ def test_gauge_experiment_generic_reports_obstruction(tmp_path):
     assert all(math.isfinite(r["residual"]) for r in rep.records)
 
 
-def test_convergence_study_fd_step():
-    table = convergence_study("fd_step", [4e-3, 2e-3, 1e-3])
-    assert abs(table["fitted_order"] - 2.0) <= 0.3
-    errs = [r["error"] for r in table["rows"]]
+def _cli_exit(tmp_path, experiment, data, *flags):
+    """Exit status of the CLI on a config, writing into ``tmp_path / "o"``."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    return cli_main([experiment, "--config", str(path), "--out", str(tmp_path / "o"), *flags])
+
+
+def _study(experiment, parameter, values, **kw):
+    return ExperimentConfig.from_dict(
+        {"experiment": experiment, "seed": 1, **kw,
+         "study": {"parameter": parameter, "values": values}})
+
+
+RHO_Z_PLUS_2 = {"weight": {"representation": "holo_modulus_squared",
+                           "coefficients": [[2, 0], [1, 0]]}}
+
+
+def test_convergence_study_fd_step(tmp_path):
+    # at these steps the Richardson-extrapolated difference sits at roundoff,
+    # so its fitted order is no order at all, and the study says so
+    rep = run(_study("verify-identity", "fd_step", [4e-3, 2e-3, 1e-3]), tmp_path)
+    assert not rep.passed
+    assert all(r["error"] < 1e-9 for r in rep.tables["study"]["rows"])
+
+
+def test_convergence_study_basis_order(tmp_path):
+    rep = run(_study("verify-identity", "basis_order", [10, 20, 30]), tmp_path)
+    assert rep.passed
+    errs = [r["error"] for r in rep.tables["study"]["rows"]]
     assert all(a > b for a, b in zip(errs, errs[1:]))
+    # the error of each value is the first check of the run at that value
+    assert errs[-1] == run(cfg(seed=1, basis_order=30)).checks[0].value
+    # the error falls as the order rises, whichever way the values are listed
+    assert run(_study("verify-identity", "basis_order", [30, 20, 10])).passed
 
 
-def test_convergence_study_basis_order():
-    table = convergence_study("basis_order", [10, 20, 30])
-    errs = [r["error"] for r in table["rows"]]
-    assert all(a > b for a, b in zip(errs, errs[1:]))
+def test_convergence_study_grid_resolution(tmp_path):
+    rep = run(_study("pde-green", "grid_resolution", [32, 64, 128], pde_check="reference",
+                     domain=SQUARE), tmp_path)
+    assert rep.passed and rep.tables["study"]["fitted_order"] >= 1.5
+    single = run(ExperimentConfig.from_dict({"experiment": "pde-green", "pde_check": "reference",
+                                             "domain": SQUARE, "grid": [128, 128]}))
+    assert rep.checks[1].value == single.checks[0].value
+    assert rep.checks[1].tolerance == single.checks[0].tolerance == 1e-3
 
 
-def test_convergence_study_grid_resolution():
-    table = convergence_study("grid_resolution", [32, 64, 128])
-    assert table["fitted_order"] >= 1.5
+def test_square_identity_grid_study_table(tmp_path):
+    # the configured experiment, check and weight, not a fixed problem
+    rep = run(_study("pde-green", "grid_resolution", [32, 64, 128], domain=SQUARE,
+                     **RHO_Z_PLUS_2), tmp_path)
+    assert rep.passed
+    errs = [r["error"] for r in rep.tables["study"]["rows"]]
+    assert errs == pytest.approx([0.111, 0.0399, 0.00857], rel=3e-3)
+    assert rep.tables["study"]["fitted_order"] == pytest.approx(1.85, abs=0.01)
+    assert rep.checks[1].tolerance == 0.02  # the grid_identity gate of the finest run
 
 
 def test_convergence_study_validation():
-    with pytest.raises(StudyInsufficientError):
-        convergence_study("fd_step", [1e-3, 1e-4])
-    with pytest.raises(ConfigError):
-        convergence_study("fd_step", [1e-3, 4e-3, 2e-3])
-    with pytest.raises(ConfigError):
-        convergence_study("warp_factor", [1, 2, 3])
+    # each fails before any computation, so the CLI exits 2
+    for parameter, values, message in (
+            ("fd_step", [1e-3, 1e-4], "at least three values"),
+            ("fd_step", [1e-3, 4e-3, 2e-3], "strictly monotone"),
+            ("warp_factor", [1, 2, 3], "unknown study parameter 'warp_factor'"),
+            # the order is fitted to log(value)
+            ("basis_order", [0, 10, 20], "study values must be positive"),
+            ("basis_order", [10, 20.5, 30], "study value 20.5 of basis_order: basis_order must be")):
+        with pytest.raises(ConfigError, match=message):
+            _study("verify-identity", parameter, values)
+    with pytest.raises(ConfigError, match="study value 33 of grid_resolution: annulus grids"):
+        _study("pde-green", "grid_resolution", [32, 33, 64], domain=ANNULUS_SPEC)
 
 
-def test_study_notes_every_skipped_value(tmp_path):
-    # maxdeg -1 raises; quad_order 60 is the reference, so its error is 0
-    for study, skipped in (
-            ({"parameter": "basis_order", "values": [-1, 10, 20, 30]},
-             "study value -1 skipped: maxdeg must be >= 0"),
-            ({"parameter": "quad_order", "values": [10, 20, 30, 60]},
-             "study value 60 skipped: error 0.0 is not positive and finite")):
-        rep = run(ExperimentConfig.from_dict(
-            {"experiment": "verify-identity", "seed": 1, "study": study}), tmp_path / "o")
-        assert rep.notes == [skipped]
-        assert len(rep.tables["study"]["rows"]) == 3
-        assert "skipped" not in rep.tables["study"]
-    with pytest.raises(StudyInsufficientError, match="study value 60 skipped: error 0.0"):
-        convergence_study("quad_order", [20, 40, 60])
+def test_study_of_a_check_that_holds_by_construction_fails(tmp_path, capsys):
+    # distance symmetry reads 0, 1.1e-16 and 0 over quad_order: two values
+    # give no row, and one row fits no order
+    data = {"seed": 1, "study": {"parameter": "quad_order", "values": [10, 20, 30]}}
+    assert _cli_exit(tmp_path, "distance", data) == 1
+    err = capsys.readouterr().err
+    assert "only 1 study rows succeeded" in err
+    assert "study value 10 skipped: error 0.0 is not positive and finite" in err
+
+
+def test_study_notes_every_skipped_value(tmp_path, monkeypatch):
+    # fd_step 0.6 takes every stencil off the disk, so its check evaluates
+    # nothing; a value whose run raises is noted too
+    pairs = [[[0.5, 0.1], [-0.2, 0.3]], [[0.1, -0.4], [0.3, 0.2]]]
+    rep = run(_study("verify-identity", "fd_step", [0.6, 0.08, 0.04, 0.02], pairs=pairs),
+              tmp_path / "o")
+    assert rep.passed and len(rep.tables["study"]["rows"]) == 3
+    assert rep.notes[-1] == "study value 0.6 skipped: error None is not positive and finite"
+    assert len(rep.notes) == 3  # and one note per pair the stencil left
+
+    original = harness._EXPERIMENT_FUNCS["verify-identity"]
+
+    def raising(config):
+        if config.basis_order == 15:
+            raise NumericError("Cholesky factor is singular")
+        return original(config)
+
+    monkeypatch.setitem(harness._EXPERIMENT_FUNCS, "verify-identity", raising)
+    rep = run(_study("verify-identity", "basis_order", [10, 15, 20, 30]), tmp_path / "r")
+    assert rep.notes == ["study value 15 skipped: Cholesky factor is singular"]
+    assert [r["value"] for r in rep.tables["study"]["rows"]] == [10.0, 20.0, 30.0]
+    assert "skipped" not in rep.tables["study"]
+    with pytest.raises(StudyInsufficientError, match="study value 15 skipped"):
+        run(_study("verify-identity", "basis_order", [10, 15, 20]))
 
 
 def test_study_config_route(tmp_path):
-    rep = run(ExperimentConfig.from_dict({
-        "experiment": "verify-identity", "seed": 1,
-        "study": {"parameter": "fd_step", "values": [4e-3, 2e-3, 1e-3]}}), tmp_path)
-    assert rep.passed
-    assert (tmp_path / "study.csv").exists()
+    rep = run(_study("verify-identity", "fd_step", [0.08, 0.04, 0.02]), tmp_path)
+    assert rep.passed and "Richardson" in rep.checks[0].name
+    assert rep.tables["study"]["fitted_order"] == pytest.approx(4.0, abs=0.01)
+    # the error is that of the finite-difference identity check
+    assert rep.tables["study"]["rows"][1]["error"] == run(cfg(seed=1, fd_step=0.04)).checks[1].value
+    assert (tmp_path / "study.csv").read_text().splitlines()[0] == "value,error"
+
+
+@pytest.mark.parametrize("data", [
+    {"pde_check": "reference", "domain": SQUARE, "grid": [96, 96]},
+    {"pde_check": "factorization", "domain": SQUARE, "grid": [16, 16], **RHO_Z_PLUS_2},
+    {"pde_check": "identity", "domain": ANNULUS_SPEC, "grid": [64, 128], "quad_order": 24},
+])
+def test_cli_tol_overrides_the_gate_of_the_pde_check(tmp_path, data):
+    assert _cli_exit(tmp_path, "pde-green", data) == 0
+    assert _cli_exit(tmp_path, "pde-green", data, "--tol", "1e-30") == 1
+    checks = json.loads((tmp_path / "o" / "report.json").read_text())["checks"]
+    assert checks[0]["tolerance"] == 1e-30 and not checks[0]["passed"]
 
 
 def test_cli_exit_codes(tmp_path):
@@ -474,13 +551,13 @@ def test_validate_rejects_unparsable_specs(change, message):
      "grid[0] must be >= 16"),
     ({"experiment": "pde-green", "pde_check": "reference",
       "study": {"parameter": "grid_resolution", "values": [4, 16, 32, 64]}},
-     "grid_resolution values must be integers >= 8, got [4]"),
+     "study value 4 of grid_resolution: grid needs at least 8 nodes per axis"),
     ({"experiment": "pde-green", "pde_check": "reference",
       "study": {"parameter": "grid_resolution", "values": [4, 6, 16]}},
-     "grid_resolution values must be integers >= 8, got [4, 6]"),
+     "study value 4 of grid_resolution: grid needs at least 8 nodes per axis"),
     ({"experiment": "pde-green", "pde_check": "reference",
       "study": {"parameter": "grid_resolution", "values": [16, 24.5, 32]}},
-     "grid_resolution values must be integers >= 8, got [24.5]"),
+     "study value 24.5 of grid_resolution: grid must be two positive integers"),
     ({"study": {"parameter": "fd_step", "values": [1e-3, "2e-3", 4e-3]}},
      "study values must be a list of numbers"),
     *UNPARSABLE_SPECS,
@@ -497,6 +574,25 @@ def test_validate_rejects_unparsable_specs(change, message):
     ({"experiment": "pde-green", "pde_check": "factorization", "domain": SQUARE,
       "weight": {"representation": "generic_c1", "name": "exp_abs_sq"}},
      "the factorization check needs a weight with a gauge"),
+    ({"study": {"parameter": "fd_step", "values": [1e-3, 2e-3]}}, "at least three values"),
+    ({"study": {"parameter": "fd_step", "values": [1e-3, 4e-3, 2e-3]}}, "strictly monotone"),
+    ({"study": {"parameter": "grid", "values": [16, 32, 64]}}, "unknown study parameter"),
+    ({"study": {"parameter": "basis_order", "values": [-1, 4, 8]}},
+     "study values must be positive"),
+    # a study re-runs its own experiment: verify-identity has no closed form
+    # on an annulus, builds no grid on the unit disk, and an annulus kernel
+    # takes its basis from laurent, not basis_order
+    ({"experiment": "verify-identity", "domain": ANNULUS_SPEC,
+      "weight": {"representation": "generic_c1", "name": "exp_abs_sq"},
+      "study": {"parameter": "grid_resolution", "values": [64, 128, 192]}},
+     "no closed-form Green's function on annulus"),
+    ({"experiment": "verify-identity",
+      "study": {"parameter": "grid_resolution", "values": [32, 64, 128]}},
+     "study parameter grid_resolution does not reach the check 'identity residual"),
+    ({"domain": ANNULUS_SPEC, "study": {"parameter": "basis_order", "values": [10, 20, 30]}},
+     "study parameter basis_order does not reach the check 'Hermitian symmetry"),
+    ({"domain": ANNULUS_SPEC, "study": {"parameter": "grid_resolution", "values": [16, 17, 32]}},
+     "study value 17 of grid_resolution: annulus grids need an even angular count"),
 ])
 def test_cli_malformed_config_exits_2(tmp_path, capsys, change, message):
     path = tmp_path / "cfg.json"

@@ -4,10 +4,15 @@ Hermitian symmetry and positive semidefiniteness of the sampled kernel over
 random disks, Moebius images of the unit disk and admissible weights
 |mu|^2, mu(z) = c (z - root) with the root outside the closed domain; and
 symmetry and positivity of the Moebius-transported Green's function on
-arrays.
+arrays; and the exit status of the command on generated study configs.
 """
 
 import cmath
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +30,8 @@ from bergreen import (  # noqa: E402
     kernel_from_gram,
     moebius_transport,
 )
+from bergreen.cli import main as cli_main  # noqa: E402
+from bergreen.harness import EXPERIMENTS, PDE_CHECKS, STUDY_PARAMETERS  # noqa: E402
 from bergreen.weights import HoloModulusSquaredWeight  # noqa: E402
 
 unit = st.floats(0.0, 1.0)
@@ -90,3 +97,44 @@ def test_transported_green_is_symmetric_and_positive(dom, zs, ws):
     gzw, gwz = g.value(zs, ws), g.value(ws, zs)
     assert np.all(np.abs(gzw - gwz) <= 1e-12 * np.maximum(1.0, np.abs(gzw)))
     assert np.all(gzw > 0)
+
+
+STUDY_VALUES = {
+    "basis_order": st.integers(0, 8),
+    "quad_order": st.integers(1, 12),
+    "grid_resolution": st.integers(8, 24),
+    "fd_step": st.floats(1e-3, 0.1),
+}
+STUDY_DOMAINS = [
+    {"kind": "unit_disk"},
+    {"kind": "rectangle", "params": {"x0": 0, "x1": 1, "y0": 0, "y1": 1}},
+    {"kind": "annulus", "params": {"inner": 0.5, "outer": 1.0}},
+]
+
+
+@st.composite
+def studies(draw):
+    parameter = draw(st.sampled_from(STUDY_PARAMETERS))
+    values = sorted(draw(st.sets(STUDY_VALUES[parameter], min_size=3, max_size=3)))
+    return {"parameter": parameter, "values": values[::-1] if draw(st.booleans()) else values}
+
+
+# rho = 1, and rho = |z + 2|^2, which has a gauge and is not constant
+STUDY_WEIGHTS = [{"coefficients": [[1, 0]]}, {"coefficients": [[2, 0], [1, 0]]}]
+
+
+@given(st.sampled_from(EXPERIMENTS), st.sampled_from(STUDY_DOMAINS),
+       st.sampled_from(STUDY_WEIGHTS), st.sampled_from(PDE_CHECKS), studies())
+def test_study_configs_exit_0_1_or_2(experiment, domain, weight, pde_check, study):
+    # small orders, grids and point counts keep each example cheap
+    config = {"seed": 1, "count": 3, "basis_order": 6, "quad_order": 8, "laurent": [-4, 4],
+              "grid": [16, 16], "exhaust_steps": 2, "domain": domain, "weight": weight,
+              "pde_check": pde_check, "study": study}
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(config))
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = cli_main([experiment, "--config", str(path), "--out", str(Path(tmp) / "o")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
