@@ -32,6 +32,7 @@ __all__ = [
     "exhaustion_sequence",
     "build_quadrature",
     "integrate",
+    "check_grid_shape",
 ]
 
 
@@ -275,6 +276,16 @@ def make_domain(kind: str, **params) -> Domain:
             y1=float(params["y1"]),
         )
     raise ParameterError(f"unknown domain kind {kind!r}")
+
+
+def check_grid_shape(domain: Domain, shape) -> None:
+    """Interior-node counts of a grid on ``domain``: at least 8 per axis, and on
+    an annulus an even angular count of at least 16 (the periodic axis)."""
+    n1, n2 = shape
+    if min(n1, n2) < 8:
+        raise ParameterError(f"grid needs at least 8 nodes per axis, got {tuple(shape)}")
+    if isinstance(domain, Annulus) and (n2 % 2 or n2 < 16):
+        raise ParameterError(f"annulus grids need an even angular count >= 16, got {tuple(shape)}")
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from .geometry import (
     MoebiusDisk,
     Rectangle,
     build_quadrature,
+    check_grid_shape,
     exhaustion_sequence,
     make_domain,
 )
@@ -112,17 +113,11 @@ _FIELD_TYPES = {
     "quad_order": Integral,
     "exhaust_steps": Integral,
     "fd_step": Real,
-    "margin": Real,
 }
 
 
 def _of_type(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _int_pair(value) -> bool:
-    return (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(_of_type(v, Integral) for v in value))
 
 
 @dataclass(frozen=True)
@@ -133,17 +128,14 @@ class ExperimentConfig:
         default_factory=lambda: {"representation": "holo_modulus_squared", "coefficients": [[1.0, 0.0]]}
     )
     basis_order: int = 30
-    laurent: tuple = (-15, 15)
     quad_order: int = 40
     grid: tuple = (128, 128)
     fd_step: float = 1e-3
     count: int = 25
     seed: int | None = None
     pairs: list | None = None
-    margin: float = 0.7
     exhaust_steps: int = 6
     pde_check: str = "identity"
-    perturbations: tuple = (0.0, 0.1, 0.2)
     tolerances: dict = dc_field(default_factory=dict)
     study: dict | None = None
 
@@ -190,25 +182,16 @@ class ExperimentConfig:
             raise ConfigError("orders must be positive")
         if self.fd_step <= 0:
             raise ConfigError("fd_step must be positive")
-        if not 0 < self.margin < 1:
-            raise ConfigError("margin must lie in (0, 1)")
         if self.count < 1:
             raise ConfigError("count must be >= 1")
         if self.exhaust_steps < 1:
             raise ConfigError("exhaust_steps must be >= 1")
         if self.pde_check not in PDE_CHECKS:
             raise ConfigError(f"unknown pde_check {self.pde_check!r}; choose from {PDE_CHECKS}")
-        if not _int_pair(self.grid) or min(self.grid) < 1:
+        if not (isinstance(self.grid, (list, tuple)) and len(self.grid) == 2
+                and all(_of_type(v, Integral) and v > 0 for v in self.grid)):
             raise ConfigError(f"grid must be two positive integers, got {self.grid!r}")
-        self._validate_grid()
-        if not _int_pair(self.laurent) or not self.laurent[0] <= 0 <= self.laurent[1]:
-            raise ConfigError(
-                f"laurent must be two integers lo <= 0 <= hi, got {self.laurent!r}"
-            )
-        if not (isinstance(self.perturbations, (list, tuple))
-                and all(_of_type(v, Real) for v in self.perturbations)):
-            raise ConfigError(
-                f"perturbations must be a list of numbers, got {self.perturbations!r}")
+        self._validate_grid(domain)
         if self.study is not None:
             self._validate_study()
 
@@ -247,24 +230,24 @@ class ExperimentConfig:
         except ConfigError as exc:
             raise ConfigError(f"study value {value!r} of {parameter}: {exc}") from exc
 
-    def _validate_grid(self):
-        """The rules of :class:`pdegreen.GridSpec`, for every grid a run builds."""
-        n1, n2 = self.grid
-        if min(n1, n2) < 8:
-            raise ConfigError(f"grid needs at least 8 nodes per axis, got {self.grid!r}")
+    def _validate_grid(self, domain: Domain):
+        """``grid``, or the grids n x n (n x 2n on annuli) a ``reference`` or
+        ``factorization`` run builds from n = ``grid[0]``, obey :func:`check_grid_shape`."""
+        shapes, context = [self.grid], ""
         if self.experiment == "pde-green" and self.pde_check in ("reference", "factorization"):
-            # these checks build n x n grids (n x 2n on annuli) from n = grid[0]
-            if n1 != n2:
+            n = self.grid[0]
+            if self.grid[1] != n:
                 raise ConfigError(
                     f"pde_check {self.pde_check!r} solves on a square grid; got {self.grid!r}")
-            if self.pde_check == "factorization" and n1 < 16:
-                raise ConfigError(
-                    f"pde_check 'factorization' also solves at grid[0] // 2, so grid[0] "
-                    f"must be >= 16, got {n1}")
-        elif isinstance(self.domain, dict) and self.domain.get("kind") == "annulus":
-            if n2 % 2 or n2 < 16:
-                raise ConfigError(
-                    f"annulus grids need an even angular count >= 16, got {self.grid!r}")
+            ns = (n,)
+            if self.pde_check == "factorization":
+                ns, context = (n // 2, n), "pde_check 'factorization' also solves at grid[0] // 2: "
+            shapes = [(m, 2 * m if isinstance(domain, Annulus) else m) for m in ns]
+        try:
+            for shape in shapes:
+                check_grid_shape(domain, shape)
+        except ParameterError as exc:
+            raise ConfigError(f"{context}{exc}") from exc
 
     def tol(self, name: str) -> float:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
@@ -386,10 +369,6 @@ def _json_default(o):
     raise TypeError(f"not JSON serializable: {type(o)}")
 
 
-def _report(cfg: ExperimentConfig, checks: list, **parts) -> VerificationReport:
-    return VerificationReport(cfg, checks, **parts)
-
-
 def _worst(values):
     """The largest value, or None when nothing was evaluated."""
     values = list(values)
@@ -442,7 +421,8 @@ def _build_weight(cfg: ExperimentConfig, domain: Domain) -> weights.Weight:
 
 def _build_basis(cfg: ExperimentConfig, domain: Domain):
     if isinstance(domain, Annulus):
-        return bergman.LaurentBasis(domain, *cfg.laurent)
+        # the first basis_order + 1 exponents in trimming order 0, 1, -1, 2, -2, ...
+        return bergman.LaurentBasis(domain, -(cfg.basis_order // 2), (cfg.basis_order + 1) // 2)
     return bergman.MonomialBasis(domain, cfg.basis_order)
 
 
@@ -480,8 +460,8 @@ def _sample_pairs(cfg: ExperimentConfig, domain: Domain) -> list:
     if cfg.pairs is not None:
         return _parse_pairs(cfg.pairs)
     rng = np.random.default_rng(cfg.seed)
-    zs = domain.sample_interior(rng, cfg.count, cfg.margin)
-    ws = domain.sample_interior(rng, cfg.count, cfg.margin)
+    zs = domain.sample_interior(rng, cfg.count)
+    ws = domain.sample_interior(rng, cfg.count)
     return list(zip(zs.tolist(), ws.tolist()))
 
 
@@ -518,8 +498,9 @@ def _exp_verify_identity(cfg: ExperimentConfig) -> VerificationReport:
               _worst(r["residual"] for r in records), cfg.tol("identity_analytic")),
         Check(FD_IDENTITY_CHECK, _worst(r["residual_fd"] for r in records), cfg.tol("identity_fd")),
     ]
-    return _report(cfg, checks, records=records, notes=notes,
-                   tables={"kernel": kernel.metadata()}, csv_files={"identity.csv": table})
+    return VerificationReport(cfg, checks, records=records, notes=notes,
+                              tables={"kernel": kernel.metadata()},
+                              csv_files={"identity.csv": table})
 
 
 def _exp_kernel(cfg: ExperimentConfig) -> VerificationReport:
@@ -540,7 +521,7 @@ def _exp_kernel(cfg: ExperimentConfig) -> VerificationReport:
         Check("sampled kernel matrix smallest eigenvalue (>= -tol)",
               min_eig, -cfg.tol("psd"), ">="),
     ]
-    return _report(cfg, checks, tables={"kernel": kernel.metadata()}, csv_files={
+    return VerificationReport(cfg, checks, tables={"kernel": kernel.metadata()}, csv_files={
         "kernel.csv": (PAIR_COLUMNS + ("re_K", "im_K"), rows)})
 
 
@@ -565,7 +546,7 @@ def _exp_green(cfg: ExperimentConfig) -> VerificationReport:
         Check("boundary vanishing, max |G(boundary, w)|", bdry, cfg.tol("boundary")),
         Check("interior positivity violations", _worst(np.where(gv > 0, 0.0, 1.0).tolist()), 0.5),
     ]
-    return _report(cfg, checks, notes=notes, csv_files={
+    return VerificationReport(cfg, checks, notes=notes, csv_files={
         "green.csv": (PAIR_COLUMNS + ("G", "h", "re_mixed", "im_mixed"), rows)})
 
 
@@ -581,7 +562,7 @@ def _exp_exhaust(cfg: ExperimentConfig) -> VerificationReport:
     for j, step in enumerate(ex.steps, start=1):
         g = green.DiskGreen(step.center, step.radius)
         h_j = g.harmonic_diagonal(z0)
-        basis = bergman.MonomialBasis(step, min(cfg.basis_order, 20))
+        basis = bergman.MonomialBasis(step, cfg.basis_order)
         rule = build_quadrature(step, max(cfg.quad_order, basis.maxdeg + 2))
         kern = bergman.kernel_from_gram(basis, weights.unit_weight(step), rule)
         k_j = kern.diagonal(z0)
@@ -603,10 +584,10 @@ def _exp_exhaust(cfg: ExperimentConfig) -> VerificationReport:
         Check("harmonic part vs closed form, max error", herr, cfg.tol("closed_form")),
         Check("kernel diagonal vs closed form, max error", kerr, cfg.tol("closed_form")),
     ]
-    return _report(cfg, checks, tables={"final_gap_to_parent_kernel": abs(ks[-1] - parent_kernel)},
-                   csv_files={"exhaust.csv": (
-                       ("step", "radius", "h_center", "kernel_center", "h_exact", "kernel_exact"),
-                       rows)})
+    return VerificationReport(
+        cfg, checks, tables={"final_gap_to_parent_kernel": abs(ks[-1] - parent_kernel)},
+        csv_files={"exhaust.csv": (
+            ("step", "radius", "h_center", "kernel_center", "h_exact", "kernel_exact"), rows)})
 
 
 def _exp_distance(cfg: ExperimentConfig) -> VerificationReport:
@@ -627,7 +608,8 @@ def _exp_distance(cfg: ExperimentConfig) -> VerificationReport:
         Check("distance on the diagonal", diag, 1e-12),
         Check("range violations", 0.0 if in_range else 1.0, 0.5),
     ]
-    return _report(cfg, checks, csv_files={"distance.csv": (PAIR_COLUMNS + ("distance",), rows)})
+    return VerificationReport(cfg, checks, csv_files={
+        "distance.csv": (PAIR_COLUMNS + ("distance",), rows)})
 
 
 @dataclass(frozen=True)
@@ -679,19 +661,19 @@ def _exp_pde_green(cfg: ExperimentConfig) -> VerificationReport:
 
     if cfg.pde_check == "reference":
         # single-resolution comparison; a grid_resolution study fits the order
-        if not isinstance(domain, Rectangle) or not getattr(weight, "is_constant", False):
+        if not isinstance(domain, Rectangle) or not weight.is_constant:
             raise ConfigError("the reference check needs a rectangle with a constant weight")
         n = int(cfg.grid[0])
         err, sol = pdegreen.reference_error(domain, weight, n, domain.basis_center)
         checks = [Check("grid Green vs series reference, max mid-grid error",
                         err, cfg.tol("grid_reference"))]
-        return _report(cfg, checks, tables={"solver": sol.solve_stats}, csv_files={
+        return VerificationReport(cfg, checks, tables={"solver": sol.solve_stats}, csv_files={
             "pde_field.csv": (("x", "y", "re_G", "im_G"), _FieldRows(sol)),
             "pde_reference.csv": (("resolution", "max_error"), [(n, err)]),
         })
 
     if cfg.pde_check == "factorization":
-        if getattr(weight, "is_constant", False):
+        if weight.is_constant:
             # the weighted Green's function is then rho times the unweighted
             # one, so the error is roundoff and cannot improve under refinement
             raise ConfigError("the factorization check needs a non-constant weight")
@@ -721,15 +703,19 @@ def _exp_pde_green(cfg: ExperimentConfig) -> VerificationReport:
             Check("factorization error improves under refinement (violations)",
                   0.0 if improving else 1.0, 0.5),
         ]
-        return _report(cfg, checks, csv_files={
+        return VerificationReport(cfg, checks, csv_files={
             "pde_factorization.csv": (("resolution", "max_relative_error"), rows)})
 
     kernel, records, table, solver = _grid_identity(cfg, domain, weight)
     checks = [Check("grid identity residual, max over pairs",
                     _worst(r["residual"] for r in records), cfg.tol(cfg.primary_tolerance()))]
-    return _report(cfg, checks, records=records,
-                   tables={"kernel": kernel.metadata(), "solver": solver},
-                   csv_files={"pde_identity.csv": table})
+    return VerificationReport(cfg, checks, records=records,
+                              tables={"kernel": kernel.metadata(), "solver": solver},
+                              csv_files={"pde_identity.csv": table})
+
+
+#: The epsilons of the gauge-experiment table that rescales the gauge by e^epsilon
+PERTURBATIONS = (0.0, 0.1, 0.2)
 
 
 def _exp_gauge(cfg: ExperimentConfig) -> VerificationReport:
@@ -752,9 +738,9 @@ def _exp_gauge(cfg: ExperimentConfig) -> VerificationReport:
             f"(max |Laplacian log rho| = {exc.residual:.6g}); identity residuals "
             "below are reported without a pass/fail judgement"
         ]
-        return _report(cfg, checks, records=records, notes=notes,
-                       tables={"log_laplacian_residual": exc.residual, "solver": solver},
-                       csv_files={"gauge_identity.csv": table})
+        return VerificationReport(cfg, checks, records=records, notes=notes, tables={
+            "log_laplacian_residual": exc.residual, "solver": solver},
+            csv_files={"gauge_identity.csv": table})
 
     rule = build_quadrature(domain, max(4, cfg.quad_order // 8))
     nodes = rule.nodes[:: max(1, len(rule.nodes) // 50)][:50]
@@ -769,7 +755,7 @@ def _exp_gauge(cfg: ExperimentConfig) -> VerificationReport:
 
     # Rescaling the gauge by e^eps multiplies the weighted Green's function by
     # e^(2 eps); the induced identity residual quantifies gauge sensitivity.
-    if not getattr(weight, "is_constant", False) and not isinstance(domain, (Rectangle, Annulus)):
+    if not weight.is_constant and not isinstance(domain, (Rectangle, Annulus)):
         kernel = _build_kernel(cfg, domain, weight)
         wg = green.weighted_green(_closed_form_green(domain), gauge)
         zs, ws = _pair_arrays(_sample_pairs(cfg, domain)[:5])
@@ -777,11 +763,11 @@ def _exp_gauge(cfg: ExperimentConfig) -> VerificationReport:
         kv = kernel.evaluate(zs, ws)
         rows = [(eps, float(np.max(np.abs(kv - rhs * math.exp(2.0 * eps))
                                    / np.maximum(1.0, np.abs(kv)))))
-                for eps in cfg.perturbations]
+                for eps in PERTURBATIONS]
         csv_files["gauge_perturbation.csv"] = (("epsilon", "max_identity_residual"), rows)
         tables["perturbation"] = [{"epsilon": e, "max_identity_residual": r} for e, r in rows]
 
-    return _report(cfg, checks, tables=tables, csv_files=csv_files)
+    return VerificationReport(cfg, checks, tables=tables, csv_files=csv_files)
 
 
 _EXPERIMENT_FUNCS = {
@@ -878,5 +864,5 @@ def _run_study(cfg: ExperimentConfig) -> VerificationReport:
         dec = all(a > b for a, b in zip(errs, errs[1:]))
         checks = [Check("error strictly decreasing (violations)", 0.0 if dec else 1.0, 0.5)]
     table = {"parameter": parameter, "rows": rows, "fitted_order": order}
-    return _report(cfg, checks, tables={"study": table}, notes=notes, csv_files={
+    return VerificationReport(cfg, checks, tables={"study": table}, notes=notes, csv_files={
         "study.csv": (("value", "error"), [(r["value"], r["error"]) for r in rows])})

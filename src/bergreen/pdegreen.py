@@ -58,7 +58,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import ParameterError, SolverError, WeightError
-from .geometry import Annulus, Domain, Rectangle
+from .geometry import Annulus, Domain, Rectangle, check_grid_shape
 from .weights import HoloModulusSquaredWeight, LogHarmonicWeight, Weight, solve_gauge
 
 __all__ = [
@@ -81,7 +81,7 @@ class GridSpec:
 
     ``shape`` counts interior nodes per axis: (nx, ny) for rectangles,
     (n_radial, n_angular) for annuli.  The angular direction is periodic, so
-    all of its nodes are unknowns and the count must be even and >= 16.
+    all of its nodes are unknowns (:func:`geometry.check_grid_shape`).
     """
 
     domain: Domain
@@ -92,16 +92,9 @@ class GridSpec:
         if n1 != int(n1) or n2 != int(n2):
             raise ParameterError("grid resolution must be integral")
         object.__setattr__(self, "shape", (int(n1), int(n2)))
-        n1, n2 = self.shape
-        if n1 < 8 or n2 < 8:
-            raise ParameterError("grid resolution must be at least (8, 8)")
-        if isinstance(self.domain, Rectangle):
-            pass
-        elif isinstance(self.domain, Annulus):
-            if n2 % 2 != 0 or n2 < 16:
-                raise ParameterError("annulus grids need an even angular count >= 16")
-        else:
+        if not isinstance(self.domain, (Rectangle, Annulus)):
             raise ParameterError(f"grids are defined on rectangles and annuli, not {self.domain.kind}")
+        check_grid_shape(self.domain, self.shape)
 
     @property
     def is_polar(self) -> bool:
@@ -402,10 +395,7 @@ def _transform_solver(grid: GridSpec):
         pivot[i, :, 0] = 1.0 / (diag[i] - lower[i] * prev)
         prev = sup[i, :, 0] = upper[i] * pivot[i, :, 0]
 
-    def apply(b):
-        if np.iscomplexobj(b):  # each column's real and imaginary parts side by side
-            parts = np.ascontiguousarray(np.reshape(b, (n1 * n2, -1)), dtype=complex)
-            return apply(parts.view(float)).view(complex).reshape(np.shape(b))
+    def solve_real(b):
         y = forward(np.reshape(b, (n1, n2, -1)))
         y[0] *= pivot[0]
         for i in range(1, n1):
@@ -413,6 +403,13 @@ def _transform_solver(grid: GridSpec):
         for i in range(n1 - 2, -1, -1):
             y[i] -= sup[i] * y[i + 1]
         return backward(y).reshape(np.shape(b))
+
+    # apply does not call itself: that closure would be a cycle, freed only by gc
+    def apply(b):
+        if np.iscomplexobj(b):  # each column's real and imaginary parts side by side
+            parts = np.ascontiguousarray(np.reshape(b, (n1 * n2, -1)), dtype=complex)
+            return solve_real(parts.view(float)).view(complex).reshape(np.shape(b))
+        return solve_real(b)
 
     return apply
 
@@ -467,14 +464,15 @@ def discretize(grid: GridSpec, weight: Weight) -> DiscreteOperator:
     The divergence part uses harmonic-mean face coefficients of 1/rho; the
     rotational part uses centered differences of nodal 1/rho.  Rows touch at
     most nine unknowns.  For constant weights the rotational coefficients are
-    exactly zero and the stencil is real.  A weight that is the same number
-    on every node records the real gauge sqrt(rho); any other weight with a
-    closed-form gauge g (``solve_gauge``, no numerical check for these two
-    classes) records mu = conj(g) at the interior nodes.  Either selects the
-    transform-preconditioned solve of :meth:`DiscreteOperator.solve`.
+    exactly zero and the stencil is real.  A constant weight
+    (``Weight.is_constant``) records the real gauge sqrt(rho); any other
+    weight with a closed-form gauge g (``solve_gauge``, no numerical check
+    for these two classes) records mu = conj(g) at the interior nodes.
+    Either selects the transform-preconditioned solve of
+    :meth:`DiscreteOperator.solve`.
     """
     rho = _full_weight_grid(grid, weight)
-    constant = bool(np.all(rho == rho.flat[0]))
+    constant = weight.is_constant
     rho = rho[:, :3] if constant else rho  # all columns alike: coefficients for one
     div_entries, rot_entries = _assemble(grid, rho)
     stencil = {offset: 0.25 * coeff for offset, coeff in div_entries.items()}

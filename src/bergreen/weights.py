@@ -51,6 +51,8 @@ class Weight:
     """Positive weight attached to a domain."""
 
     representation = "weight"
+    #: Whether rho is one number on the domain; a generic weight cannot tell
+    is_constant = False
 
     def __init__(self, domain: Domain):
         self.domain = domain
@@ -66,7 +68,8 @@ def _coeffs(c):
     arr = np.atleast_1d(np.asarray(c, dtype=complex))
     if arr.ndim != 1 or arr.size == 0:
         raise ParameterError("polynomial coefficients must be a nonempty 1-d sequence")
-    return arr
+    # trailing zeros add no term, so a constant polynomial has one coefficient
+    return arr[:max(1, len(np.trim_zeros(arr, "b")))]
 
 
 class HoloModulusSquaredWeight(Weight):
@@ -81,7 +84,8 @@ class HoloModulusSquaredWeight(Weight):
     def __init__(self, mu_coefficients, domain: Domain):
         super().__init__(domain)
         self.mu_coefficients = _coeffs(mu_coefficients)
-        if len(self.mu_coefficients) > 1:
+        self.is_constant = len(self.mu_coefficients) == 1
+        if not self.is_constant:
             roots = np.polynomial.Polynomial(self.mu_coefficients).roots()
             for root in roots:
                 if domain.closure_distance(complex(root)) < ROOT_MARGIN:
@@ -98,10 +102,6 @@ class HoloModulusSquaredWeight(Weight):
     def value(self, z):
         return np.abs(self.mu(z)) ** 2
 
-    @property
-    def is_constant(self):
-        return len(self.mu_coefficients) == 1
-
 
 class LogHarmonicWeight(Weight):
     """rho(z) = exp(2 Re H(z)) for a polynomial H; log rho is harmonic exactly."""
@@ -111,6 +111,7 @@ class LogHarmonicWeight(Weight):
     def __init__(self, h_coefficients, domain: Domain):
         super().__init__(domain)
         self.h_coefficients = _coeffs(h_coefficients)
+        self.is_constant = len(self.h_coefficients) == 1
 
     def exponent(self, z):
         return P.polyval(np.asarray(z) if np.ndim(z) else complex(z), self.h_coefficients)

@@ -137,7 +137,7 @@ def test_verify_identity_notes_and_records_keep_pair_order(tmp_path):
 def test_verify_identity_rejects_annulus():
     with pytest.raises(ConfigError, match="pde-green"):
         run(cfg(domain={"kind": "annulus", "params": {"inner": 0.5, "outer": 1.0}},
-                laurent=[-8, 8]))
+                basis_order=16))
 
 
 def test_seed_mandatory_for_random_points():
@@ -231,6 +231,24 @@ DETERMINISM_CONFIGS = {
 }
 
 
+def test_annulus_basis_is_set_by_basis_order():
+    # the first basis_order + 1 Laurent exponents, in trimming order
+    for order, label in ((30, "laurent(-15..15)"), (40, "laurent(-20..20)"),
+                         (7, "laurent(-3..4)")):
+        rep = run(cfg(experiment="kernel", domain=ANNULUS_SPEC, basis_order=order, count=6))
+        assert rep.tables["kernel"]["basis"] == label
+        assert rep.tables["kernel"]["requested_order"] == order + 1
+
+
+def test_annulus_kind_in_any_spelling_gets_the_annulus_grid_rule(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"domain": {**ANNULUS_SPEC, "kind": "Annulus"},
+                                "grid": [16, 17]}))
+    assert cli_main(["pde-green", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: annulus grids need an even angular count" in err
+
+
 def test_determinism_byte_identical(tmp_path):
     for name, config in DETERMINISM_CONFIGS.items():
         a, b = tmp_path / name / "a", tmp_path / name / "b"
@@ -282,6 +300,19 @@ def test_pde_green_reference_with_constant_weight(tmp_path):
         values.append(rep.checks[0].value)
     assert values[0] < 1e-2
     assert values[1] == pytest.approx(values[0], rel=1e-12)
+
+
+def test_constant_log_harmonic_weight_is_a_constant_weight(tmp_path, capsys):
+    # rho = e^(2 * 0.5) = e on every node: reference solves for it, and
+    # factorization has nothing to check
+    config = {"experiment": "pde-green", "domain": SQUARE,
+              "weight": {"representation": "log_harmonic", "coefficients": [[0.5, 0]]}}
+    rep = run(ExperimentConfig.from_dict({**config, "pde_check": "reference"}), tmp_path)
+    assert rep.passed and rep.checks[0].value < 1e-3
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**config, "pde_check": "factorization", "grid": [32, 32]}))
+    assert cli_main(["pde-green", "--config", str(path), "--out", str(tmp_path / "f")]) == 2
+    assert "the factorization check needs a non-constant weight" in capsys.readouterr().err
 
 
 def test_pde_green_factorization(tmp_path):
@@ -538,8 +569,9 @@ def test_validate_rejects_unparsable_specs(change, message):
     ({"grid": [64]}, "grid must be two positive integers"),
     ({"grid": [0, 64]}, "grid must be two positive integers"),
     ({"exhaust_steps": 0}, "exhaust_steps must be >= 1"),
-    ({"laurent": [1, 8]}, "laurent must be two integers lo <= 0 <= hi"),
-    ({"laurent": [-8, 8.5]}, "laurent must be two integers lo <= 0 <= hi"),
+    # keys that once set the annulus basis and the sampling margin
+    ({"laurent": [-8, 8]}, "unknown config keys: ['laurent']"),
+    ({"margin": 0.7}, "unknown config keys: ['margin']"),
     ({"grid": [4, 4]}, "grid needs at least 8 nodes per axis"),
     ({"domain": ANNULUS_SPEC, "grid": [16, 15]}, "annulus grids need an even angular count"),
     ({"domain": ANNULUS_SPEC, "grid": [16, 8]}, "annulus grids need an even angular count"),
@@ -548,7 +580,7 @@ def test_validate_rejects_unparsable_specs(change, message):
     ({"experiment": "pde-green", "pde_check": "factorization", "domain": ANNULUS_SPEC,
       "grid": [64, 32]}, "solves on a square grid"),
     ({"experiment": "pde-green", "pde_check": "factorization", "grid": [12, 12]},
-     "grid[0] must be >= 16"),
+     "pde_check 'factorization' also solves at grid[0] // 2: grid needs at least 8 nodes per axis"),
     ({"experiment": "pde-green", "pde_check": "reference",
       "study": {"parameter": "grid_resolution", "values": [4, 16, 32, 64]}},
      "study value 4 of grid_resolution: grid needs at least 8 nodes per axis"),
@@ -561,13 +593,14 @@ def test_validate_rejects_unparsable_specs(change, message):
     ({"study": {"parameter": "fd_step", "values": [1e-3, "2e-3", 4e-3]}},
      "study values must be a list of numbers"),
     *UNPARSABLE_SPECS,
-    ({"experiment": "gauge-experiment", "perturbations": ["a"],
-      "weight": {"coefficients": [[2, 0], [1, 0]]}}, "perturbations must be a list of numbers"),
+    # the perturbation table's epsilons are fixed (harness.PERTURBATIONS)
+    ({"experiment": "gauge-experiment", "perturbations": [0.0, 0.1],
+      "weight": {"coefficients": [[2, 0], [1, 0]]}}, "unknown config keys: ['perturbations']"),
     ({"experiment": "gauge-experiment", "perturbations": ["a"]},
-     "perturbations must be a list of numbers"),
+     "unknown config keys: ['perturbations']"),
     ({"experiment": "gauge-experiment", "perturbations": 0.1,
       "weight": {"coefficients": [[2, 0], [1, 0]]}},
-     "perturbations must be a list of numbers"),
+     "unknown config keys: ['perturbations']"),
     ({"experiment": "pde-green", "pde_check": "nope"}, "unknown pde_check 'nope'"),
     ({"experiment": "pde-green", "pde_check": "factorization", "domain": SQUARE,
       "weight": {"coefficients": [[3, 0]]}}, "the factorization check needs a non-constant weight"),
@@ -580,8 +613,8 @@ def test_validate_rejects_unparsable_specs(change, message):
     ({"study": {"parameter": "basis_order", "values": [-1, 4, 8]}},
      "study values must be positive"),
     # a study re-runs its own experiment: verify-identity has no closed form
-    # on an annulus, builds no grid on the unit disk, and an annulus kernel
-    # takes its basis from laurent, not basis_order
+    # on an annulus and builds no grid on the unit disk, and green builds no
+    # kernel
     ({"experiment": "verify-identity", "domain": ANNULUS_SPEC,
       "weight": {"representation": "generic_c1", "name": "exp_abs_sq"},
       "study": {"parameter": "grid_resolution", "values": [64, 128, 192]}},
@@ -589,8 +622,8 @@ def test_validate_rejects_unparsable_specs(change, message):
     ({"experiment": "verify-identity",
       "study": {"parameter": "grid_resolution", "values": [32, 64, 128]}},
      "study parameter grid_resolution does not reach the check 'identity residual"),
-    ({"domain": ANNULUS_SPEC, "study": {"parameter": "basis_order", "values": [10, 20, 30]}},
-     "study parameter basis_order does not reach the check 'Hermitian symmetry"),
+    ({"experiment": "green", "study": {"parameter": "basis_order", "values": [10, 20, 30]}},
+     "study parameter basis_order does not reach the check 'symmetry"),
     ({"domain": ANNULUS_SPEC, "study": {"parameter": "grid_resolution", "values": [16, 17, 32]}},
      "study value 17 of grid_resolution: annulus grids need an even angular count"),
 ])

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from bergreen.pdegreen import (
     REFINEMENT_TOLERANCE,
     _assemble,
     _full_weight_grid,
+    _transform_solver,
     grid_pairs,
     mid_mask,
     reference_error,
@@ -446,6 +449,21 @@ def test_transform_solve_matches_sparse_lu(case, monkeypatch):
             1 <= stats["refinement_steps"] <= REFINEMENT_MAX_STEPS
         assert stats["backward_error"] == pytest.approx(backward_error(op, b, got), rel=1e-12)
         assert stats["backward_error"] <= REFINEMENT_TOLERANCE
+
+
+def test_transform_solver_is_freed_without_the_cycle_collector():
+    # a solver in a reference cycle would keep its DST matrix and elimination
+    # factors alive until the cyclic garbage collector runs
+    gc.disable()
+    try:
+        for grid in (GridSpec(SQUARE, (16, 16)), GridSpec(Annulus(0.5, 1.0), (8, 16))):
+            solver = _transform_solver(grid)
+            solver(np.ones(grid.shape[0] * grid.shape[1], dtype=complex))
+            ref = weakref.ref(solver)
+            del solver
+            assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_smooth_right_hand_side_stays_on_the_transform_path(monkeypatch):

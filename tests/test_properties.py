@@ -31,7 +31,13 @@ from bergreen import (  # noqa: E402
     moebius_transport,
 )
 from bergreen.cli import main as cli_main  # noqa: E402
-from bergreen.harness import EXPERIMENTS, PDE_CHECKS, STUDY_PARAMETERS  # noqa: E402
+from bergreen.errors import ConfigError  # noqa: E402
+from bergreen.harness import (  # noqa: E402
+    EXPERIMENTS,
+    PDE_CHECKS,
+    STUDY_PARAMETERS,
+    ExperimentConfig,
+)
 from bergreen.weights import HoloModulusSquaredWeight  # noqa: E402
 
 unit = st.floats(0.0, 1.0)
@@ -127,7 +133,7 @@ STUDY_WEIGHTS = [{"coefficients": [[1, 0]]}, {"coefficients": [[2, 0], [1, 0]]}]
        st.sampled_from(STUDY_WEIGHTS), st.sampled_from(PDE_CHECKS), studies())
 def test_study_configs_exit_0_1_or_2(experiment, domain, weight, pde_check, study):
     # small orders, grids and point counts keep each example cheap
-    config = {"seed": 1, "count": 3, "basis_order": 6, "quad_order": 8, "laurent": [-4, 4],
+    config = {"seed": 1, "count": 3, "basis_order": 8, "quad_order": 8,
               "grid": [16, 16], "exhaust_steps": 2, "domain": domain, "weight": weight,
               "pde_check": pde_check, "study": study}
     err = io.StringIO()
@@ -138,3 +144,42 @@ def test_study_configs_exit_0_1_or_2(experiment, domain, weight, pde_check, stud
             code = cli_main([experiment, "--config", str(path), "--out", str(Path(tmp) / "o")])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+DOMAIN_PARAMS = {
+    "unit_disk": {},
+    "disk": {"center": [0, 0], "radius": 1},
+    "moebius_disk": {"a": [0.3, 0.1], "theta": 0.5},
+    "annulus": {"inner": 0.5, "outer": 1.0},
+    "rectangle": {"x0": 0, "x1": 1, "y0": 0, "y1": 1},
+}
+
+
+@st.composite
+def spelled_kinds(draw):
+    """A canonical domain kind and a spelling of it that make_domain accepts:
+    any letter case, and '-' for '_'."""
+    kind = draw(st.sampled_from(sorted(DOMAIN_PARAMS)))
+    spelling = "".join(draw(st.sampled_from([c.lower(), c.upper()] + (["-"] if c == "_" else [])))
+                       for c in kind)
+    return kind, spelling
+
+
+def _validation_error(config):
+    try:
+        ExperimentConfig.from_dict(config)
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+@given(spelled_kinds(), st.sampled_from(EXPERIMENTS), st.sampled_from(PDE_CHECKS),
+       st.sampled_from([(4, 16), (16, 8), (16, 15), (16, 16), (16, 17), (12, 12), (32, 32)]))
+def test_every_spelling_of_a_domain_kind_validates_like_the_kind(kinds, experiment, pde_check,
+                                                                 grid):
+    kind, spelling = kinds
+    config = {"experiment": experiment, "seed": 1, "pde_check": pde_check, "grid": list(grid)}
+    canonical = _validation_error({**config, "domain": {"kind": kind, "params": DOMAIN_PARAMS[kind]}})
+    spelled = _validation_error({**config,
+                                 "domain": {"kind": spelling, "params": DOMAIN_PARAMS[kind]}})
+    assert spelled == canonical

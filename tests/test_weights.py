@@ -61,6 +61,18 @@ def test_check_log_harmonic_skips_boundary_nodes():
     assert res.nodes_checked + res.nodes_skipped == len(rule.nodes)
 
 
+def test_is_constant():
+    assert unit_weight(DISK).is_constant and HoloModulusSquaredWeight([2j], DISK).is_constant
+    assert LogHarmonicWeight([0.5], DISK).is_constant
+    # trailing zero coefficients add no term
+    assert HoloModulusSquaredWeight([2, 0], DISK).is_constant
+    assert LogHarmonicWeight([0.5, 0, 0], DISK).is_constant
+    assert not HoloModulusSquaredWeight([2, 1], DISK).is_constant
+    assert not LogHarmonicWeight([0.5, 0.1j], DISK).is_constant
+    # only the closed forms can tell; a generic weight is never constant
+    assert not GenericC1Weight(lambda z: np.ones(np.shape(z)), DISK).is_constant
+
+
 def test_solve_gauge_constant():
     g = solve_gauge(unit_weight(DISK))
     assert np.array_equal(g.conj_coefficients, np.array([1.0 + 0j]))
