@@ -289,6 +289,16 @@ def test_pde_green_reference_and_identity(tmp_path):
         assert solver["backward_error"] <= REFINEMENT_TOLERANCE
 
 
+def test_reference_study_solves_take_one_correction():
+    # pinned, so that a change to the transform preconditioner cannot trade
+    # speed for refinement steps (the identity square is pinned in
+    # test_pdegreen)
+    single = {k: v for k, v in _GRID_REFERENCE.items() if k != "study"}
+    for n in _GRID_REFERENCE["study"]["values"]:
+        solver = run(ExperimentConfig.from_dict({**single, "grid": [n, n]})).tables["solver"]
+        assert solver["method"] == "transform" and solver["refinement_steps"] == 1, n
+
+
 def test_pde_green_reference_with_constant_weight(tmp_path):
     values = []
     for c in (1, 2):  # rho = 1 and rho = 4
