@@ -140,26 +140,58 @@ class LaurentBasis:
 def gram_matrix(basis, weight: Weight, rule: QuadratureRule) -> np.ndarray:
     """Hermitian Gram matrix of the basis in the rho-weighted inner product.
 
-    Entry (m, n) is the integral of e_m conj(e_n) rho over the domain.  The
-    nodes are split into blocks of ``_GRAM_BLOCK``; BLAS sums inside each
-    block (one matrix product), and the block sums are added in fixed node
-    order.  The result is deterministic and identical under 1 and 2 BLAS
-    threads.  It is not correctly rounded: it agrees with the fsum-reduced
-    sum to about 1e-15 relative.  The strict lower triangle is the conjugate
-    mirror of the upper one and the diagonal is real, so the result is
-    exactly Hermitian.
+    Entry (m, n) is the quadrature sum of e_m conj(e_n) rho over the rule's
+    nodes.  Both paths are deterministic and identical under 1 and 2 BLAS
+    threads; neither is correctly rounded, and both agree with the
+    fsum-reduced sum to about 1e-15 relative.
+
+    On a polar rule (``rule.polar``: nodes c + t_a e^{i theta_b} with
+    theta_b = 2 pi b / M, radial weights W_a) the basis is centered at the
+    rule's pole c, since the basis and the rule take the same domain's
+    center, so e_m = (z - c)^{p_m} for exponents p.  Then
+
+        G_mn = sum_a W_a t_a^(p_m + p_n) rho_hat_a(p_m - p_n),
+        rho_hat_a(k) = sum_b rho(c + t_a e^{i theta_b}) e^{i k theta_b},
+
+    with k taken mod M: the same discrete sum, regrouped, so aliasing of
+    |p_m - p_n| >= M adds no approximation.  rho_hat comes from one real FFT
+    per radius and the radial sums from one (exponent sums x radii) by
+    (radii x frequencies) matrix product; the basis is never evaluated at
+    the nodes.
+
+    On a Cartesian rule (rectangles) the basis is evaluated at the nodes,
+    which are split into blocks of ``_GRAM_BLOCK``; BLAS sums inside each
+    block (one matrix product) and the block sums are added in node order.
+
+    On both paths the strict lower triangle is the conjugate mirror of the
+    upper one and the diagonal is real, so the result is exactly Hermitian.
     """
     if rule.domain != basis.domain:
         raise ParameterError("quadrature rule and basis live on different domains")
     if weight.domain != basis.domain:
         raise ParameterError("weight and basis live on different domains")
-    B = basis.evaluate(rule.nodes)
-    wr = rule.weights * np.real(np.asarray(weight.value(rule.nodes), dtype=complex))
+    rho = np.real(np.asarray(weight.value(rule.nodes), dtype=complex))
     n = basis.size
-    G = np.zeros((n, n), dtype=complex)
-    for start in range(0, len(wr), _GRAM_BLOCK):
-        blk = slice(start, start + _GRAM_BLOCK)
-        G += (wr[blk, None] * B[blk]).T @ np.conj(B[blk])
+    if rule.polar is not None:
+        t, w_radial, m = rule.polar
+        # rfft gives sum_b rho e^{-i k theta_b}, k = 0..m/2: rho_hat(k) is its
+        # conjugate there and, rho being real, its value at m - k above m/2
+        spectrum = np.fft.rfft(rho.reshape(len(t), m), axis=1)
+        p = np.array(basis.exponents)
+        lo = 2 * p.min()
+        powers = np.arange(lo, 2 * p.max() + 1)
+        H = (w_radial * t ** powers[:, None]) @ spectrum
+        k = (p[:, None] - p[None, :]) % m
+        low = k <= m // 2
+        G = H[p[:, None] + p[None, :] - lo, np.where(low, k, m - k)]
+        G = np.where(low, np.conj(G), G)
+    else:
+        B = basis.evaluate(rule.nodes)
+        wr = rule.weights * rho
+        G = np.zeros((n, n), dtype=complex)
+        for start in range(0, len(wr), _GRAM_BLOCK):
+            blk = slice(start, start + _GRAM_BLOCK)
+            G += (wr[blk, None] * B[blk]).T @ np.conj(B[blk])
     lower = np.tril_indices(n, -1)
     G[lower] = np.conj(G.T[lower])
     G[np.diag_indices(n)] = G.diagonal().real

@@ -369,12 +369,19 @@ class QuadratureRule:
     the positive area weights.  Both arrays follow a fixed index order
     (radial-major for polar rules, x-major for Cartesian rules) so every
     reduction over them is reproducible.
+
+    ``polar`` holds the radial factors of a polar rule about the domain's
+    center c: ``(t, w, m)`` with radii ``t`` (shape ``(n_r,)``), per-radius
+    weights ``w`` and angle count ``m``, so that node ``a * m + b`` is
+    ``c + t[a] e^{2 pi i b / m}`` with weight ``w[a]``.  It is ``None`` for a
+    Cartesian rule.
     """
 
     domain: Domain
     order: int
     nodes: np.ndarray
     weights: np.ndarray
+    polar: tuple | None = None
 
     def __len__(self):
         return len(self.nodes)
@@ -382,17 +389,20 @@ class QuadratureRule:
 
 def _polar_rule(center: complex, r0: float, r1: float, order: int):
     # Gauss-Legendre in radius on [r0, r1] with the r dr factor folded into the
-    # weights, uniform (trapezoidal) grid of 4*order angles.  Exact for
-    # z^m conj(z)^n whenever m + n <= 2*order - 2 and |m - n| < 4*order.
+    # weights, uniform (trapezoidal) grid of m = 4*order angles.  With
+    # zeta = z - center, exact for zeta^j conj(zeta)^k whenever
+    # j + k <= 2*order - 2 and |j - k| < m; for |j - k| >= m the angular sum
+    # aliases to frequency (j - k) mod m.  Returns the nodes, their weights
+    # and the radial factors (radii, per-radius weights, m).
     x, wx = leggauss(order)
     t = 0.5 * (x + 1.0) * (r1 - r0) + r0
     wt = wx * 0.5 * (r1 - r0)
     m = 4 * order
     ang = 2.0 * np.pi * np.arange(m) / m
-    w_ang = 2.0 * np.pi / m
+    w_radial = wt * t * (2.0 * np.pi / m)
     nodes = (center + t[:, None] * np.exp(1j * ang)[None, :]).ravel()
-    weights = ((wt * t)[:, None] * np.full(m, w_ang)[None, :]).ravel()
-    return nodes, weights
+    weights = np.repeat(w_radial, m)
+    return nodes, weights, (t, w_radial, m)
 
 
 def build_quadrature(domain: Domain, order: int) -> QuadratureRule:
@@ -405,10 +415,11 @@ def build_quadrature(domain: Domain, order: int) -> QuadratureRule:
     """
     if order < 1:
         raise ParameterError("quadrature order must be >= 1")
+    polar = None
     if isinstance(domain, Disk):
-        nodes, weights = _polar_rule(domain.center, 0.0, domain.radius, order)
+        nodes, weights, polar = _polar_rule(domain.center, 0.0, domain.radius, order)
     elif isinstance(domain, Annulus):
-        nodes, weights = _polar_rule(0j, domain.inner, domain.outer, order)
+        nodes, weights, polar = _polar_rule(0j, domain.inner, domain.outer, order)
     elif isinstance(domain, Rectangle):
         x, wx = leggauss(order)
         y, wy = leggauss(order)
@@ -420,7 +431,7 @@ def build_quadrature(domain: Domain, order: int) -> QuadratureRule:
         weights = (wxs[:, None] * wys[None, :]).ravel()
     else:
         raise UnsupportedDomainError(f"no quadrature for domain kind {domain.kind}")
-    return QuadratureRule(domain=domain, order=order, nodes=nodes, weights=weights)
+    return QuadratureRule(domain=domain, order=order, nodes=nodes, weights=weights, polar=polar)
 
 
 def integrate(rule: QuadratureRule, f) -> complex:

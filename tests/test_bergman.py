@@ -94,12 +94,22 @@ def fsum_gram(basis, weight, rule):
 
 MOEBIUS = MoebiusDisk(0.3 + 0.1j, 0.5)
 ANNULUS = Annulus(0.5, 1.0)
-# (basis, weight, quadrature order): 6400, 900 and 1600 nodes, so the last two
-# end on a partial block of 256 nodes
+THIN_INNER = Annulus(0.1, 1.0)
+RECTANGLE = Rectangle(-1.0, 1.0, -0.5, 0.5)
+# (basis, weight, quadrature order).  The polar rules of the disk family and
+# the annulus take the angular-transform path; the rectangle's 900 nodes take
+# the blocked product and end on a partial block of 256 nodes.
+# "disk_aliased" has |p_m - p_n| up to 30 >= 24 angles, and "annulus_laurent"
+# has radial powers t^-40 .. t^40 on a thin inner circle; their weights are
+# not symmetric under z -> conj(z), so their Gram matrices are not real.
 GRAM_CASES = {
     "disk": (MonomialBasis(DISK, 30), HoloModulusSquaredWeight([2, 1], DISK), 40),
     "moebius": (MonomialBasis(MOEBIUS, 12), HoloModulusSquaredWeight([2, 1], MOEBIUS), 15),
     "annulus": (LaurentBasis(ANNULUS, -8, 8), unit_weight(ANNULUS), 20),
+    "rectangle": (MonomialBasis(RECTANGLE, 12), HoloModulusSquaredWeight([2, 1], RECTANGLE), 30),
+    "disk_aliased": (MonomialBasis(DISK, 30), HoloModulusSquaredWeight([2, 1j], DISK), 6),
+    "annulus_laurent": (LaurentBasis(THIN_INNER, -20, 20),
+                        HoloModulusSquaredWeight([2, 1j], THIN_INNER), 12),
 }
 
 
@@ -114,6 +124,28 @@ def test_gram_matches_fsum_and_is_hermitian(case):
     assert not np.any(G.diagonal().imag)
 
 
+@pytest.mark.parametrize("case", ["disk", "moebius", "annulus", "rectangle"])
+def test_only_the_cartesian_gram_evaluates_the_basis_at_the_nodes(case, monkeypatch):
+    # a polar rule that lost its radial factors would take the product path
+    basis, weight, quad = GRAM_CASES[case]
+    rule = build_quadrature(basis.domain, quad)
+    G = gram_matrix(basis, weight, rule)
+    evaluate = type(basis).evaluate
+
+    def guarded(self, zs):
+        if np.size(zs) == len(rule):
+            raise AssertionError("basis evaluated at the quadrature nodes")
+        return evaluate(self, zs)
+
+    monkeypatch.setattr(type(basis), "evaluate", guarded)
+    if case == "rectangle":
+        with pytest.raises(AssertionError, match="quadrature nodes"):
+            gram_matrix(basis, weight, rule)
+    else:
+        assert rule.polar is not None
+        assert np.array_equal(gram_matrix(basis, weight, rule), G)
+
+
 def test_truncation_tail_estimate_only_for_the_centered_disk_series():
     # a Moebius disk is a Disk, but its kernel is not the centered-disk series
     def tail(basis):
@@ -126,17 +158,20 @@ def test_truncation_tail_estimate_only_for_the_centered_disk_series():
     assert tail(LaurentBasis(ANNULUS, -4, 4)) is None
 
 
-# the Gram matrix and the kernel at 3200 node pairs (one product of 3200
-# basis rows with the inverse factor per argument)
+# the disk Gram matrix, the kernel at 3200 node pairs (one product of 3200
+# basis rows with the inverse factor per argument) and a Laurent Gram matrix
+# on a thin-inner annulus
 GRAM_DIGEST = """
 import hashlib
-from bergreen import UnitDisk, MonomialBasis, build_quadrature, gram_matrix, kernel_from_gram
+from bergreen import (Annulus, LaurentBasis, UnitDisk, MonomialBasis, build_quadrature,
+                      gram_matrix, kernel_from_gram)
 from bergreen.weights import HoloModulusSquaredWeight
-d = UnitDisk()
+d, a = UnitDisk(), Annulus(0.1, 1.0)
 basis, weight, rule = MonomialBasis(d, 30), HoloModulusSquaredWeight([2, 1], d), build_quadrature(d, 40)
 G = gram_matrix(basis, weight, rule)
 K = kernel_from_gram(basis, weight, rule).evaluate(rule.nodes[::2], rule.nodes[1::2])
-print(hashlib.sha256(G.tobytes() + K.tobytes()).hexdigest())
+GA = gram_matrix(LaurentBasis(a, -20, 20), HoloModulusSquaredWeight([2, 1j], a), build_quadrature(a, 12))
+print(hashlib.sha256(G.tobytes() + K.tobytes() + GA.tobytes()).hexdigest())
 """
 
 
@@ -153,7 +188,9 @@ def test_gram_identical_under_one_and_two_blas_threads():
     rule = build_quadrature(DISK, quad)
     here = gram_matrix(basis, weight, rule)
     k = kernel_from_gram(basis, weight, rule).evaluate(rule.nodes[::2], rule.nodes[1::2])
-    digests.add(hashlib.sha256(here.tobytes() + k.tobytes()).hexdigest())
+    basis, weight, quad = GRAM_CASES["annulus_laurent"]
+    ga = gram_matrix(basis, weight, build_quadrature(THIN_INNER, quad))
+    digests.add(hashlib.sha256(here.tobytes() + k.tobytes() + ga.tobytes()).hexdigest())
     assert len(digests) == 1
 
 

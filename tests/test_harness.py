@@ -444,13 +444,21 @@ def test_convergence_study_validation():
 
 
 def test_study_of_a_check_that_holds_by_construction_fails(tmp_path, capsys):
-    # distance symmetry reads 0, 1.1e-16 and 0 over quad_order: two values
-    # give no row, and one row fits no order
+    # distance symmetry reads exactly 0 at every quad_order: the parameter
+    # does not reach the check, which is a configuration error
     data = {"seed": 1, "study": {"parameter": "quad_order", "values": [10, 20, 30]}}
-    assert _cli_exit(tmp_path, "distance", data) == 1
+    assert _cli_exit(tmp_path, "distance", data) == 2
+    assert ("study parameter quad_order does not reach the check 'distance symmetry"
+            in capsys.readouterr().err)
+    # these fd_step values take every stencil off the disk, so no value
+    # evaluates anything and no row is left to fit
+    pairs = [[[0.5, 0.1], [-0.2, 0.3]], [[0.1, -0.4], [0.3, 0.2]]]
+    data = {"seed": 1, "pairs": pairs,
+            "study": {"parameter": "fd_step", "values": [0.6, 0.7, 0.8]}}
+    assert _cli_exit(tmp_path, "verify-identity", data) == 1
     err = capsys.readouterr().err
-    assert "only 1 study rows succeeded" in err
-    assert "study value 10 skipped: error 0.0 is not positive and finite" in err
+    assert "only 0 study rows succeeded" in err
+    assert "study value 0.6 skipped: error None is not positive and finite" in err
 
 
 def test_study_notes_every_skipped_value(tmp_path, monkeypatch):
