@@ -184,13 +184,6 @@ def _full_weight_grid(grid: GridSpec, weight: Weight) -> np.ndarray:
     return rho
 
 
-def _shifted(d: int, n: int, periodic: bool) -> list:
-    """(target, source) slices taking entry k + d of an axis to entry k; a periodic axis wraps."""
-    main = (slice(max(-d, 0), n - max(d, 0)), slice(max(d, 0), n - max(-d, 0)))
-    wrap = (slice(n - 1, n), slice(0, 1)) if d > 0 else (slice(0, 1), slice(n - 1, n))
-    return [main, wrap] if periodic and d else [main]
-
-
 #: The refinement of :meth:`DiscreteOperator.solve` stops at the first
 #: correction whose normwise backward error is at most REFINEMENT_TOLERANCE in
 #: every column, and gives up after REFINEMENT_MAX_STEPS corrections.
@@ -230,17 +223,56 @@ class DiscreteOperator:
         return "sparse_lu" if self.gauge is None else "transform"
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """The operator times x of shape (size,) or (size, m), one slice of x
-        per offset and per wrap of the periodic angle; off the grid is zero."""
+        """The operator times x of shape (size,) or (size, m), by
+        :meth:`_row_operator` on the columns of x as rows."""
+        rows = np.ascontiguousarray(np.reshape(x, (self.size, -1)).T)
+        return self._row_operator()(rows).T.reshape(np.shape(x))
+
+    def _row_operator(self):
+        """The function that applies the operator to each row of an (m, size)
+        block, one right-hand side per row, by one contiguous slice of the row
+        per stencil term; off the grid is zero.
+
+        A term with d2 = 0 shifts whole grid rows of the row's (n1, n2) view
+        and multiplies by the stored coefficients, which broadcast, so a
+        constant weight's (n1, 1) columns are never expanded.  A term with
+        d2 != 0 shifts the flat row by d1 n2 + d2, with its coefficients
+        zeroed in the column whose neighbour j + d2 lies off the grid; on
+        annuli one more term takes that column to its wrapped neighbour.
+        """
         n1, n2 = self.grid.shape
-        nodes = np.reshape(x, (n1, n2, -1))
-        out = np.zeros(nodes.shape, dtype=np.result_type(self.dtype, nodes.dtype))
+        dtype = self.dtype
+
+        def shift(d, n):  # (target, source) slices taking entry k + d of n to entry k
+            return slice(max(-d, 0), n - max(d, 0)), slice(max(d, 0), n - max(-d, 0))
+
+        terms = []  # (on the (n1, n2) view?, target, source, coefficients), by offset
         for (d1, d2), coeff in self.stencil.items():
-            coeff = np.broadcast_to(coeff, (n1, n2))[:, :, None]
-            (r_out, r_in), = _shifted(d1, n1, False)
-            for c_out, c_in in _shifted(d2, n2, self.grid.is_polar):
-                out[r_out, c_out] += coeff[r_out, c_out] * nodes[r_in, c_in]
-        return out.reshape(np.shape(x))
+            r_out, r_in = shift(d1, n1)
+            if d2 == 0:
+                terms.append((True, r_out, r_in, coeff[r_out]))
+                continue
+            edge = n2 - 1 if d2 > 0 else 0
+            coeff = np.array(np.broadcast_to(coeff, (n1, n2)))
+            wrap = coeff[r_out, edge].copy()
+            coeff[:, edge] = 0
+            f_out, f_in = shift(d1 * n2 + d2, n1 * n2)
+            terms.append((False, f_out, f_in, coeff.ravel()[f_out]))
+            if self.grid.is_polar:
+                terms.append((True, (r_out, edge), (r_in, n2 - 1 - edge), wrap))
+
+        def apply_rows(rows):
+            out = np.zeros(rows.shape, dtype=np.result_type(dtype, rows.dtype))
+            for x, y in zip(rows, out):
+                grid_x, grid_y = x.reshape(n1, n2), y.reshape(n1, n2)
+                for on_grid, target, source, coeff in terms:
+                    if on_grid:
+                        grid_y[target] += coeff * grid_x[source]
+                    else:
+                        y[target] += coeff * x[source]
+            return out
+
+        return apply_rows
 
     @cached_property
     def matrix(self):
@@ -266,6 +298,12 @@ class DiscreteOperator:
         """Solve for one right-hand side or a block of columns.  Nothing is
         kept between calls, so batch all columns into one call.
 
+        Inside, the block is held as (m, size), one right-hand side per
+        contiguous row, so that every stencil term and transform runs over
+        long slices.  The columns are copied into that layout once, which
+        costs nothing when ``rhs`` is the transpose of a C-ordered block, and
+        the result is returned as a transposed view.
+
         For a weight with a gauge (``method == "transform"``) it is iterative
         refinement preconditioned by M b = conj(mu) T_1(mu b), T_1 the rho = 1
         transform solver (the gauge identity of the module docstring): x = M b,
@@ -290,28 +328,32 @@ class DiscreteOperator:
         + ||D^-1 b||) in the max norm with D = |diag A|.  Its norms are maxima,
         so it is deterministic and independent of the BLAS thread count.
         """
-        backward_error = self._backward_error(rhs)
-        refined = None if self.gauge is None else self._refinement(rhs, backward_error)
+        rows = np.ascontiguousarray(np.reshape(rhs, (self.size, -1)).T)
+        apply_rows = self._row_operator()
+        backward_error = self._backward_error(rows)
+        refined = None if self.gauge is None else self._refinement(rows, apply_rows, backward_error)
         if refined is None:
-            x = self._lu_solve(rhs)
-            refined = x, 0, backward_error(rhs - self.apply(x), x)
+            x = self._lu_solve(rows)
+            refined = x, 0, backward_error(rows - apply_rows(x), x)
         x, steps, eta = refined
         if stats is not None:  # the refinement makes at least one correction, the LU none
             stats.update(method="transform" if steps else "sparse_lu", unknowns=self.size,
                          refinement_steps=steps, backward_error=eta)
-        return x
+        return x.T.reshape(np.shape(rhs))
 
-    def _refinement(self, rhs: np.ndarray, backward_error):
-        """(x, corrections, backward error) of the refinement of :meth:`solve`,
-        or None if it does not converge.  Corrections are made in place."""
-        mu = np.reshape(self.gauge, (-1,) + (1,) * (np.ndim(rhs) - 1))
+    def _refinement(self, rows: np.ndarray, apply_rows, backward_error):
+        """(x, corrections, backward error) of the refinement of :meth:`solve`
+        on an (m, size) block of rows, or None if it does not converge.
+        Corrections are made in place."""
+        mu = self.gauge  # a scalar or one value per node, alike for every row
         mu_bar = np.conj(mu)
         unweighted = _transform_solver(self.grid)
-        x = unweighted(mu * rhs)
+        x = unweighted(mu * rows)
         x *= mu_bar
         previous = math.inf
         for steps in range(REFINEMENT_MAX_STEPS + 1):
-            r = rhs - self.apply(x)
+            r = apply_rows(x)
+            np.subtract(rows, r, out=r)
             eta = backward_error(r, x)
             if steps and eta <= REFINEMENT_TOLERANCE:
                 return x, steps, eta
@@ -324,28 +366,29 @@ class DiscreteOperator:
             x += dx
             del r, dx  # held into the next residual, they would add a block to the peak
 
-    def _backward_error(self, rhs: np.ndarray):
+    def _backward_error(self, rows: np.ndarray):
         """The function (r, x) -> largest normwise backward error over the
-        columns of x, given r = rhs - A x.  D = |diag A| scales the rows, and
-        ||D^-1 A|| is the largest absolute row sum of the scaled stencil."""
+        rows of x, given r = rows - A x.  D = |diag A| scales each row's
+        grid, and ||D^-1 A|| is the largest absolute row sum of the scaled
+        stencil."""
         n1, n2 = self.grid.shape
-        inverse = 1.0 / np.abs(self.stencil[(0, 0)])[:, :, None]
-        a_norm = np.max(sum(np.abs(c) for c in self.stencil.values())[:, :, None] * inverse)
+        inverse = 1.0 / np.abs(self.stencil[(0, 0)])
+        a_norm = np.max(sum(np.abs(c) for c in self.stencil.values()) * inverse)
 
-        def column_max(v, scale=None):
-            a = np.abs(np.reshape(v, (n1, n2, -1)))
+        def row_max(v, scale=None):
+            a = np.abs(v).reshape(len(v), n1, n2)
             if scale is not None:
                 a *= scale
-            return a.max(axis=0).max(axis=0)  # several times faster than axis=(0, 1)
+            return a.reshape(len(v), -1).max(axis=1)
 
         def backward_error(r, x):
-            scale = a_norm * column_max(x) + b_norm
-            return float(np.max(column_max(r, inverse) / np.where(scale > 0, scale, 1.0)))
+            scale = a_norm * row_max(x) + b_norm
+            return float(np.max(row_max(r, inverse) / np.where(scale > 0, scale, 1.0)))
 
-        b_norm = column_max(rhs, inverse)
+        b_norm = row_max(rows, inverse)
         return backward_error
 
-    def _lu_solve(self, rhs: np.ndarray) -> np.ndarray:
+    def _lu_solve(self, rows: np.ndarray) -> np.ndarray:
         import scipy.sparse.linalg as spla
         try:
             lu = spla.splu(self.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
@@ -353,7 +396,7 @@ class DiscreteOperator:
             raise SolverError(
                 f"sparse factorization failed on {self.size} unknowns: {exc}"
             ) from exc
-        return lu.solve(rhs)
+        return lu.solve(rows.T).T
 
 
 def _sine_table(n: int) -> np.ndarray:
@@ -365,23 +408,24 @@ def _sine_table(n: int) -> np.ndarray:
 
 
 def _transform_solver(grid: GridSpec):
-    """Direct solver T_1(b) of the rho = 1 operator, for b of shape (size,)
-    or (size, m).
+    """Direct solver T_1 of the rho = 1 operator for an (m, size) block, one
+    right-hand side per row.
 
     The operator is 1/4 [ (1/r) d1(r d1) + (1/r^2) d2^2 ], discretized
     with the metric of :func:`_assemble` (r = 1 on rectangles).  The
-    transforms run on real arrays, so a complex b is solved as a real block
-    of its real and imaginary parts.
+    transforms run on real arrays, so complex rows are solved as one real
+    block of their real rows, then their imaginary rows.
     """
-    n1, n2 = grid.shape
     solve_real = _annulus_solver(grid) if grid.is_polar else _rectangle_solver(grid)
 
     # apply does not call itself: that closure would be a cycle, freed only by gc
-    def apply(b):
-        if np.iscomplexobj(b):  # each column's real and imaginary parts side by side
-            parts = np.ascontiguousarray(np.reshape(b, (n1 * n2, -1)), dtype=complex)
-            return solve_real(parts.view(float)).view(complex).reshape(np.shape(b))
-        return solve_real(b)
+    def apply(rows):
+        if np.iscomplexobj(rows):
+            parts = solve_real(np.concatenate([rows.real, rows.imag]))
+            x = np.empty(rows.shape, dtype=complex)
+            x.real, x.imag = parts[:len(rows)], parts[len(rows):]
+            return x
+        return solve_real(rows)
 
     return apply
 
@@ -389,17 +433,13 @@ def _transform_solver(grid: GridSpec):
 def _rectangle_solver(grid: GridSpec):
     """T_1 on a rectangle, where the DST-I on both axes diagonalizes the
     five-point Laplacian:  T_1 b = S1 [ (S1 B S2) / Lambda ] S2,  B the
-    (n1, n2) array of b, Lambda_ij = (lam1_i + lam2_j) / 4 and lam the
+    (n1, n2) grid of a row b, Lambda_ij = (lam1_i + lam2_j) / 4 and lam the
     Dirichlet second-difference eigenvalues.  A square grid shares one sine
     table between the axes.
 
-    Each transform is one matrix product over the block of m columns.  The
-    first writes its result as (n2, m, n1), so that axis 2 leads for the next
-    two, and the last transposes back; BLAS reads the transposed operands in
-    place.  For m > 1 the first runs as n2 products of (m, n1) blocks: as
-    one product, BLAS packs the whole block in each of its threads, which
-    raised the peak memory of the identity check's 128^2 square by about
-    1 MB with two OpenBLAS threads.
+    Each transform is one matrix product over the block: the S2 products
+    take all rows as one (m n1, n2) array, the S1 products one (n1, n2)
+    grid per row.
     """
     n1, n2 = grid.shape
     h1, h2 = grid.spacing
@@ -407,19 +447,15 @@ def _rectangle_solver(grid: GridSpec):
     s2 = s1 if n2 == n1 else _sine_table(n2)
     lam1, lam2 = (-(2.0 * np.sin(np.pi * np.arange(1, n + 1) / (2 * (n + 1))) / h) ** 2
                   for n, h in ((n1, h1), (n2, h2)))
-    inverse = 4.0 / (lam2[:, None, None] + lam1)
+    inverse = 4.0 / (lam1[:, None] + lam2)
 
-    def solve_real(b):
-        cols = np.reshape(b, (n1, n2, -1))
-        if cols.shape[2] == 1:
-            y = cols[:, :, 0].T @ s1
-        else:
-            y = np.matmul(cols.transpose(1, 2, 0), s1).reshape(-1, n1)
-        z = s2 @ y.reshape(n2, -1)
-        modes = z.reshape(n2, -1, n1)
+    def solve_real(rows):
+        flat = np.reshape(rows, (-1, n2))
+        y = flat @ s2
+        modes = np.matmul(s1, y.reshape(-1, n1, n2))
         modes *= inverse
-        np.matmul(s2, z, out=y.reshape(n2, -1))
-        return np.matmul(s1, y.T, out=z.reshape(n1, -1)).reshape(np.shape(b))
+        np.matmul(modes.reshape(-1, n2), s2, out=y)
+        return np.matmul(s1, y.reshape(-1, n1, n2), out=modes).reshape(np.shape(rows))
 
     return solve_real
 
@@ -430,7 +466,7 @@ def _annulus_solver(grid: GridSpec):
     r varies, so each mode k is then one tridiagonal system along axis 1,
     with diagonal  -(r+ + r-)/(r h1^2) + lam_k/r^2  and off-diagonals
     r+-/(r h1^2), all times 1/4, solved by a Thomas sweep over all modes and
-    columns at once."""
+    rows at once."""
     n1, n2 = grid.shape
     h1, h2 = grid.spacing
     r = grid.axes[0][1:-1]
@@ -442,21 +478,21 @@ def _annulus_solver(grid: GridSpec):
 
     # elimination factors, shared by every right-hand side: pivot[i] is the
     # reciprocal pivot of row i and sup[i] its eliminated super-diagonal
-    pivot = np.empty(diag.shape + (1,))
-    sup = np.empty(diag.shape + (1,))
+    pivot = np.empty(diag.shape)
+    sup = np.empty(diag.shape)
     prev = np.zeros(len(lam))
     for i in range(n1):
-        pivot[i, :, 0] = 1.0 / (diag[i] - lower[i] * prev)
-        prev = sup[i, :, 0] = upper[i] * pivot[i, :, 0]
+        pivot[i] = 1.0 / (diag[i] - lower[i] * prev)
+        prev = sup[i] = upper[i] * pivot[i]
 
-    def solve_real(b):
-        y = np.fft.rfft(np.reshape(b, (n1, n2, -1)), axis=1)
-        y[0] *= pivot[0]
+    def solve_real(rows):
+        y = np.fft.rfft(np.reshape(rows, (-1, n1, n2)), axis=2)
+        y[:, 0] *= pivot[0]
         for i in range(1, n1):
-            y[i] = (y[i] - lower[i] * y[i - 1]) * pivot[i]
+            y[:, i] = (y[:, i] - lower[i] * y[:, i - 1]) * pivot[i]
         for i in range(n1 - 2, -1, -1):
-            y[i] -= sup[i] * y[i + 1]
-        return np.fft.irfft(y, n=n2, axis=1).reshape(np.shape(b))
+            y[:, i] -= sup[i] * y[:, i + 1]
+        return np.fft.irfft(y, n=n2, axis=2).reshape(np.shape(rows))
 
     return solve_real
 
@@ -618,9 +654,11 @@ def solve_mixed(op: DiscreteOperator, pairs, stats: dict | None = None) -> np.nd
               = kappa sum_o e_o conj(y[w+o]),   A y = D^-1 sum_a conj(c_a) e_(z+a).
 
     This is Green's reciprocity G_h(z, w) = conj(G_h(w, z)) on the grid.
-    All columns go to one ``op.solve`` call, which fills ``stats`` as in
-    :meth:`DiscreteOperator.solve`; a real matrix solves the real and
-    imaginary parts of the block as columns of one real block.
+    The right-hand sides are built as the rows of one block, whose
+    transpose goes to one ``op.solve`` call without a copy; it fills
+    ``stats`` as in :meth:`DiscreteOperator.solve`.  For a real matrix the
+    block is real: the real parts of the right-hand sides, then their
+    imaginary parts.
     """
     grid = op.grid
     n2 = grid.shape[1]
@@ -630,14 +668,17 @@ def solve_mixed(op: DiscreteOperator, pairs, stats: dict | None = None) -> np.nd
 
     radii = grid.axes[0][1:-1] if grid.is_polar else np.ones(grid.shape[0])
     m = len(stencils)
-    rhs = np.zeros((op.size, m), dtype=complex)
+    real = not np.issubdtype(op.dtype, np.complexfloating)
+    rows = np.zeros((2 * m if real else m, op.size), dtype=op.dtype)
     for k, (dz, _) in enumerate(stencils):
         for node, c in dz:
-            rhs[node, k] = np.conj(c) / radii[node // n2]
-    if np.issubdtype(op.dtype, np.complexfloating):
-        y = op.solve(rhs, stats)
-    else:
-        y = op.solve(np.hstack([rhs.real, rhs.imag]), stats)
+            b = np.conj(c) / radii[node // n2]
+            if real:
+                rows[k, node], rows[m + k, node] = b.real, b.imag
+            else:
+                rows[k, node] = b
+    y = op.solve(rows.T, stats)
+    if real:
         y = y[:, :m] + 1j * y[:, m:]
     kappa = -(math.pi / 2.0) / (h1 * h2)
     return np.array([kappa * np.conj(sum(c * y[node, k] for node, c in dw))

@@ -738,6 +738,10 @@ _GRID_IDENTITY_SQUARE = {"experiment": "pde-green", "pde_check": "identity", "se
                          "basis_order": 20, "quad_order": 24,
                          "weight": {"coefficients": [[2, 0], [1, 0]]}}
 
+_GRID_IDENTITY_ANNULUS = {"experiment": "pde-green", "pde_check": "identity", "seed": 1,
+                          "domain": {"kind": "annulus", "params": {"inner": 0.5, "outer": 1.0}},
+                          "grid": [128, 256], "quad_order": 24}
+
 # The transform-preconditioned grid solve, for a constant weight or one with a
 # gauge, works without scipy; only a sparse LU factorization (here of the
 # generic weight exp(|z|^2), which has no gauge) loads it.
@@ -790,4 +794,11 @@ def test_grid_identity_square_outputs_identical_under_one_and_two_blas_threads(t
     # rho = |z+2|^2 takes the gauge-preconditioned transform solve; with a
     # sparse LU its residuals moved by up to 7e-12 between the two
     digests = _digests_at_one_and_two_blas_threads(_GRID_IDENTITY_SQUARE, tmp_path)
+    assert len(digests) == 1 and "pde_identity.csv" in digests.pop()
+
+
+def test_grid_identity_annulus_outputs_identical_under_one_and_two_blas_threads(tmp_path):
+    # the unit weight takes the Fourier transform and tridiagonal sweeps of
+    # the annulus, with one correction
+    digests = _digests_at_one_and_two_blas_threads(_GRID_IDENTITY_ANNULUS, tmp_path)
     assert len(digests) == 1 and "pde_identity.csv" in digests.pop()
