@@ -602,3 +602,120 @@ def test_unit_weight_solution_is_real():
     op = discretize(GridSpec(ann, (16, 32)), unit_weight(ann))
     sol = solve_green(op, 0.75)
     assert not np.iscomplexobj(sol.values)
+
+
+def direct_sine_table(n):
+    """The DST-I matrix from n^2 sines, one per entry."""
+    k = np.arange(1, n + 1)
+    return math.sqrt(2.0 / (n + 1)) * np.sin(np.pi * (np.outer(k, k) % (2 * n + 2)) / (n + 1))
+
+
+def test_sine_table_indexes_the_direct_sines():
+    for n in [*range(1, 81), 127, 128, 191, 192, 255, 256]:
+        got, want = pdegreen._sine_table(n), direct_sine_table(n)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), n
+
+
+def complex_grid_mid_mask(grid, source):
+    """The rectangle mid-grid mask from the complex points of every node."""
+    pts, dom = grid.interior_points(), grid.domain
+    lx, ly = dom.x1 - dom.x0, dom.y1 - dom.y0
+    central = ((pts.real > dom.x0 + 0.25 * lx) & (pts.real < dom.x1 - 0.25 * lx)
+               & (pts.imag > dom.y0 + 0.25 * ly) & (pts.imag < dom.y1 - 0.25 * ly))
+    central &= np.abs(pts.real - source.real) > 0.02 * lx
+    central &= np.abs(pts.imag - source.imag) > 0.02 * ly
+    return central & (np.abs(pts - source) > 0.15 * min(lx, ly))
+
+
+def test_mid_mask_matches_the_complex_grid_formula():
+    rng = np.random.default_rng(20)
+    for k in range(300):
+        x0, y0 = rng.uniform(-2.0, 2.0, 2)
+        lx, ly = rng.uniform(0.1, 3.0, 2)
+        grid = GridSpec(Rectangle(x0, x0 + lx, y0, y0 + ly), tuple(int(v) for v in rng.integers(8, 60, 2)))
+        # on a node, off the nodes inside, and anywhere near the rectangle
+        source = (grid.node_point(*(int(rng.integers(0, n)) for n in grid.shape)) if k % 3 == 0
+                  else complex(x0 + lx * rng.uniform(-0.2, 1.2), y0 + ly * rng.uniform(-0.2, 1.2)))
+        got, want = mid_mask(grid, source), complex_grid_mid_mask(grid, source)
+        assert got.shape == want.shape and np.array_equal(got, want), (k, grid, source)
+
+
+def full_grid_reference_error(domain, weight, n, source):
+    """reference_error with the series evaluated at every interior node, one
+    table of sines per axis."""
+    grid = GridSpec(domain, (n, n))
+    sol = solve_green(discretize(grid, weight), source)
+    rho = float(np.real(weight.value(np.array([sol.source])))[0])
+    (x0, x1), (y0, y1) = (domain.x0, domain.x1), (domain.y0, domain.y1)
+    m = np.arange(1, 201)
+    sx = np.sin(np.pi * np.outer(grid.axes[0][1:-1] - x0, m) / (x1 - x0))
+    sy = np.sin(np.pi * np.outer(grid.axes[1][1:-1] - y0, m) / (y1 - y0))
+    sq = np.sin(np.pi * m * (sol.source.real - x0) / (x1 - x0))
+    tq = np.sin(np.pi * m * (sol.source.imag - y0) / (y1 - y0))
+    lam = np.pi**2 * ((m**2 / (x1 - x0)**2)[:, None] + (m**2 / (y1 - y0)**2)[None, :])
+    ref = sx @ (2.0 * np.pi * (4.0 / ((x1 - x0) * (y1 - y0))) * np.outer(sq, tq) / lam) @ sy.T
+    return float(np.max(np.abs(np.real(sol.values) / rho - ref)[mid_mask(grid, sol.source)]))
+
+
+# the unit square, whose axes share their sines, and rectangles whose do not
+REFERENCE_DOMAINS = {"square": SQUARE, "shifted": Rectangle(-0.3, 1.7, 0.2, 1.1),
+                     "tall": Rectangle(0.1, 0.9, -0.4, 0.4)}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_DOMAINS))
+def test_reference_error_matches_the_full_grid_comparison(name):
+    domain = REFERENCE_DOMAINS[name]
+    for n in (8, 16, 31, 64, 100, 128, 192, 200):
+        for weight in (unit_weight(domain), HoloModulusSquaredWeight([1.7], domain)):
+            got = reference_error(domain, weight, n, domain.basis_center)[0]
+            want = full_grid_reference_error(domain, weight, n, domain.basis_center)
+            assert abs(got - want) <= 1e-12 * want, (n, weight.value(0.0))
+
+
+def test_reference_error_evaluates_only_what_it_compares(monkeypatch):
+    # the series sees the bounding box of the mid-grid mask, and a constant
+    # weight is sampled on three grid columns
+    domain, n = REFERENCE_DOMAINS["shifted"], 64
+    weight = HoloModulusSquaredWeight([1.7], domain)
+    grid = GridSpec(domain, (n, n))
+    mask = mid_mask(grid, grid.node_point(*grid.snap_index(domain.basis_center)))
+    box = [np.ptp(np.flatnonzero(mask.any(axis=a))) + 1 for a in (1, 0)]
+    series, value = pdegreen.rectangle_green_series, type(weight).value
+
+    def guarded_series(domain, source, xs, ys, terms=200):
+        if [len(xs), len(ys)] != box:
+            raise AssertionError("series evaluated outside the mask's bounding box")
+        return series(domain, source, xs, ys, terms)
+
+    def guarded_value(self, z):
+        if np.ndim(z) == 2 and np.shape(z)[1] > 3:
+            raise AssertionError("constant weight sampled on more than three columns")
+        return value(self, z)
+
+    want = reference_error(domain, weight, n, domain.basis_center)[0]
+    monkeypatch.setattr(pdegreen, "rectangle_green_series", guarded_series)
+    monkeypatch.setattr(type(weight), "value", guarded_value)
+    assert reference_error(domain, weight, n, domain.basis_center)[0] == want
+    for annulus in (ANNULUS, Annulus(0.3, 2.0)):
+        discretize(GridSpec(annulus, (12, 32)), HoloModulusSquaredWeight([1.7], annulus))
+
+
+@pytest.mark.parametrize("grid", [GridSpec(THIN, (9, 13)), GridSpec(Annulus(0.3, 2.0), (10, 16))],
+                         ids=["rectangle", "annulus"])
+def test_constant_weight_discretize_matches_the_full_grid_sample(grid):
+    # the columns kept are the first three of the padded grid: on an annulus
+    # the last angle, then the first two; a non-constant weight tells them apart
+    domain = grid.domain
+    z3 = HoloModulusSquaredWeight([3, 1], domain)
+    assert _full_weight_grid(grid, z3, 3).tobytes() == _full_weight_grid(grid, z3)[:, :3].tobytes()
+    for weight in (HoloModulusSquaredWeight([1.7 - 0.4j], domain), LogHarmonicWeight([0.3 + 2j], domain)):
+        rho = _full_weight_grid(grid, weight)[:, :3]
+        div_entries, rot_entries = _assemble(grid, rho)
+        assert not any(np.any(c) for c in rot_entries.values())
+        op = discretize(grid, weight)
+        assert sorted(op.stencil) == sorted(div_entries)
+        for offset, coeff in div_entries.items():
+            want = 0.25 * coeff
+            assert op.stencil[offset].dtype == want.dtype
+            assert op.stencil[offset].tobytes() == want.tobytes(), offset
+        assert op.gauge == math.sqrt(rho.flat[0]) and isinstance(op.gauge, float)
