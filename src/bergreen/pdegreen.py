@@ -169,21 +169,18 @@ def _full_weight_grid(grid: GridSpec, weight: Weight, columns: int | None = None
     or on the first ``columns`` columns of that grid only.
 
     The periodic angular axis of an annulus has no boundary layer; it is
-    padded with copies of its last and first columns instead, so that
-    neighbour slices wrap around the circle on both grids alike.  Its first
-    columns are thus the angles of columns n2 - 1, 0, 1, ...
+    padded with its last and first angles instead, so that neighbour slices
+    wrap around the circle on both grids alike.
     """
     a1, a2 = grid.axes
     if grid.is_polar:
-        a2 = a2 if columns is None else a2[np.arange(-1, columns - 1)]
-        pts = a1[:, None] * np.exp(1j * a2[None, :])
+        a2 = np.concatenate([a2[-1:], a2, a2[:1]])
+        pts = a1[:, None] * np.exp(1j * a2[None, :columns])
     else:
         pts = a1[:, None] + 1j * a2[None, :columns]
     rho = np.real(np.asarray(weight.value(pts), dtype=complex))
     if np.any(~np.isfinite(rho)) or np.any(rho <= 0):
         raise WeightError("weight must be finite and positive on every grid node")
-    if grid.is_polar and columns is None:
-        rho = np.concatenate([rho[:, -1:], rho, rho[:, :1]], axis=1)
     return rho
 
 

@@ -700,6 +700,15 @@ def test_reference_error_evaluates_only_what_it_compares(monkeypatch):
         discretize(GridSpec(annulus, (12, 32)), HoloModulusSquaredWeight([1.7], annulus))
 
 
+def padded_weight_grid(grid, weight):
+    """rho on the (n1 + 2, n2 + 2) grid, sampled at the nodes; on an annulus
+    the n2 angular columns, then copies of the last and first put around them."""
+    a1, a2 = grid.axes
+    pts = a1[:, None] * np.exp(1j * a2) if grid.is_polar else a1[:, None] + 1j * a2
+    rho = np.real(np.asarray(weight.value(pts), dtype=complex))
+    return np.concatenate([rho[:, -1:], rho, rho[:, :1]], axis=1) if grid.is_polar else rho
+
+
 @pytest.mark.parametrize("grid", [GridSpec(THIN, (9, 13)), GridSpec(Annulus(0.3, 2.0), (10, 16))],
                          ids=["rectangle", "annulus"])
 def test_constant_weight_discretize_matches_the_full_grid_sample(grid):
@@ -707,9 +716,11 @@ def test_constant_weight_discretize_matches_the_full_grid_sample(grid):
     # the last angle, then the first two; a non-constant weight tells them apart
     domain = grid.domain
     z3 = HoloModulusSquaredWeight([3, 1], domain)
-    assert _full_weight_grid(grid, z3, 3).tobytes() == _full_weight_grid(grid, z3)[:, :3].tobytes()
+    want = padded_weight_grid(grid, z3)
+    assert _full_weight_grid(grid, z3).tobytes() == want.tobytes()
+    assert _full_weight_grid(grid, z3, 3).tobytes() == want[:, :3].tobytes()
     for weight in (HoloModulusSquaredWeight([1.7 - 0.4j], domain), LogHarmonicWeight([0.3 + 2j], domain)):
-        rho = _full_weight_grid(grid, weight)[:, :3]
+        rho = padded_weight_grid(grid, weight)[:, :3]
         div_entries, rot_entries = _assemble(grid, rho)
         assert not any(np.any(c) for c in rot_entries.values())
         op = discretize(grid, weight)
