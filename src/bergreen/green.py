@@ -286,21 +286,22 @@ def identity_rhs(weight: Weight, z, w, mixed):
 
 
 def identity_residual(kernel: KernelApproximation, wgreen: WeightedGreen, weight: Weight,
-                      z, w, step: float = 1e-3, method: str = "analytic"):
+                      z, w, step: float = 1e-3, method: str = "analytic", kernel_values=None):
     """Relative residual of K(z,w) = -2/(pi rho(z) rho(w)) d^2 G_rho / dz d(conj w).
 
     Returns |K - rhs| / max(1, |K|), the closed-form residual; the grid
     identity of the pde-green experiment divides by |K| instead.  Works
     elementwise over the broadcast of ``z`` and ``w``, with one kernel
     evaluation and one mixed derivative for all pairs, and returns a
-    ``float`` for scalars.  Diagonal pairs z = w take the same path: the
-    mixed derivative of G_rho is that of the regular part, finite there.
-    Finite-difference evaluation verifies every stencil stays inside the
-    domain.
+    ``float`` for scalars.  A caller that already holds K(z, w) at the
+    pairs passes it as ``kernel_values``, and the kernel is not evaluated.
+    Diagonal pairs z = w take the same path: the mixed derivative of G_rho
+    is that of the regular part, finite there.  Finite-difference
+    evaluation verifies every stencil stays inside the domain.
     """
     z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
     rhs = identity_rhs(weight, z, w, wgreen.mixed_zwbar(z, w, step=step, method=method))
-    kv = kernel.evaluate(z, w)
+    kv = kernel.evaluate(z, w) if kernel_values is None else kernel_values
     return _unbox(np.abs(kv - rhs) / np.maximum(1.0, np.abs(kv)))
 
 

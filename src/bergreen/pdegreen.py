@@ -37,9 +37,14 @@ along the angle and a tridiagonal system along the radius per mode.
 :meth:`DiscreteOperator.solve` preconditions iterative refinement with it
 (Concus & Golub 1973), gated on the backward error of A itself, so the
 ``factorization`` check, which compares the solution with the
-gauge-factored unweighted one, still measures the discretization.  Every
-other weight, and a refinement that does not converge, goes through the
-sparse LU, which alone needs scipy.
+gauge-factored unweighted one, still measures the discretization.  Where
+the gauge varies over the grid, T_1 runs in single precision: the
+correction solve of a refinement need only contract, while the residual is
+formed in double (Moler 1967; Carson & Higham 2018).  A constant gauge
+keeps T_1 in double, since there it is the exact inverse and one
+correction must reach the tolerance.  Every other weight, and a refinement
+that does not converge, goes through the sparse LU, which alone needs
+scipy.
 
 The continuum operator is self-adjoint, and the discretization keeps this
 up to the cell-area factor: with D = I on rectangles and D = diag(r) on
@@ -229,9 +234,10 @@ class DiscreteOperator:
         return self._row_operator()(rows).T.reshape(np.shape(x))
 
     def _row_operator(self):
-        """The function that applies the operator to each row of an (m, size)
-        block, one right-hand side per row, by one contiguous slice of the row
-        per stencil term; off the grid is zero.
+        """The function ``(rows, out=None)`` that applies the operator to each
+        row of an (m, size) block, one right-hand side per row, by one
+        contiguous slice of the row per stencil term, into ``out`` if given;
+        off the grid is zero.
 
         A term with d2 = 0 shifts whole grid rows of the row's (n1, n2) view
         and multiplies by the stored coefficients, which broadcast, so a
@@ -261,8 +267,11 @@ class DiscreteOperator:
             if self.grid.is_polar:
                 terms.append((True, (r_out, edge), (r_in, n2 - 1 - edge), wrap))
 
-        def apply_rows(rows):
-            out = np.zeros(rows.shape, dtype=np.result_type(dtype, rows.dtype))
+        def apply_rows(rows, out=None):
+            if out is None:
+                out = np.zeros(rows.shape, dtype=np.result_type(dtype, rows.dtype))
+            else:
+                out.fill(0)
             for x, y in zip(rows, out):
                 grid_x, grid_y = x.reshape(n1, n2), y.reshape(n1, n2)
                 for on_grid, target, source, coeff in terms:
@@ -322,6 +331,14 @@ class DiscreteOperator:
         stencil is structurally symmetric, so the column ordering is minimum
         degree on A^T + A, which fills less than COLAMD.
 
+        T_1 runs in float32 when ``gauge`` is an array, one value per node,
+        and in float64 for a constant weight (why: :meth:`_refinement`).
+        Each row is scaled by a power of two from its peak before the cast,
+        so float32 overflows nowhere double does not, and b 2^k gives x 2^k
+        bit for bit.  The residual b - A x, the stencil apply and the
+        backward error stay in double, so the tolerance and the reported
+        backward error keep their meaning.
+
         A ``stats`` dict receives the method that solved, the unknowns, the
         corrections taken and the largest normwise backward error over the
         columns (Rigal & Gaches 1967), ||D^-1 (b - A x)|| / (||D^-1 A|| ||x||
@@ -344,16 +361,24 @@ class DiscreteOperator:
     def _refinement(self, rows: np.ndarray, apply_rows, backward_error):
         """(x, corrections, backward error) of the refinement of :meth:`solve`
         on an (m, size) block of rows, or None if it does not converge.
-        Corrections are made in place."""
+
+        A gauge that varies over the grid runs T_1 in single precision:
+        conj(mu) T_1 mu only approximates A^-1 there, and shrinks the
+        backward error by a factor of 2e-3 to 0.2 a correction on the grids
+        tested, so T_1's own rounding of about 1e-7 costs no step.  A
+        constant gauge's T_1 is an exact inverse, and its single correction
+        needs it in double.  One block holds each step's residual and then,
+        overwritten by T_1, its correction; T_1 keeps its work blocks from
+        one step to the next."""
         mu = self.gauge  # a scalar or one value per node, alike for every row
         mu_bar = np.conj(mu)
-        unweighted = _transform_solver(self.grid)
+        unweighted = _transform_solver(self.grid, np.float32 if np.ndim(mu) else np.float64)
         x = unweighted(mu * rows)
         x *= mu_bar
+        r = np.empty_like(x)
         previous = math.inf
         for steps in range(REFINEMENT_MAX_STEPS + 1):
-            r = apply_rows(x)
-            np.subtract(rows, r, out=r)
+            np.subtract(rows, apply_rows(x, out=r), out=r)
             eta = backward_error(r, x)
             if steps and eta <= REFINEMENT_TOLERANCE:
                 return x, steps, eta
@@ -361,10 +386,9 @@ class DiscreteOperator:
                 return None
             previous = eta
             r *= mu
-            dx = unweighted(r)
-            dx *= mu_bar
-            x += dx
-            del r, dx  # held into the next residual, they would add a block to the peak
+            unweighted(r)
+            r *= mu_bar
+            x += r
 
     def _backward_error(self, rows: np.ndarray):
         """The function (r, x) -> largest normwise backward error over the
@@ -404,34 +428,70 @@ def _sine_table(n: int) -> np.ndarray:
     The products j k are reduced mod 2 (n + 1) so that the sine arguments stay
     exact, and index the 2 (n + 1) distinct sines they take."""
     k = np.arange(1, n + 1)
-    sines = math.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.arange(2 * n + 2) / (n + 1))
-    return sines[np.outer(k, k) % (2 * n + 2)]
+    period = 2 * n + 2
+    sines = math.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.arange(period) / (n + 1))
+    jk = np.outer(k, k)
+    jk -= jk // period * period  # the remainder, which numpy's % computes slower
+    return sines[jk]
 
 
-def _transform_solver(grid: GridSpec):
+def _held_block():
+    """A function (shape, dtype) -> uninitialized block that returns the same
+    block while the shape and dtype repeat, so that a solver called once per
+    refinement step faults its scratch in once."""
+    held = []
+
+    def block(shape, dtype):
+        if not held or held[0].shape != shape or held[0].dtype != dtype:
+            held[:] = [np.empty(shape, dtype)]
+        return held[0]
+
+    return block
+
+
+def _transform_solver(grid: GridSpec, dtype=np.float64):
     """Direct solver T_1 of the rho = 1 operator for an (m, size) block, one
-    right-hand side per row.
+    right-hand side per row, which it overwrites with the solution and
+    returns.
 
     The operator is 1/4 [ (1/r) d1(r d1) + (1/r^2) d2^2 ], discretized
     with the metric of :func:`_assemble` (r = 1 on rectangles).  The
-    transforms run on real arrays, so complex rows are solved as one real
-    block of their real rows, then their imaginary rows.
+    transforms run on real blocks of ``dtype``, float64 or float32, in which
+    the sine tables, eigenvalues and sweep factors are held too.  A
+    C-contiguous block of ``dtype`` is solved where it lies.  Any other
+    block goes through a work block held between calls: complex rows as
+    their real rows, then their imaginary rows, each row scaled by the power
+    of two that brings its peak into [0.5, 1) and cast.  The scaling is
+    exact, and undone exactly on the way back; without it float32 would
+    overflow on rows that double holds.
     """
-    solve_real = _annulus_solver(grid) if grid.is_polar else _rectangle_solver(grid)
+    dtype = np.dtype(dtype)
+    solve_real = (_annulus_solver if grid.is_polar else _rectangle_solver)(grid, dtype)
+    work = _held_block()
 
     # apply does not call itself: that closure would be a cycle, freed only by gc
     def apply(rows):
-        if np.iscomplexobj(rows):
-            parts = solve_real(np.concatenate([rows.real, rows.imag]))
-            x = np.empty(rows.shape, dtype=complex)
-            x.real, x.imag = parts[:len(rows)], parts[len(rows):]
-            return x
-        return solve_real(rows)
+        if rows.dtype == dtype and rows.flags.c_contiguous:
+            return solve_real(rows)
+        parts = (rows.real, rows.imag) if np.iscomplexobj(rows) else (rows,)
+        block = work((len(parts) * len(rows), rows.shape[1]), dtype)
+        blocks = np.split(block, len(parts))
+        powers = []
+        for part, part_block in zip(parts, blocks):
+            peak = np.maximum(part.max(axis=1), -part.min(axis=1))
+            # clipped so that 2^-e and 2^e are both normal doubles
+            e = np.clip(np.frexp(peak)[1], -1021, 1021)[:, None]
+            np.multiply(part, np.ldexp(1.0, -e), out=part_block, casting="same_kind")
+            powers.append(np.ldexp(1.0, e))
+        solve_real(block)
+        for part, part_block, power in zip(parts, blocks, powers):
+            np.multiply(part_block, power, out=part)
+        return rows
 
     return apply
 
 
-def _rectangle_solver(grid: GridSpec):
+def _rectangle_solver(grid: GridSpec, dtype: np.dtype):
     """T_1 on a rectangle, where the DST-I on both axes diagonalizes the
     five-point Laplacian:  T_1 b = S1 [ (S1 B S2) / Lambda ] S2,  B the
     (n1, n2) grid of a row b, Lambda_ij = (lam1_i + lam2_j) / 4 and lam the
@@ -440,34 +500,45 @@ def _rectangle_solver(grid: GridSpec):
 
     Each transform is one matrix product over the block: the S2 products
     take all rows as one (m n1, n2) array, the S1 products one (n1, n2)
-    grid per row.
+    grid per row.  They alternate between the block and one held scratch
+    block of its shape, so the last one writes the result over the block.
     """
     n1, n2 = grid.shape
     h1, h2 = grid.spacing
-    s1 = _sine_table(n1)
-    s2 = s1 if n2 == n1 else _sine_table(n2)
+    s1 = _sine_table(n1).astype(dtype)
+    s2 = s1 if n2 == n1 else _sine_table(n2).astype(dtype)
     lam1, lam2 = (-(2.0 * np.sin(np.pi * np.arange(1, n + 1) / (2 * (n + 1))) / h) ** 2
                   for n, h in ((n1, h1), (n2, h2)))
-    inverse = 4.0 / (lam1[:, None] + lam2)
+    inverse = (4.0 / (lam1[:, None] + lam2)).astype(dtype)
+    scratch = _held_block()
 
-    def solve_real(rows):
-        flat = np.reshape(rows, (-1, n2))
-        y = flat @ s2
-        modes = np.matmul(s1, y.reshape(-1, n1, n2))
-        modes *= inverse
-        np.matmul(modes.reshape(-1, n2), s2, out=y)
-        return np.matmul(s1, y.reshape(-1, n1, n2), out=modes).reshape(np.shape(rows))
+    def solve_real(a):
+        y = scratch(a.shape, dtype)
+        flat_a, flat_y = a.reshape(-1, n2), y.reshape(-1, n2)
+        grids_a, grids_y = a.reshape(-1, n1, n2), y.reshape(-1, n1, n2)
+        np.matmul(flat_a, s2, out=flat_y)
+        np.matmul(s1, grids_y, out=grids_a)
+        grids_a *= inverse
+        np.matmul(flat_a, s2, out=flat_y)
+        np.matmul(s1, grids_y, out=grids_a)
+        return a
 
     return solve_real
 
 
-def _annulus_solver(grid: GridSpec):
+def _annulus_solver(grid: GridSpec, dtype: np.dtype):
     """T_1 on an annulus.  A real FFT along the periodic angle diagonalizes
     the axis-2 second difference, with eigenvalues lam_k.  The radial metric
     r varies, so each mode k is then one tridiagonal system along axis 1,
     with diagonal  -(r+ + r-)/(r h1^2) + lam_k/r^2  and off-diagonals
     r+-/(r h1^2), all times 1/4, solved by a Thomas sweep over all modes and
-    rows at once."""
+    rows at once.
+
+    The modes are held as (n1, m, n_modes), radius outermost, plus one
+    spare slab for the sweep's products, so that each sweep step updates
+    one contiguous (m, n_modes) slab in place.  The FFTs write into that layout
+    and back over the block.
+    """
     n1, n2 = grid.shape
     h1, h2 = grid.spacing
     r = grid.axes[0][1:-1]
@@ -485,15 +556,22 @@ def _annulus_solver(grid: GridSpec):
     for i in range(n1):
         pivot[i] = 1.0 / (diag[i] - lower[i] * prev)
         prev = sup[i] = upper[i] * pivot[i]
+    lower, pivot, sup = (v.astype(dtype) for v in (lower, pivot, sup))
+    modes = _held_block()
 
-    def solve_real(rows):
-        y = np.fft.rfft(np.reshape(rows, (-1, n1, n2)), axis=2)
-        y[:, 0] *= pivot[0]
+    def solve_real(a):
+        grids = a.reshape(-1, n1, n2)
+        held = modes((n1 + 1, len(grids), len(lam)), np.result_type(dtype, np.complex64))
+        y, product = held[:n1], held[n1]
+        np.fft.rfft(grids, axis=2, out=y.transpose(1, 0, 2))
+        y[0] *= pivot[0]
         for i in range(1, n1):
-            y[:, i] = (y[:, i] - lower[i] * y[:, i - 1]) * pivot[i]
+            y[i] -= np.multiply(lower[i], y[i - 1], out=product)
+            y[i] *= pivot[i]
         for i in range(n1 - 2, -1, -1):
-            y[:, i] -= sup[i] * y[:, i + 1]
-        return np.fft.irfft(y, n=n2, axis=2).reshape(np.shape(rows))
+            y[i] -= np.multiply(sup[i], y[i + 1], out=product)
+        np.fft.irfft(y.transpose(1, 0, 2), n=n2, axis=2, out=grids)
+        return a
 
     return solve_real
 

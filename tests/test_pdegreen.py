@@ -493,6 +493,28 @@ def test_transform_solve_matches_sparse_lu(case, monkeypatch):
         assert stats["backward_error"] <= REFINEMENT_TOLERANCE
 
 
+@pytest.mark.parametrize("case", ["square-64", "square-|z+2|^2", "annulus-|z+1.2|^2"])
+def test_refinement_precision_follows_the_gauge_and_commutes_with_powers_of_two(case, monkeypatch):
+    # a gauge that varies runs T_1 in float32, whose range ends near 2^128;
+    # each row is scaled by a power of two from its peak before the cast, so
+    # the solve commutes with 2^k bit for bit, also for k outside that range
+    grid, weight = TRANSFORM_CASES[case]
+    op = discretize(grid, weight)
+    built, transform_solver = [], pdegreen._transform_solver
+    monkeypatch.setattr(pdegreen, "_transform_solver",
+                        lambda grid, dtype: built.append(np.dtype(dtype)) or transform_solver(grid, dtype))
+    monkeypatch.setattr(spla, "splu", no_lu)
+    rng = np.random.default_rng(11)
+    b = rng.standard_normal((op.size, 2)) + 1j * rng.standard_normal((op.size, 2))
+    stats = {}
+    x = op.solve(b, stats)
+    for k in (200, -200):
+        scaled = {}
+        assert np.array_equal(op.solve(b * 2.0**k, scaled), 2.0**k * x), k
+        assert scaled == stats
+    assert built == [np.dtype(np.float64 if isinstance(op.gauge, float) else np.float32)] * 3
+
+
 def test_transform_solver_is_freed_without_the_cycle_collector():
     # a solver in a reference cycle would keep its DST matrix and elimination
     # factors alive until the cyclic garbage collector runs
