@@ -218,8 +218,8 @@ class ExperimentConfig:
         steps = list(zip(values, values[1:]))
         if not (all(a < b for a, b in steps) or all(a > b for a, b in steps)):
             raise ConfigError(f"study values must be strictly monotone, got {list(values)}")
-        for value in values:
-            self._swept(value)
+        # each swept config validates itself on construction; _run_study runs these
+        object.__setattr__(self, "_study_configs", tuple(self._swept(v) for v in values))
 
     def _swept(self, value) -> "ExperimentConfig":
         """This config without its study, the study parameter set to ``value``."""
@@ -808,13 +808,14 @@ def _run_study(cfg: ExperimentConfig) -> VerificationReport:
     whose run raises a :class:`BergreenError` other than a
     :class:`ConfigError`, or whose error is not positive and finite, gives
     no row and a note.  If every run gives the same error, the parameter
-    does not reach the check, and that is a configuration error.
+    does not reach the check, and that is a configuration error.  The runs
+    take the swept configs that validation built and checked.
     """
     parameter = cfg.study["parameter"]
     studied, errors, notes = [], [], []
-    for v in cfg.study["values"]:
+    for v, swept in zip(cfg.study["values"], cfg._study_configs):
         try:
-            report = _EXPERIMENT_FUNCS[cfg.experiment](cfg._swept(v))
+            report = _EXPERIMENT_FUNCS[cfg.experiment](swept)
         except ConfigError:
             raise
         except BergreenError as exc:

@@ -239,6 +239,10 @@ class DiscreteOperator:
         contiguous slice of the row per stencil term, into ``out`` if given;
         off the grid is zero.
 
+        The coefficients are held in the operator's dtype, so a complex
+        operator multiplies complex by complex and casts none on the way.
+        The centre term writes each output row, and every other term is
+        formed in one scratch row, allocated once per call, and added in.
         A term with d2 = 0 shifts whole grid rows of the row's (n1, n2) view
         and multiplies by the stored coefficients, which broadcast, so a
         constant weight's (n1, 1) columns are never expanded.  A term with
@@ -252,11 +256,14 @@ class DiscreteOperator:
         def shift(d, n):  # (target, source) slices taking entry k + d of n to entry k
             return slice(max(-d, 0), n - max(d, 0)), slice(max(d, 0), n - max(-d, 0))
 
+        center = self.stencil[(0, 0)].astype(dtype, copy=False)
         terms = []  # (on the (n1, n2) view?, target, source, coefficients), by offset
         for (d1, d2), coeff in self.stencil.items():
+            coeff = coeff.astype(dtype, copy=False)
             r_out, r_in = shift(d1, n1)
             if d2 == 0:
-                terms.append((True, r_out, r_in, coeff[r_out]))
+                if d1:
+                    terms.append((True, r_out, r_in, coeff[r_out]))
                 continue
             edge = n2 - 1 if d2 > 0 else 0
             coeff = np.array(np.broadcast_to(coeff, (n1, n2)))
@@ -269,16 +276,17 @@ class DiscreteOperator:
 
         def apply_rows(rows, out=None):
             if out is None:
-                out = np.zeros(rows.shape, dtype=np.result_type(dtype, rows.dtype))
-            else:
-                out.fill(0)
+                out = np.empty(rows.shape, dtype=np.result_type(dtype, rows.dtype))
+            term = np.empty(n1 * n2, out.dtype)
+            grid_term = term.reshape(n1, n2)
             for x, y in zip(rows, out):
-                grid_x, grid_y = x.reshape(n1, n2), y.reshape(n1, n2)
+                grid_x, grid_y = x.reshape(n1, n2), y.reshape(n1, n2, copy=False)
+                np.multiply(center, grid_x, out=grid_y)
                 for on_grid, target, source, coeff in terms:
                     if on_grid:
-                        grid_y[target] += coeff * grid_x[source]
+                        grid_y[target] += np.multiply(coeff, grid_x[source], out=grid_term[target])
                     else:
-                        y[target] += coeff * x[source]
+                        y[target] += np.multiply(coeff, x[source], out=term[target])
             return out
 
         return apply_rows
@@ -394,22 +402,27 @@ class DiscreteOperator:
         """The function (r, x) -> largest normwise backward error over the
         rows of x, given r = rows - A x.  D = |diag A| scales each row's
         grid, and ||D^-1 A|| is the largest absolute row sum of the scaled
-        stencil."""
+        stencil.  Each row's |v|, scaled by D^-1 where it is, is taken into
+        one (n1, n2) buffer allocated per call, so no block of |v| is made."""
         n1, n2 = self.grid.shape
         inverse = 1.0 / np.abs(self.stencil[(0, 0)])
         a_norm = np.max(sum(np.abs(c) for c in self.stencil.values()) * inverse)
 
-        def row_max(v, scale=None):
-            a = np.abs(v).reshape(len(v), n1, n2)
-            if scale is not None:
-                a *= scale
-            return a.reshape(len(v), -1).max(axis=1)
+        def row_max(v, magnitude, scale=None):
+            peaks = np.empty(len(v))
+            for k, row in enumerate(v):
+                np.abs(row.reshape(n1, n2), out=magnitude)
+                if scale is not None:
+                    magnitude *= scale
+                peaks[k] = magnitude.max()
+            return peaks
 
         def backward_error(r, x):
-            scale = a_norm * row_max(x) + b_norm
-            return float(np.max(row_max(r, inverse) / np.where(scale > 0, scale, 1.0)))
+            magnitude = np.empty((n1, n2))
+            scale = a_norm * row_max(x, magnitude) + b_norm
+            return float(np.max(row_max(r, magnitude, inverse) / np.where(scale > 0, scale, 1.0)))
 
-        b_norm = row_max(rows, inverse)
+        b_norm = row_max(rows, np.empty((n1, n2)), inverse)
         return backward_error
 
     def _lu_solve(self, rows: np.ndarray) -> np.ndarray:
@@ -457,35 +470,52 @@ def _transform_solver(grid: GridSpec, dtype=np.float64):
     The operator is 1/4 [ (1/r) d1(r d1) + (1/r^2) d2^2 ], discretized
     with the metric of :func:`_assemble` (r = 1 on rectangles).  The
     transforms run on real blocks of ``dtype``, float64 or float32, in which
-    the sine tables, eigenvalues and sweep factors are held too.  A
-    C-contiguous block of ``dtype`` is solved where it lies.  Any other
-    block goes through a work block held between calls: complex rows as
-    their real rows, then their imaginary rows, each row scaled by the power
-    of two that brings its peak into [0.5, 1) and cast.  The scaling is
-    exact, and undone exactly on the way back; without it float32 would
-    overflow on rows that double holds.
+    the sine tables, eigenvalues and sweep factors are held too.  They take
+    the M real rows as (n1, M, n2) grids on rectangles, radius outermost,
+    and as (M, n1, n2) on annuli.  A C-contiguous block of ``dtype`` is
+    already that layout on an annulus, and on a rectangle if it is one row,
+    and is then solved where it lies.  Any other block goes through a work
+    block of the layout held between calls: complex rows as their real
+    rows, then their imaginary rows.  A part already in ``dtype`` is
+    copied.  Any other part is cast, each row scaled first by the power of
+    two that brings its peak into [0.5, 1); the scaling is exact, and undone
+    exactly on the way back, and without it float32 would overflow on rows
+    that double holds.
     """
     dtype = np.dtype(dtype)
+    n1, n2 = grid.shape
+    radius_outer = not grid.is_polar
     solve_real = (_annulus_solver if grid.is_polar else _rectangle_solver)(grid, dtype)
     work = _held_block()
 
     # apply does not call itself: that closure would be a cycle, freed only by gc
     def apply(rows):
-        if rows.dtype == dtype and rows.flags.c_contiguous:
-            return solve_real(rows)
+        m = len(rows)
+        if rows.dtype == dtype and rows.flags.c_contiguous and (m == 1 or not radius_outer):
+            solve_real(rows.reshape((n1, m, n2) if radius_outer else (m, n1, n2)))
+            return rows
         parts = (rows.real, rows.imag) if np.iscomplexobj(rows) else (rows,)
-        block = work((len(parts) * len(rows), rows.shape[1]), dtype)
-        blocks = np.split(block, len(parts))
-        powers = []
-        for part, part_block in zip(parts, blocks):
+        total = len(parts) * m
+        block = work((n1, total, n2) if radius_outer else (total, n1, n2), dtype)
+        grids = block.transpose(1, 0, 2) if radius_outer else block  # (total, n1, n2)
+        copies = []  # (part as (m, n1, n2) grids, its grids in the block, power or None)
+        for k, part in enumerate(parts):
+            part_grids, part_block = part.reshape(m, n1, n2, copy=False), grids[k * m:(k + 1) * m]
+            if part.dtype == dtype:
+                np.copyto(part_block, part_grids)
+                copies.append((part_grids, part_block, None))
+                continue
             peak = np.maximum(part.max(axis=1), -part.min(axis=1))
             # clipped so that 2^-e and 2^e are both normal doubles
-            e = np.clip(np.frexp(peak)[1], -1021, 1021)[:, None]
-            np.multiply(part, np.ldexp(1.0, -e), out=part_block, casting="same_kind")
-            powers.append(np.ldexp(1.0, e))
+            e = np.clip(np.frexp(peak)[1], -1021, 1021)[:, None, None]
+            np.multiply(part_grids, np.ldexp(1.0, -e), out=part_block, casting="same_kind")
+            copies.append((part_grids, part_block, np.ldexp(1.0, e)))
         solve_real(block)
-        for part, part_block, power in zip(parts, blocks, powers):
-            np.multiply(part_block, power, out=part)
+        for part_grids, part_block, power in copies:
+            if power is None:
+                np.copyto(part_grids, part_block)
+            else:
+                np.multiply(part_block, power, out=part_grids)
         return rows
 
     return apply
@@ -498,9 +528,11 @@ def _rectangle_solver(grid: GridSpec, dtype: np.dtype):
     Dirichlet second-difference eigenvalues.  A square grid shares one sine
     table between the axes.
 
-    Each transform is one matrix product over the block: the S2 products
-    take all rows as one (m n1, n2) array, the S1 products one (n1, n2)
-    grid per row.  They alternate between the block and one held scratch
+    The block holds its M grids radius outermost, as (n1, M, n2), so that
+    each transform is one matrix product over the whole block: an S2
+    product takes it as one (n1 M, n2) array and an S1 product as one
+    (n1, M n2) array (Goto & van de Geijn 2008: one large product, not M
+    small ones).  They alternate between the block and one held scratch
     block of its shape, so the last one writes the result over the block.
     """
     n1, n2 = grid.shape
@@ -509,18 +541,18 @@ def _rectangle_solver(grid: GridSpec, dtype: np.dtype):
     s2 = s1 if n2 == n1 else _sine_table(n2).astype(dtype)
     lam1, lam2 = (-(2.0 * np.sin(np.pi * np.arange(1, n + 1) / (2 * (n + 1))) / h) ** 2
                   for n, h in ((n1, h1), (n2, h2)))
-    inverse = (4.0 / (lam1[:, None] + lam2)).astype(dtype)
+    inverse = (4.0 / (lam1[:, None] + lam2)).astype(dtype)[:, None, :]
     scratch = _held_block()
 
     def solve_real(a):
         y = scratch(a.shape, dtype)
-        flat_a, flat_y = a.reshape(-1, n2), y.reshape(-1, n2)
-        grids_a, grids_y = a.reshape(-1, n1, n2), y.reshape(-1, n1, n2)
-        np.matmul(flat_a, s2, out=flat_y)
-        np.matmul(s1, grids_y, out=grids_a)
-        grids_a *= inverse
-        np.matmul(flat_a, s2, out=flat_y)
-        np.matmul(s1, grids_y, out=grids_a)
+        rows_a, rows_y = a.reshape(-1, n2, copy=False), y.reshape(-1, n2)
+        cols_a, cols_y = a.reshape(n1, -1, copy=False), y.reshape(n1, -1)
+        np.matmul(rows_a, s2, out=rows_y)
+        np.matmul(s1, cols_y, out=cols_a)
+        a *= inverse
+        np.matmul(rows_a, s2, out=rows_y)
+        np.matmul(s1, cols_y, out=cols_a)
         return a
 
     return solve_real
@@ -737,7 +769,8 @@ def solve_mixed(op: DiscreteOperator, pairs, stats: dict | None = None) -> np.nd
     transpose goes to one ``op.solve`` call without a copy; it fills
     ``stats`` as in :meth:`DiscreteOperator.solve`.  For a real matrix the
     block is real: the real parts of the right-hand sides, then their
-    imaginary parts.
+    imaginary parts, and y is formed as y[:, k] + 1j y[:, m + k] at the four
+    nodes w+o of each pair only.
     """
     grid = op.grid
     n2 = grid.shape[1]
@@ -757,10 +790,12 @@ def solve_mixed(op: DiscreteOperator, pairs, stats: dict | None = None) -> np.nd
             else:
                 rows[k, node] = b
     y = op.solve(rows.T, stats)
-    if real:
-        y = y[:, :m] + 1j * y[:, m:]
     kappa = -(math.pi / 2.0) / (h1 * h2)
-    return np.array([kappa * np.conj(sum(c * y[node, k] for node, c in dw))
+
+    def value(node, k):  # y at one node for pair k; a real block holds it in two columns
+        return y[node, k] + 1j * y[node, m + k] if real else y[node, k]
+
+    return np.array([kappa * np.conj(sum(c * value(node, k) for node, c in dw))
                      for k, (_, dw) in enumerate(stencils)])
 
 

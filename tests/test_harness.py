@@ -443,6 +443,23 @@ def test_convergence_study_validation():
         _study("pde-green", "grid_resolution", [32, 33, 64], domain=ANNULUS_SPEC)
 
 
+def test_study_validates_each_value_once(monkeypatch, tmp_path):
+    # the study config and the swept config of each value are validated on
+    # construction, and the run takes those swept configs as they are
+    validated, validate = [], ExperimentConfig.validate
+    monkeypatch.setattr(ExperimentConfig, "validate",
+                        lambda self: validated.append(self.grid) or validate(self))
+    config = _study("pde-green", "grid_resolution", [16, 24, 32], pde_check="reference",
+                    domain=SQUARE)
+    assert validated == [(128, 128), (16, 16), (24, 24), (32, 32)]
+    validated.clear()
+    run(config, tmp_path)
+    assert validated == []
+    echo = json.loads((tmp_path / "report.json").read_text())["config"]
+    assert echo == json.loads(json.dumps(dataclasses.asdict(config)))
+    assert set(echo) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
 def test_study_of_a_check_that_holds_by_construction_fails(tmp_path, capsys):
     # distance symmetry reads exactly 0 at every quad_order: the parameter
     # does not reach the check, which is a configuration error

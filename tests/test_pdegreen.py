@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -636,6 +637,130 @@ def test_sine_table_indexes_the_direct_sines():
     for n in [*range(1, 81), 127, 128, 191, 192, 255, 256]:
         got, want = pdegreen._sine_table(n), direct_sine_table(n)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), n
+
+
+def per_grid_transform_solve(grid, dtype, rows):
+    """T_1 on a rectangle by the formula S1 [(S1 B S2) / Lambda] S2, one
+    (n1, n2) grid B at a time, on the real rows or the real and imaginary
+    parts of complex ones.  A part not in ``dtype`` is scaled by the power
+    of two of its peak before the cast and back after, as T_1 does."""
+    n1, n2 = grid.shape
+    s1, s2 = (pdegreen._sine_table(n).astype(dtype) for n in (n1, n2))
+    lam1, lam2 = (-(2.0 * np.sin(np.pi * np.arange(1, n + 1) / (2 * (n + 1))) / h) ** 2
+                  for n, h in zip(grid.shape, grid.spacing))
+    inverse = (4.0 / (lam1[:, None] + lam2)).astype(dtype)
+
+    def solve_part(part):
+        out = np.empty_like(part)
+        for b, x in zip(part, out):
+            power = 1.0 if part.dtype == dtype else 2.0 ** np.frexp(np.max(np.abs(b)))[1]
+            g = (b / power).astype(dtype).reshape(n1, n2)
+            x[:] = (s1 @ ((s1 @ (g @ s2) * inverse) @ s2)).ravel()
+            x *= power
+        return out
+
+    if np.iscomplexobj(rows):
+        return solve_part(rows.real) + 1j * solve_part(rows.imag)
+    return solve_part(rows)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(128, 128), (48, 40)])
+def test_rectangle_transform_solver_matches_the_per_grid_formula(shape, dtype):
+    # T_1 holds its grids radius outermost, so that each transform is one
+    # product over all of them; each grid still gets the bits of its own
+    # products, except that OpenBLAS's sgemm computes the last 8 columns of an
+    # (n1, 40) product with a narrower kernel than it does inside the wider
+    # (n1, 40 M) one, so there float32 agrees to its rounding only
+    grid = GridSpec(SQUARE if shape[0] == shape[1] else THIN, shape)
+    solver = _transform_solver(grid, dtype)
+    exact = dtype == np.float64 or shape[1] % 16 == 0
+    rng = np.random.default_rng(13)
+    for m in (1, 2, 10):
+        for complex_rows in (False, True):
+            b = rng.standard_normal((m, grid.shape[0] * grid.shape[1]))
+            if complex_rows:
+                b = b + 1j * rng.standard_normal(b.shape)
+            want = per_grid_transform_solve(grid, dtype, b)
+            got = solver(b.copy())
+            assert got.dtype == want.dtype
+            if exact:
+                assert got.tobytes() == want.tobytes(), (m, complex_rows)
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want)), (m, complex_rows)
+
+
+@pytest.mark.parametrize("case", ["annulus-unit", "square-unit"])
+def test_real_solve_mixed_matches_the_full_block_combine(case, monkeypatch):
+    # a real operator solves the real and imaginary parts of the right-hand
+    # sides as 2 m real columns; solve_mixed reads back only the differenced
+    # nodes, with the arithmetic of combining the whole block first
+    grid, weight = STENCIL_CASES[case]
+    op = discretize(grid, weight)
+    assert not np.iscomplexobj(op.stencil[(0, 0)])
+    solved, solve = [], pdegreen.DiscreteOperator.solve
+    monkeypatch.setattr(pdegreen.DiscreteOperator, "solve",
+                        lambda self, rhs, stats=None: solved.append(solve(self, rhs, stats)) or solved[-1])
+    pairs = grid_pairs(grid, 4)
+    got = solve_mixed(op, pairs)
+    y, = solved
+    m = len(pairs)
+    full = y[:, :m] + 1j * y[:, m:]
+    kappa = -(math.pi / 2.0) / (grid.spacing[0] * grid.spacing[1])
+    dw = [pdegreen._dz_stencil(grid, pdegreen._snap_inside(grid, w, "w")) for _, w in pairs]
+    want = np.array([kappa * np.conj(sum(c * full[node, k] for node, c in stencil))
+                     for k, stencil in enumerate(dw)])
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def traced_peak(call):
+    """Bytes that ``call()`` allocates at its peak, above what it started with."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_refinement_passes_allocate_no_block(monkeypatch):
+    # the stencil apply forms each term in one scratch row, the backward
+    # error takes each row's |v| into one grid buffer, and solve_mixed reads
+    # a real solve back at the differenced nodes only
+    slack = 4096
+    square = discretize(GridSpec(SQUARE, (64, 64)), HoloModulusSquaredWeight([2, 1], SQUARE))
+    annulus = discretize(GridSpec(ANNULUS, (32, 64)), unit_weight(ANNULUS))
+    rng = np.random.default_rng(17)
+    for op, rows in ((square, rng.standard_normal((5, 4096)) + 1j * rng.standard_normal((5, 4096))),
+                     (annulus, rng.standard_normal((10, 2048)))):
+        # numpy buffers a constant weight's (n1, 1) coefficients where they
+        # broadcast over a grid, at most getbufsize() doubles a call
+        buffered = np.getbufsize() * 8 if np.shape(op.stencil[(0, 0)])[1] == 1 else 0
+        out = np.empty_like(rows)
+        apply_rows = op._row_operator()
+        assert traced_peak(lambda: apply_rows(rows, out=out)) <= op.size * out.itemsize + buffered + slack
+        backward_error = op._backward_error(rows)
+        assert traced_peak(lambda: backward_error(out, rows)) <= op.size * 8 + buffered + slack
+
+    after_solve, solve = [], pdegreen.DiscreteOperator.solve
+
+    def solve_then_mark(self, rhs, stats=None):
+        x = solve(self, rhs, stats)
+        after_solve.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return x
+
+    monkeypatch.setattr(pdegreen.DiscreteOperator, "solve", solve_then_mark)
+    pairs = grid_pairs(annulus.grid, 5)
+    tracemalloc.start()
+    try:
+        solve_mixed(annulus, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - after_solve[0] < annulus.size * 16
 
 
 def complex_grid_mid_mask(grid, source):
