@@ -78,8 +78,10 @@ from .weights import (
 __version__ = "0.1.0"
 
 # The grid solver is imported on the first use of one of its names, so a
-# closed-form run never loads it; it imports scipy, which takes longer to
-# import than the rest of the package, only for a sparse LU factorization.
+# closed-form run never loads it.  It loads no scipy module on import (scipy
+# comes only with a sparse LU factorization), but importing it costs about
+# 1.1 ms from bytecode and 5.5 ms when the bytecode is not cached, as under
+# PYTHONDONTWRITEBYTECODE=1 (python -X importtime).
 _PDEGREEN_NAMES = frozenset({
     "DiscreteGreen", "DiscreteOperator", "GridSpec", "discretize", "grid_pairs", "mid_mask",
     "rectangle_green_series", "reference_error", "solve_green", "solve_mixed",

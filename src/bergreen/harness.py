@@ -172,10 +172,13 @@ class ExperimentConfig:
                 raise ConfigError(f"tolerance {name} must be a number, got {value!r}")
         if self.seed is not None and not _of_type(self.seed, Integral):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if self.pairs is not None:
-            _parse_pairs(self.pairs)
         domain = _build_domain(self)
         _build_weight(self, domain)
+        if self.pairs is not None:
+            points = _parse_pairs(self.pairs).ravel()
+            outside = points[~domain.contains_many(points)]
+            if outside.size:
+                raise ConfigError(f"pairs must lie in the domain; {complex(outside[0])} does not")
         if self.pairs is None and self.seed is None and self._draws_points(domain):
             raise ConfigError("a seed is mandatory when points are drawn randomly")
         if self.quad_order < 1 or self.basis_order < 0:
@@ -343,20 +346,14 @@ class VerificationReport:
         with open(report_path, "w", encoding="utf-8") as fh:
             json.dump(self.to_json(), fh, indent=2, sort_keys=True, default=_json_default)
             fh.write("\n")
+        # %.17g round-trips float64 and prints an integer below 2^53 as one
         for name, (header, rows) in self.csv_files.items():
+            table = np.asarray(rows, dtype=float).reshape(-1, len(header))
+            line = ",".join(["%.17g"] * len(header)) + "\n"
             with open(out / name, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(",".join(header) + "\n")
-                for row in rows:
-                    fh.write(",".join(_fmt(v) for v in row) + "\n")
+                fh.write(line * len(table) % tuple(table.ravel().tolist()))
         return report_path
-
-
-def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, str):
-        return v
-    return "%.17g" % float(v)
 
 
 def _json_default(o):
@@ -370,28 +367,26 @@ def _json_default(o):
 
 
 def _worst(values):
-    """The largest value, or None when nothing was evaluated."""
-    values = list(values)
-    return max(values) if values else None
+    """The largest value (NaN if any value is NaN), or None when nothing was
+    evaluated."""
+    return float(np.max(values)) if len(values) else None
 
 
 PAIR_COLUMNS = ("re_z", "im_z", "re_w", "im_w")
 
 
-def _pair_table(results, columns: dict) -> tuple:
-    """The report.json records and the CSV (header, rows) of a per-pair table.
+def _pair_csv(zs, ws, columns: dict) -> tuple:
+    """The CSV (header, rows) of a per-pair table: the coordinates of each
+    pair, then ``columns``, which maps each column name to its real values."""
+    return PAIR_COLUMNS + tuple(columns), np.column_stack(
+        [zs.real, zs.imag, ws.real, ws.imag, *columns.values()])
 
-    ``results`` holds (z, w, values) triples with one value per entry of
-    ``columns``, which maps each CSV column to the record key of its value
-    (None keeps the value out of the records).
-    """
-    records, rows = [], []
-    for z, w, values in results:
-        record = {"z": [z.real, z.imag], "w": [w.real, w.imag]}
-        record.update((key, v) for key, v in zip(columns.values(), values) if key)
-        records.append(record)
-        rows.append((z.real, z.imag, w.real, w.imag, *values))
-    return records, (PAIR_COLUMNS + tuple(columns), rows)
+
+def _pair_records(zs, ws, **values) -> list:
+    """The report.json records of a per-pair table: z, w and each named value."""
+    rows = zip(zs.tolist(), ws.tolist(), *(v.tolist() for v in values.values()))
+    return [{"z": [z.real, z.imag], "w": [w.real, w.imag], **dict(zip(values, vs))}
+            for z, w, *vs in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -441,28 +436,24 @@ def _closed_form_green(domain: Domain) -> green.GreenFunction:
     )
 
 
-def _parse_pairs(pairs) -> list:
+def _parse_pairs(pairs) -> np.ndarray:
+    """The configured (z, w) pairs as a complex array of shape (pairs, 2)."""
     try:
         out = [(complex(zr, zi), complex(wr, wi)) for (zr, zi), (wr, wi) in pairs]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"pairs must be a list of [[re, im], [re, im]]: {exc}") from exc
     if not out:
         raise ConfigError("pairs must not be empty")
-    return out
+    return np.array(out, dtype=complex)
 
 
-def _pair_arrays(pairs) -> tuple:
-    """The first and the second points of (z, w) pairs as two complex arrays."""
-    return tuple(np.array(pairs, dtype=complex).reshape(-1, 2).T)
-
-
-def _sample_pairs(cfg: ExperimentConfig, domain: Domain) -> list:
+def _sample_pairs(cfg: ExperimentConfig, domain: Domain) -> tuple:
+    """The first and the second points of the run's pairs as two complex
+    arrays: the configured pairs, or ``count`` pairs drawn from the seed."""
     if cfg.pairs is not None:
-        return _parse_pairs(cfg.pairs)
+        return tuple(_parse_pairs(cfg.pairs).T)
     rng = np.random.default_rng(cfg.seed)
-    zs = domain.sample_interior(rng, cfg.count)
-    ws = domain.sample_interior(rng, cfg.count)
-    return list(zip(zs.tolist(), ws.tolist()))
+    return domain.sample_interior(rng, cfg.count), domain.sample_interior(rng, cfg.count)
 
 
 # ---------------------------------------------------------------------------
@@ -481,24 +472,23 @@ def _exp_verify_identity(cfg: ExperimentConfig) -> VerificationReport:
     kernel = _build_kernel(cfg, domain, weight)
     wg = green.weighted_green(gf, weights.solve_gauge(weight))
 
-    pairs = _sample_pairs(cfg, domain)
-    zs, ws = _pair_arrays(pairs)
+    zs, ws = _sample_pairs(cfg, domain)
     leaves, exits = green.stencil_exits(wg.domain, zs, ws, cfg.fd_step)
-    notes = [f"pair ({z}, {w}) skipped: stencil point {complex(p)} leaves the domain"
-             for (z, w), p, left in zip(pairs, exits, leaves) if left]
+    notes = [f"pair ({z}, {w}) skipped: stencil point {p} leaves the domain"
+             for z, w, p in zip(zs[leaves].tolist(), ws[leaves].tolist(), exits[leaves].tolist())]
     zs, ws = zs[~leaves], ws[~leaves]
     kv = kernel.evaluate(zs, ws)
     res_a = green.identity_residual(kernel, wg, weight, zs, ws, method="analytic", kernel_values=kv)
     res_f = green.identity_residual(kernel, wg, weight, zs, ws, cfg.fd_step, method="fd",
                                     kernel_values=kv)
-    results = zip(zs.tolist(), ws.tolist(), np.column_stack([res_a, res_f, np.abs(kv)]).tolist())
-    records, table = _pair_table(
-        results, {"residual_analytic": "residual", "residual_fd": "residual_fd", "abs_K": None})
     checks = [
         Check("identity residual (analytic mixed derivative), max over pairs",
-              _worst(r["residual"] for r in records), cfg.tol("identity_analytic")),
-        Check(FD_IDENTITY_CHECK, _worst(r["residual_fd"] for r in records), cfg.tol("identity_fd")),
+              _worst(res_a), cfg.tol("identity_analytic")),
+        Check(FD_IDENTITY_CHECK, _worst(res_f), cfg.tol("identity_fd")),
     ]
+    records = _pair_records(zs, ws, residual=res_a, residual_fd=res_f)
+    table = _pair_csv(zs, ws, {"residual_analytic": res_a, "residual_fd": res_f,
+                               "abs_K": np.abs(kv)})
     return VerificationReport(cfg, checks, records=records, notes=notes,
                               tables={"kernel": kernel.metadata()},
                               csv_files={"identity.csv": table})
@@ -508,11 +498,10 @@ def _exp_kernel(cfg: ExperimentConfig) -> VerificationReport:
     domain = _build_domain(cfg)
     weight = _build_weight(cfg, domain)
     kernel = _build_kernel(cfg, domain, weight)
-    pts = _pair_arrays(_sample_pairs(cfg, domain))[0]
+    pts = _sample_pairs(cfg, domain)[0]
     nxt = np.roll(pts, -1)
     kv, kv_swapped = kernel.evaluate(np.stack([pts, nxt]), np.stack([nxt, pts]))
     herm = float(np.max(np.abs(kv - np.conj(kv_swapped))))
-    rows = np.column_stack([pts.real, pts.imag, nxt.real, nxt.imag, kv.real, kv.imag]).tolist()
     sub = pts[:6]
     M = kernel.evaluate(sub[:, None], sub[None, :])
     min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (M + M.conj().T))))
@@ -523,13 +512,13 @@ def _exp_kernel(cfg: ExperimentConfig) -> VerificationReport:
               min_eig, -cfg.tol("psd"), ">="),
     ]
     return VerificationReport(cfg, checks, tables={"kernel": kernel.metadata()}, csv_files={
-        "kernel.csv": (PAIR_COLUMNS + ("re_K", "im_K"), rows)})
+        "kernel.csv": _pair_csv(pts, nxt, {"re_K": kv.real, "im_K": kv.imag})})
 
 
 def _exp_green(cfg: ExperimentConfig) -> VerificationReport:
     domain = _build_domain(cfg)
     gf = _closed_form_green(domain)
-    zs, ws = _pair_arrays(_sample_pairs(cfg, domain))
+    zs, ws = _sample_pairs(cfg, domain)
     # G is singular on the diagonal, so it is judged off the diagonal only,
     # by the rule DiskGreen.value raises on
     diagonal = np.abs(zs - ws) <= green.DIAGONAL_TOL
@@ -538,17 +527,15 @@ def _exp_green(cfg: ExperimentConfig) -> VerificationReport:
     zs, ws = zs[~diagonal], ws[~diagonal]
     gv = gf.value(zs, ws)
     mx = gf.mixed_analytic(zs, ws)
-    rows = np.column_stack(
-        [zs.real, zs.imag, ws.real, ws.imag, gv, gf.harmonic(zs, ws), mx.real, mx.imag]).tolist()
 
     checks = [
         Check("symmetry, max |G(z,w) - G(w,z)|",
-              _worst(np.abs(gv - gf.value(ws, zs)).tolist()), cfg.tol("symmetry")),
+              _worst(np.abs(gv - gf.value(ws, zs))), cfg.tol("symmetry")),
         Check("boundary vanishing, max |G(boundary, w)|", bdry, cfg.tol("boundary")),
-        Check("interior positivity violations", _worst(np.where(gv > 0, 0.0, 1.0).tolist()), 0.5),
+        Check("interior positivity violations", _worst(np.where(gv > 0, 0.0, 1.0)), 0.5),
     ]
-    return VerificationReport(cfg, checks, notes=notes, csv_files={
-        "green.csv": (PAIR_COLUMNS + ("G", "h", "re_mixed", "im_mixed"), rows)})
+    return VerificationReport(cfg, checks, notes=notes, csv_files={"green.csv": _pair_csv(
+        zs, ws, {"G": gv, "h": gf.harmonic(zs, ws), "re_mixed": mx.real, "im_mixed": mx.imag})})
 
 
 def _exp_exhaust(cfg: ExperimentConfig) -> VerificationReport:
@@ -595,13 +582,10 @@ def _exp_distance(cfg: ExperimentConfig) -> VerificationReport:
     domain = _build_domain(cfg)
     weight = _build_weight(cfg, domain)
     kernel = _build_kernel(cfg, domain, weight)
-    pairs = _sample_pairs(cfg, domain)
-
-    zs, ws = _pair_arrays(pairs)
+    zs, ws = _sample_pairs(cfg, domain)
     d, d_swapped = bergman.skwarczynski_distance(kernel, np.stack([zs, ws]), np.stack([ws, zs]))
     sym = float(np.max(np.abs(d - d_swapped)))
     in_range = bool(np.all((0.0 <= d) & (d <= 1.0)))
-    rows = np.column_stack([zs.real, zs.imag, ws.real, ws.imag, d]).tolist()
     diag = bergman.skwarczynski_distance(kernel, zs[0], zs[0])
 
     checks = [
@@ -610,7 +594,7 @@ def _exp_distance(cfg: ExperimentConfig) -> VerificationReport:
         Check("range violations", 0.0 if in_range else 1.0, 0.5),
     ]
     return VerificationReport(cfg, checks, csv_files={
-        "distance.csv": (PAIR_COLUMNS + ("distance",), rows)})
+        "distance.csv": _pair_csv(zs, ws, {"distance": d})})
 
 
 @dataclass(frozen=True)
@@ -623,11 +607,10 @@ class _FieldRows:
     def __len__(self) -> int:
         return self.sol.values.size
 
-    def __iter__(self):
-        pts = self.sol.grid.interior_points()
-        vals = np.asarray(self.sol.values, dtype=complex)
-        for p, v in zip(pts.ravel().tolist(), vals.ravel().tolist()):
-            yield p.real, p.imag, v.real, v.imag
+    def __array__(self, dtype=None, copy=None):
+        pts = self.sol.grid.interior_points().ravel()
+        vals = np.asarray(self.sol.values, dtype=complex).ravel()
+        return np.asarray(np.column_stack([pts.real, pts.imag, vals.real, vals.imag]), dtype=dtype)
 
 
 def _grid_identity(cfg: ExperimentConfig, domain: Domain, weight, n_pairs: int = 5) -> tuple:
@@ -635,8 +618,8 @@ def _grid_identity(cfg: ExperimentConfig, domain: Domain, weight, n_pairs: int =
     the grid mixed derivative of all pairs at once.  This grid residual is
     |K - rhs| / |K|; the closed-form residual of ``green.identity_residual``
     (verify-identity, the gauge perturbation table) divides by max(1, |K|)
-    instead.  Returns the kernel, the records, the CSV table and the block
-    solve's statistics."""
+    instead.  Returns the kernel, the residuals, their records and CSV table,
+    and the block solve's statistics."""
     from . import pdegreen  # only when a grid is built
 
     kernel = _build_kernel(cfg, domain, weight)
@@ -644,13 +627,12 @@ def _grid_identity(cfg: ExperimentConfig, domain: Domain, weight, n_pairs: int =
     pairs = pdegreen.grid_pairs(op.grid, n_pairs)
     solver = {}
     mixed = pdegreen.solve_mixed(op, pairs, solver)
-    zs, ws = _pair_arrays(pairs)
+    zs, ws = np.array(pairs, dtype=complex).T
     rhs = green.identity_rhs(weight, zs, ws, mixed)
     kv = kernel.evaluate(zs, ws)
     residual = np.abs(kv - rhs) / np.abs(kv)
-    results = zip(zs.tolist(), ws.tolist(), residual[:, None].tolist())
-    records, table = _pair_table(results, {"residual": "residual"})
-    return kernel, records, table, solver
+    return (kernel, residual, _pair_records(zs, ws, residual=residual),
+            _pair_csv(zs, ws, {"residual": residual}), solver)
 
 
 def _exp_pde_green(cfg: ExperimentConfig) -> VerificationReport:
@@ -707,9 +689,9 @@ def _exp_pde_green(cfg: ExperimentConfig) -> VerificationReport:
         return VerificationReport(cfg, checks, csv_files={
             "pde_factorization.csv": (("resolution", "max_relative_error"), rows)})
 
-    kernel, records, table, solver = _grid_identity(cfg, domain, weight)
+    kernel, residual, records, table, solver = _grid_identity(cfg, domain, weight)
     checks = [Check("grid identity residual, max over pairs",
-                    _worst(r["residual"] for r in records), cfg.tol(cfg.primary_tolerance()))]
+                    _worst(residual), cfg.tol(cfg.primary_tolerance()))]
     return VerificationReport(cfg, checks, records=records,
                               tables={"kernel": kernel.metadata(), "solver": solver},
                               csv_files={"pde_identity.csv": table})
@@ -730,8 +712,8 @@ def _exp_gauge(cfg: ExperimentConfig) -> VerificationReport:
             raise ConfigError(
                 "the generic-weight experiment needs a rectangle or annulus domain"
             ) from exc
-        _, records, table, solver = _grid_identity(cfg, domain, weight)
-        finite = all(math.isfinite(r["residual"]) for r in records)
+        _, residual, records, table, solver = _grid_identity(cfg, domain, weight)
+        finite = bool(np.all(np.isfinite(residual)))
         checks = [Check("identity residuals computed and finite (violations)",
                         0.0 if finite else 1.0, 0.5)]
         notes = [
@@ -759,7 +741,7 @@ def _exp_gauge(cfg: ExperimentConfig) -> VerificationReport:
     if not weight.is_constant and not isinstance(domain, (Rectangle, Annulus)):
         kernel = _build_kernel(cfg, domain, weight)
         wg = green.weighted_green(_closed_form_green(domain), gauge)
-        zs, ws = _pair_arrays(_sample_pairs(cfg, domain)[:5])
+        zs, ws = (points[:5] for points in _sample_pairs(cfg, domain))
         rhs = green.identity_rhs(weight, zs, ws, wg.mixed_zwbar(zs, ws, method="analytic"))
         kv = kernel.evaluate(zs, ws)
         rows = [(eps, float(np.max(np.abs(kv - rhs * math.exp(2.0 * eps))

@@ -261,6 +261,87 @@ def test_determinism_byte_identical(tmp_path):
             assert (a / f).read_bytes() == (b / f).read_bytes(), (name, f)
 
 
+def oracle_fmt(v) -> str:
+    """One CSV value as the writer once formatted each value: an integer in
+    decimal, a string as it is, anything else by %.17g."""
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, str):
+        return v
+    return "%.17g" % float(v)
+
+
+def oracle_csv(header, rows) -> str:
+    rows = rows if hasattr(rows, "__iter__") else np.asarray(rows)
+    return "".join(",".join(oracle_fmt(v) for v in row) + "\n" for row in [header, *rows])
+
+
+# every experiment, every pde_check and one study; the all-leaving pairs give
+# a table with no rows
+WRITER_CONFIGS = {
+    **DETERMINISM_CONFIGS,
+    "factorization": {"experiment": "pde-green", "pde_check": "factorization", "domain": SQUARE,
+                      "weight": {"representation": "holo_modulus_squared",
+                                 "coefficients": [[2, 0], [1, 0]]},
+                      "grid": [32, 32], **SMALL},
+    "gauge-generic": {"experiment": "gauge-experiment", "domain": SQUARE, "grid": [32, 32],
+                      "weight": {"representation": "generic_c1", "name": "exp_abs_sq"}, **SMALL},
+    "all-leave": {"experiment": "verify-identity", **SMALL,
+                  "pairs": [[[0.9999, 0.0], [0.2, 0.1]], [[0.1, 0.2], [0.0, -0.9999]]]},
+}
+
+
+def test_csv_writer_matches_the_per_value_oracle(tmp_path):
+    reports = {name: run(ExperimentConfig.from_dict(dict(c)), tmp_path / name)
+               for name, c in WRITER_CONFIGS.items()}
+    special = harness.VerificationReport(ExperimentConfig("kernel", seed=1), [], csv_files={
+        "special.csv": (("a", "b", "c"), [(math.nan, math.inf, -math.inf),
+                                          (-0.0, 2**53 - 1, 5e-324)])})
+    special.write(tmp_path / "special")
+    reports["special"] = special
+    written = set()
+    for name, report in reports.items():
+        for csv, (header, rows) in report.csv_files.items():
+            text = (tmp_path / name / csv).read_text()
+            assert text == oracle_csv(header, rows), (name, csv)
+            # every cell reads back as exactly its float64, sign of zero included
+            table = np.asarray(rows, dtype=float).reshape(-1, len(header))
+            cells = np.array([[float(v) for v in line.split(",")]
+                              for line in text.splitlines()[1:]]).reshape(table.shape)
+            assert cells.tobytes() == table.tobytes(), (name, csv)
+            written.add(csv)
+    assert {r.config.experiment for r in reports.values()} >= set(harness.EXPERIMENTS)
+    assert {r.config.pde_check for r in reports.values()
+            if r.config.experiment == "pde-green"} == set(harness.PDE_CHECKS)
+    # integer columns, the lazy field table and a study table
+    assert {"exhaust.csv", "pde_reference.csv", "pde_field.csv", "study.csv"} <= written
+    assert (tmp_path / "exhaust" / "exhaust.csv").read_text().splitlines()[1].startswith("1,")
+    assert (tmp_path / "all-leave" / "identity.csv").read_text() == \
+        "re_z,im_z,re_w,im_w,residual_analytic,residual_fd,abs_K\n"
+    assert (tmp_path / "special" / "special.csv").read_text() == \
+        "a,b,c\nnan,inf,-inf\n-0,9007199254740991,4.9406564584124654e-324\n"
+
+
+def test_field_table_is_built_only_when_written(tmp_path, monkeypatch):
+    # a reference study discards its three solutions unwritten, so it must
+    # not pay for their field tables
+    def refuse(self, dtype=None, copy=None):
+        raise AssertionError("field table built")
+
+    single = {"experiment": "pde-green", "pde_check": "reference", "domain": SQUARE}
+    with monkeypatch.context() as m:
+        m.setattr(harness._FieldRows, "__array__", refuse)
+        study = run(ExperimentConfig.from_dict(
+            {**single, "study": {"parameter": "grid_resolution", "values": [32, 64, 128]}}),
+            tmp_path / "study")
+    assert len(study.tables["study"]["rows"]) == 3
+    n = 32
+    report = run(ExperimentConfig.from_dict({**single, "grid": [n, n]}), tmp_path / "single")
+    assert len(report.csv_files["pde_field.csv"][1]) == n * n
+    lines = (tmp_path / "single" / "pde_field.csv").read_text().splitlines()
+    assert len(lines) == n * n + 1 and lines[0] == "x,y,re_G,im_G"
+
+
 def test_kernel_green_distance_experiments(tmp_path):
     for exp in ("kernel", "green", "distance"):
         report = run(ExperimentConfig.from_dict(
@@ -661,6 +742,15 @@ def test_validate_rejects_unparsable_specs(change, message):
      "study parameter basis_order does not reach the check 'symmetry"),
     ({"domain": ANNULUS_SPEC, "study": {"parameter": "grid_resolution", "values": [16, 17, 32]}},
      "study value 17 of grid_resolution: annulus grids need an even angular count"),
+    # explicit points must lie in the domain, and a NaN lies nowhere
+    ({"pairs": [[[2, 0], [3, 0.5]], [[0.1, 0], [5, 0]]]},
+     "pairs must lie in the domain; (2+0j) does not"),
+    ({"experiment": "distance", "pairs": [[[0.1, 0], [0.2, 0]], [[0.1, 0], [5, 0]]]},
+     "pairs must lie in the domain; (5+0j) does not"),
+    ({"experiment": "green", "pairs": [[[0.1, 0], [0.2, 0]], [[0.3, 0.5], [3, 0.5]]]},
+     "pairs must lie in the domain; (3+0.5j) does not"),
+    ({"experiment": "green", "pairs": [[[0.1, math.nan], [0.2, 0]]]},
+     "pairs must lie in the domain; (0.1+nanj) does not"),
 ])
 def test_cli_malformed_config_exits_2(tmp_path, capsys, change, message):
     path = tmp_path / "cfg.json"
@@ -699,6 +789,16 @@ def test_check_derives_passed():
     assert Check("a", 0.0, -1e-9, ">=").passed
     assert not Check("a", float("nan"), 1.0).passed
     assert not Check("a", None, 1.0).passed
+
+
+def test_worst_keeps_a_nan():
+    # Python's max([0.1, nan]) is 0.1, so a NaN residual that did not come
+    # first used to pass its check
+    for values in ([0.1, math.nan], [math.nan, 0.1], np.array([0.1, math.nan])):
+        assert math.isnan(harness._worst(values))
+        assert not Check("a", harness._worst(values), 1.0).passed
+    assert harness._worst([0.1, 0.3, 0.2]) == 0.3
+    assert harness._worst(np.array([])) is None
 
 
 # A closed-form run in a fresh process: no scipy module may be loaded, and
