@@ -191,13 +191,12 @@ def _mixed_once(f_vals, s):
     return 0.5 * (du + 1j * dv)
 
 
-def wirtinger_mixed(f, z, w, step: float, richardson: bool = True,
-                    domain: Optional[Domain] = None):
-    """Central-difference d^2 f / dz d(conj w) on a 16-point stencil.
+def wirtinger_mixed(f, z, w, step: float, domain: Optional[Domain] = None):
+    """Richardson-extrapolated central-difference d^2 f / dz d(conj w).
 
-    Plain central differences are O(step^2) accurate; with ``richardson``
-    (two stencils at steps step and step/2, combined 2:1) the leading error
-    term cancels and the result is O(step^4).  ``z`` and ``w`` broadcast
+    Each of two 16-point stencils, at steps step and step/2, is an O(step^2)
+    central difference; combined 2:1 (Richardson) their leading error terms
+    cancel and the result is O(step^4).  ``z`` and ``w`` broadcast
     against each other and ``f`` is called once, on the stencil points of
     every pair and both steps, so it must broadcast its two arguments too.
     If a domain is supplied every stencil point is checked and a
@@ -211,14 +210,12 @@ def wirtinger_mixed(f, z, w, step: float, richardson: bool = True,
         if np.any(leaves):
             p = complex(points[leaves][0])
             raise StencilError(f"stencil point {p} leaves the domain", point=p)
-    steps = (step, step / 2) if richardson else (step,)
+    steps = (step, step / 2)
     # axes: step, z shift, w shift, then the broadcast shape of the pairs
     zs = np.stack([_shifted(z, s) for s in steps])[:, :, None]
     ws = np.stack([_shifted(w, s) for s in steps])[:, None, :]
     f_vals = np.asarray(f(zs, ws))
     coarse = _mixed_once(f_vals[0], step)
-    if not richardson:
-        return _unbox(coarse)
     fine = _mixed_once(f_vals[1], step / 2)
     return _unbox((4.0 * fine - coarse) / 3.0)
 
@@ -264,8 +261,7 @@ class WeightedGreen:
         if method == "fd":
             # Differencing the smooth part avoids the large truncation error
             # the log singularity would inject for nearby arguments.
-            return wirtinger_mixed(self.smooth_value, z, w, step, richardson=True,
-                                   domain=self.domain)
+            return wirtinger_mixed(self.smooth_value, z, w, step, domain=self.domain)
         raise ParameterError(f"unknown mixed-derivative method {method!r}")
 
 

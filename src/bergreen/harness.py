@@ -13,8 +13,10 @@ import json
 import math
 import operator
 from dataclasses import asdict, dataclass, field as dc_field, replace
+from functools import cached_property
 from numbers import Integral, Real
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,7 +31,6 @@ from .errors import (
 )
 from .geometry import (
     Annulus,
-    Disk,
     Domain,
     MoebiusDisk,
     Rectangle,
@@ -63,16 +64,6 @@ ASSUMPTIONS = [
     "G = -ln|z - w| + harmonic",
 ]
 
-EXPERIMENTS = (
-    "kernel",
-    "green",
-    "verify-identity",
-    "exhaust",
-    "pde-green",
-    "distance",
-    "gauge-experiment",
-)
-
 DEFAULT_TOLERANCES = {
     "identity_analytic": 1e-5,
     "identity_fd": 1e-4,
@@ -89,22 +80,18 @@ DEFAULT_TOLERANCES = {
     "fit_order_grid": 1.5,
 }
 
-# the tolerance key the CLI --tol flag overrides, per experiment; pde-green
-# takes that of its pde_check (ExperimentConfig.primary_tolerance)
-PRIMARY_TOLERANCE = {
-    "verify-identity": "identity_analytic",
-    "kernel": "hermitian",
-    "green": "symmetry",
-    "exhaust": "closed_form",
-    "distance": "symmetry",
-    "gauge-experiment": "gauge_residual",
-}
+# the tolerance --tol sets for pde-green, per pde_check; on annuli identity
+# sets grid_identity_annulus (ExperimentConfig.primary_tolerance)
 PDE_TOLERANCE = {"identity": "grid_identity", "reference": "grid_reference",
                  "factorization": "factorization"}
 PDE_CHECKS = tuple(PDE_TOLERANCE)
 
 # each sets the config key of its name, but grid_resolution sets grid = (v, v)
 STUDY_PARAMETERS = ("basis_order", "quad_order", "grid_resolution", "fd_step")
+
+# what parsing a malformed domain or weight spec raises: a missing key, a
+# field of the wrong type or shape, or a value the constructor rejects
+_SPEC_ERRORS = (LookupError, TypeError, ValueError, AttributeError, ParameterError, WeightError)
 
 # numeric config fields and the type each must have
 _FIELD_TYPES = {
@@ -144,13 +131,28 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "experiment" not in data:
             raise ConfigError(f"no experiment named; choose from {EXPERIMENTS}")
+        experiment = data["experiment"]
+        if isinstance(experiment, str) and experiment in _EXPERIMENTS:
+            # a misspelt or malformed experiment is reported by validate
+            _check_read(experiment, data.get("pde_check", "identity"), data)
         return cls(**data)
+
+    @cached_property
+    def built(self) -> tuple:
+        """The (domain, weight) this config runs on, built once, on validation."""
+        try:
+            domain = make_domain(self.domain["kind"], **self.domain.get("params", {}))
+        except _SPEC_ERRORS as exc:
+            raise ConfigError(f"bad domain spec {self.domain!r}: {exc}") from exc
+        try:
+            return domain, weights.weight_from_json(self.weight, domain)
+        except _SPEC_ERRORS as exc:
+            raise ConfigError(f"bad weight spec {self.weight!r}: {exc}") from exc
 
     def validate(self):
         if self.experiment not in EXPERIMENTS:
@@ -165,26 +167,18 @@ class ExperimentConfig:
         unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
         if unknown:
             raise ConfigError(
-                f"unknown tolerance names {unknown}; choose from {sorted(DEFAULT_TOLERANCES)}"
-            )
+                f"unknown tolerance names {unknown}; choose from {sorted(DEFAULT_TOLERANCES)}")
         for name, value in self.tolerances.items():
             if not _of_type(value, Real):
                 raise ConfigError(f"tolerance {name} must be a number, got {value!r}")
-        if self.seed is not None and not _of_type(self.seed, Integral):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        domain = _build_domain(self)
-        _build_weight(self, domain)
-        if self.pairs is not None:
-            points = _parse_pairs(self.pairs).ravel()
-            outside = points[~domain.contains_many(points)]
-            if outside.size:
-                raise ConfigError(f"pairs must lie in the domain; {complex(outside[0])} does not")
-        if self.pairs is None and self.seed is None and self._draws_points(domain):
-            raise ConfigError("a seed is mandatory when points are drawn randomly")
+            if not math.isfinite(value):
+                raise ConfigError(f"tolerance {name} must be finite, got {value!r}")
+        if self.seed is not None and not (_of_type(self.seed, Integral) and self.seed >= 0):
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.quad_order < 1 or self.basis_order < 0:
             raise ConfigError("orders must be positive")
-        if self.fd_step <= 0:
-            raise ConfigError("fd_step must be positive")
+        if not 0 < self.fd_step < math.inf:  # false for NaN too
+            raise ConfigError(f"fd_step must be positive and finite, got {self.fd_step!r}")
         if self.count < 1:
             raise ConfigError("count must be >= 1")
         if self.exhaust_steps < 1:
@@ -194,15 +188,26 @@ class ExperimentConfig:
         if not (isinstance(self.grid, (list, tuple)) and len(self.grid) == 2
                 and all(_of_type(v, Integral) and v > 0 for v in self.grid)):
             raise ConfigError(f"grid must be two positive integers, got {self.grid!r}")
-        self._validate_grid(domain)
+        domain, _ = self.built
+        kinds = _EXPERIMENTS[self.experiment].kinds
+        if kinds is not None and domain.kind not in kinds:
+            raise ConfigError(f"{self.experiment} runs only on {' and '.join(kinds)} domains, "
+                              f"not on {domain.kind}")
+        if self.pairs is not None:
+            points = _parse_pairs(self.pairs).ravel()
+            outside = points[~domain.contains_many(points)]
+            if outside.size:
+                raise ConfigError(f"pairs must lie in the domain; {complex(outside[0])} does not")
+        keys = _keys_read(self.experiment, self.pde_check)
+        # gauge-experiment reads its points off the grid domains only
+        draws = "count" in keys and not (self.experiment == "gauge-experiment"
+                                         and isinstance(domain, (Rectangle, Annulus)))
+        if self.pairs is None and self.seed is None and draws:
+            raise ConfigError("a seed is mandatory when points are drawn randomly")
+        if "grid" in keys:
+            self._validate_grid(domain)
         if self.study is not None:
             self._validate_study()
-
-    def _draws_points(self, domain: Domain) -> bool:
-        """Whether the run draws its points at random (:func:`_sample_pairs`)."""
-        if self.experiment == "gauge-experiment":
-            return not isinstance(domain, (Rectangle, Annulus))
-        return self.experiment in ("verify-identity", "kernel", "green", "distance")
 
     def _validate_study(self):
         if not isinstance(self.study, dict) or not {"parameter", "values"} <= set(self.study):
@@ -211,6 +216,9 @@ class ExperimentConfig:
         if parameter not in STUDY_PARAMETERS:
             raise ConfigError(
                 f"unknown study parameter {parameter!r}; choose from {STUDY_PARAMETERS}")
+        _check_read(self.experiment, self.pde_check,
+                    ["grid" if parameter == "grid_resolution" else parameter],
+                    f"study parameter {parameter}: ")
         if not isinstance(values, (list, tuple)) or not all(_of_type(v, Real) for v in values):
             raise ConfigError(f"study values must be a list of numbers, got {values!r}")
         if not all(v > 0 for v in values):
@@ -221,8 +229,12 @@ class ExperimentConfig:
         steps = list(zip(values, values[1:]))
         if not (all(a < b for a, b in steps) or all(a > b for a, b in steps)):
             raise ConfigError(f"study values must be strictly monotone, got {list(values)}")
-        # each swept config validates itself on construction; _run_study runs these
-        object.__setattr__(self, "_study_configs", tuple(self._swept(v) for v in values))
+        self._study_configs  # builds each swept config, which validates itself
+
+    @cached_property
+    def _study_configs(self) -> tuple:
+        """The swept config of each study value; :func:`_run_study` runs these."""
+        return tuple(self._swept(v) for v in self.study["values"])
 
     def _swept(self, value) -> "ExperimentConfig":
         """This config without its study, the study parameter set to ``value``."""
@@ -241,7 +253,8 @@ class ExperimentConfig:
             n = self.grid[0]
             if self.grid[1] != n:
                 raise ConfigError(
-                    f"pde_check {self.pde_check!r} solves on a square grid; got {self.grid!r}")
+                    f"pde_check {self.pde_check!r} builds its grids from n = grid[0] (n x 2n on "
+                    f"annuli), so grid must be [n, n]; got {self.grid!r}")
             ns = (n,)
             if self.pde_check == "factorization":
                 ns, context = (n // 2, n), "pde_check 'factorization' also solves at grid[0] // 2: "
@@ -257,9 +270,10 @@ class ExperimentConfig:
 
     def primary_tolerance(self) -> str:
         """The tolerance name the CLI --tol flag overrides."""
-        if self.experiment != "pde-green":
-            return PRIMARY_TOLERANCE[self.experiment]
-        if self.pde_check == "identity" and isinstance(_build_domain(self), Annulus):
+        row = _EXPERIMENTS[self.experiment]
+        if row.tol is not None:
+            return row.tol
+        if self.pde_check == "identity" and isinstance(self.built[0], Annulus):
             return "grid_identity_annulus"
         return PDE_TOLERANCE[self.pde_check]
 
@@ -320,16 +334,8 @@ class VerificationReport:
             "experiment": self.config.experiment,
             "config": asdict(self.config),
             "assumptions": ASSUMPTIONS,
-            "checks": [
-                {
-                    "name": c.name,
-                    "value": c.value,
-                    "tolerance": c.tolerance,
-                    "comparison": c.comparison,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
+            "checks": [{"name": c.name, "value": c.value, "tolerance": c.tolerance,
+                        "comparison": c.comparison, "passed": c.passed} for c in self.checks],
             "summary": self.summary(),
             "records": self.records,
             "tables": self.tables,
@@ -394,26 +400,6 @@ def _pair_records(zs, ws, **values) -> list:
 # ---------------------------------------------------------------------------
 
 
-# what parsing a malformed domain or weight spec raises: a missing key, a
-# field of the wrong type or shape, or a value the constructor rejects
-_SPEC_ERRORS = (LookupError, TypeError, ValueError, AttributeError, ParameterError, WeightError)
-
-
-def _build_domain(cfg: ExperimentConfig) -> Domain:
-    spec = cfg.domain
-    try:
-        return make_domain(spec["kind"], **spec.get("params", {}))
-    except _SPEC_ERRORS as exc:
-        raise ConfigError(f"bad domain spec {spec!r}: {exc}") from exc
-
-
-def _build_weight(cfg: ExperimentConfig, domain: Domain) -> weights.Weight:
-    try:
-        return weights.weight_from_json(cfg.weight, domain)
-    except _SPEC_ERRORS as exc:
-        raise ConfigError(f"bad weight spec {cfg.weight!r}: {exc}") from exc
-
-
 def _build_basis(cfg: ExperimentConfig, domain: Domain):
     if isinstance(domain, Annulus):
         # the first basis_order + 1 exponents in trimming order 0, 1, -1, 2, -2, ...
@@ -427,13 +413,10 @@ def _build_kernel(cfg: ExperimentConfig, domain: Domain, weight):
 
 
 def _closed_form_green(domain: Domain) -> green.GreenFunction:
+    """The Green's function of a disk or a Moebius disk, in closed form."""
     if isinstance(domain, MoebiusDisk):
         return green.moebius_transport(green.DiskGreen(0j, 1.0), domain.map)
-    if isinstance(domain, Disk):
-        return green.DiskGreen(domain.center, domain.radius)
-    raise ConfigError(
-        f"no closed-form Green's function on {domain.kind}; use the pde-green experiment"
-    )
+    return green.DiskGreen(domain.center, domain.radius)
 
 
 def _parse_pairs(pairs) -> np.ndarray:
@@ -466,9 +449,8 @@ FD_IDENTITY_CHECK = "identity residual (finite-difference mixed derivative), max
 
 
 def _exp_verify_identity(cfg: ExperimentConfig) -> VerificationReport:
-    domain = _build_domain(cfg)
+    domain, weight = cfg.built
     gf = _closed_form_green(domain)
-    weight = _build_weight(cfg, domain)
     kernel = _build_kernel(cfg, domain, weight)
     wg = green.weighted_green(gf, weights.solve_gauge(weight))
 
@@ -495,8 +477,7 @@ def _exp_verify_identity(cfg: ExperimentConfig) -> VerificationReport:
 
 
 def _exp_kernel(cfg: ExperimentConfig) -> VerificationReport:
-    domain = _build_domain(cfg)
-    weight = _build_weight(cfg, domain)
+    domain, weight = cfg.built
     kernel = _build_kernel(cfg, domain, weight)
     pts = _sample_pairs(cfg, domain)[0]
     nxt = np.roll(pts, -1)
@@ -516,7 +497,7 @@ def _exp_kernel(cfg: ExperimentConfig) -> VerificationReport:
 
 
 def _exp_green(cfg: ExperimentConfig) -> VerificationReport:
-    domain = _build_domain(cfg)
+    domain, _ = cfg.built
     gf = _closed_form_green(domain)
     zs, ws = _sample_pairs(cfg, domain)
     # G is singular on the diagonal, so it is judged off the diagonal only,
@@ -539,48 +520,34 @@ def _exp_green(cfg: ExperimentConfig) -> VerificationReport:
 
 
 def _exp_exhaust(cfg: ExperimentConfig) -> VerificationReport:
-    domain = _build_domain(cfg)
-    if not isinstance(domain, Disk) or isinstance(domain, MoebiusDisk):
-        raise ConfigError("the exhaust experiment runs on disks")
-    ex = exhaustion_sequence(domain, cfg.exhaust_steps)
-    z0 = domain.center
-    parent_kernel = 1.0 / (math.pi * domain.radius**2)
-
-    rows, hs, ks, herr, kerr = [], [], [], 0.0, 0.0
-    for j, step in enumerate(ex.steps, start=1):
-        g = green.DiskGreen(step.center, step.radius)
-        h_j = g.harmonic_diagonal(z0)
+    domain, _ = cfg.built
+    z0, rows = domain.center, []
+    for j, step in enumerate(exhaustion_sequence(domain, cfg.exhaust_steps).steps, start=1):
         basis = bergman.MonomialBasis(step, cfg.basis_order)
         rule = build_quadrature(step, max(cfg.quad_order, basis.maxdeg + 2))
         kern = bergman.kernel_from_gram(basis, weights.unit_weight(step), rule)
-        k_j = kern.diagonal(z0)
-        h_exact = math.log(step.radius)
-        k_exact = 1.0 / (math.pi * step.radius**2)
-        herr = max(herr, abs(h_j - h_exact))
-        kerr = max(kerr, abs(k_j - k_exact))
-        hs.append(h_j)
-        ks.append(k_j)
-        rows.append((j, step.radius, h_j, k_j, h_exact, k_exact))
-
-    mono_h = all(a < b for a, b in zip(hs, hs[1:]))
-    mono_k = all(a > b for a, b in zip(ks, ks[1:]))
+        rows.append((j, step.radius, green.DiskGreen(step.center, step.radius).harmonic_diagonal(z0),
+                     kern.diagonal(z0), math.log(step.radius), 1.0 / (math.pi * step.radius**2)))
+    _, _, hs, ks, h_exact, k_exact = np.array(rows).T
     checks = [
         Check("harmonic part at center strictly increasing (violations)",
-              0.0 if mono_h else 1.0, 0.5),
+              0.0 if np.all(np.diff(hs) > 0) else 1.0, 0.5),
         Check("kernel diagonal at center strictly decreasing (violations)",
-              0.0 if mono_k else 1.0, 0.5),
-        Check("harmonic part vs closed form, max error", herr, cfg.tol("closed_form")),
-        Check("kernel diagonal vs closed form, max error", kerr, cfg.tol("closed_form")),
+              0.0 if np.all(np.diff(ks) < 0) else 1.0, 0.5),
+        Check("harmonic part vs closed form, max error", float(np.max(np.abs(hs - h_exact))),
+              cfg.tol("closed_form")),
+        Check("kernel diagonal vs closed form, max error", float(np.max(np.abs(ks - k_exact))),
+              cfg.tol("closed_form")),
     ]
+    gap = abs(float(ks[-1]) - 1.0 / (math.pi * domain.radius**2))
     return VerificationReport(
-        cfg, checks, tables={"final_gap_to_parent_kernel": abs(ks[-1] - parent_kernel)},
+        cfg, checks, tables={"final_gap_to_parent_kernel": gap},
         csv_files={"exhaust.csv": (
             ("step", "radius", "h_center", "kernel_center", "h_exact", "kernel_exact"), rows)})
 
 
 def _exp_distance(cfg: ExperimentConfig) -> VerificationReport:
-    domain = _build_domain(cfg)
-    weight = _build_weight(cfg, domain)
+    domain, weight = cfg.built
     kernel = _build_kernel(cfg, domain, weight)
     zs, ws = _sample_pairs(cfg, domain)
     d, d_swapped = bergman.skwarczynski_distance(kernel, np.stack([zs, ws]), np.stack([ws, zs]))
@@ -636,10 +603,7 @@ def _grid_identity(cfg: ExperimentConfig, domain: Domain, weight, n_pairs: int =
 
 
 def _exp_pde_green(cfg: ExperimentConfig) -> VerificationReport:
-    domain = _build_domain(cfg)
-    if not isinstance(domain, (Rectangle, Annulus)):
-        raise ConfigError("pde-green runs on rectangles and annuli")
-    weight = _build_weight(cfg, domain)
+    domain, weight = cfg.built
     from . import pdegreen  # only when a grid is built
 
     if cfg.pde_check == "reference":
@@ -702,8 +666,7 @@ PERTURBATIONS = (0.0, 0.1, 0.2)
 
 
 def _exp_gauge(cfg: ExperimentConfig) -> VerificationReport:
-    domain = _build_domain(cfg)
-    weight = _build_weight(cfg, domain)
+    domain, weight = cfg.built
 
     try:
         gauge = weights.solve_gauge(weight)
@@ -753,15 +716,51 @@ def _exp_gauge(cfg: ExperimentConfig) -> VerificationReport:
     return VerificationReport(cfg, checks, tables=tables, csv_files=csv_files)
 
 
-_EXPERIMENT_FUNCS = {
-    "verify-identity": _exp_verify_identity,
-    "kernel": _exp_kernel,
-    "green": _exp_green,
-    "exhaust": _exp_exhaust,
-    "distance": _exp_distance,
-    "pde-green": _exp_pde_green,
-    "gauge-experiment": _exp_gauge,
+class _Experiment(NamedTuple):
+    run: Callable
+    keys: str  # the config keys it reads besides COMMON_KEYS, space-separated
+    kinds: tuple | None  # the domain kinds it runs on; None for every kind
+    tol: str | None  # the tolerance --tol sets; pde-green's is in PDE_TOLERANCE
+
+
+# the config keys every experiment accepts
+COMMON_KEYS = frozenset({"experiment", "seed", "tolerances", "study"})
+_KERNEL_AT_POINTS = "domain weight basis_order quad_order count pairs"
+_DISKS = ("disk", "moebius_disk")
+
+_EXPERIMENTS = {
+    "kernel": _Experiment(_exp_kernel, _KERNEL_AT_POINTS, None, "hermitian"),
+    "green": _Experiment(_exp_green, "domain count pairs", _DISKS, "symmetry"),
+    "verify-identity": _Experiment(_exp_verify_identity, _KERNEL_AT_POINTS + " fd_step", _DISKS,
+                                   "identity_analytic"),
+    "exhaust": _Experiment(_exp_exhaust, "domain basis_order quad_order exhaust_steps",
+                           ("disk",), "closed_form"),
+    # and basis_order and quad_order for the identity check (_keys_read)
+    "pde-green": _Experiment(_exp_pde_green, "domain weight grid pde_check",
+                             ("rectangle", "annulus"), None),
+    "distance": _Experiment(_exp_distance, _KERNEL_AT_POINTS, None, "symmetry"),
+    # reads its points off rectangles and annuli, and its grid on them
+    "gauge-experiment": _Experiment(_exp_gauge, _KERNEL_AT_POINTS + " grid", None,
+                                    "gauge_residual"),
 }
+EXPERIMENTS = tuple(_EXPERIMENTS)
+
+
+def _keys_read(experiment: str, pde_check) -> frozenset:
+    """The config keys ``experiment`` reads, with ``pde_check`` for pde-green."""
+    keys = _EXPERIMENTS[experiment].keys.split()
+    if experiment == "pde-green" and pde_check == "identity":
+        keys += ["basis_order", "quad_order"]
+    return COMMON_KEYS.union(keys)
+
+
+def _check_read(experiment: str, pde_check, keys, context: str = "") -> None:
+    """Raise a :class:`ConfigError` naming those of ``keys`` the experiment
+    does not read."""
+    unread = sorted(set(keys) - _keys_read(experiment, pde_check))
+    if unread:
+        scope = f" with pde_check {pde_check!r}" if experiment == "pde-green" else ""
+        raise ConfigError(f"{context}{experiment}{scope} does not read config keys {unread}")
 
 
 def run(config: ExperimentConfig, out_dir=None) -> VerificationReport:
@@ -775,7 +774,7 @@ def run(config: ExperimentConfig, out_dir=None) -> VerificationReport:
     if config.study is not None:
         report = _run_study(config)
     else:
-        report = _EXPERIMENT_FUNCS[config.experiment](config)
+        report = _EXPERIMENTS[config.experiment].run(config)
     if out_dir is not None:
         report.write(out_dir)
     return report
@@ -797,16 +796,15 @@ def _run_study(cfg: ExperimentConfig) -> VerificationReport:
     studied, errors, notes = [], [], []
     for v, swept in zip(cfg.study["values"], cfg._study_configs):
         try:
-            report = _EXPERIMENT_FUNCS[cfg.experiment](swept)
+            report = _EXPERIMENTS[cfg.experiment].run(swept)
         except ConfigError:
             raise
         except BergreenError as exc:
             notes.append(f"study value {v} skipped: {exc}")
             continue
-        checks = report.checks
-        if parameter == "fd_step":
-            checks = [c for c in checks if c.name == FD_IDENTITY_CHECK] or checks
-        check = checks[0]
+        check = report.checks[0]
+        if parameter == "fd_step":  # only verify-identity reads it
+            check = next(c for c in report.checks if c.name == FD_IDENTITY_CHECK)
         notes.extend(f"study value {v}: {note}" for note in report.notes)
         # a grid solution kept through the next solve made glibc trim and re-fault
         # the heap: 210k vs 88k page faults in 180 grid-reference runs, 10% slower

@@ -1,7 +1,9 @@
 import dataclasses
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -135,7 +137,8 @@ def test_verify_identity_notes_and_records_keep_pair_order(tmp_path):
 
 
 def test_verify_identity_rejects_annulus():
-    with pytest.raises(ConfigError, match="pde-green"):
+    with pytest.raises(ConfigError, match="verify-identity runs only on disk and moebius_disk "
+                                          "domains, not on annulus"):
         run(cfg(domain={"kind": "annulus", "params": {"inner": 0.5, "outer": 1.0}},
                 basis_order=16))
 
@@ -166,6 +169,36 @@ def test_unknown_experiment_and_keys():
         ExperimentConfig.from_dict({"experiment": "kernel", "seed": 1, "spam": 2})
     with pytest.raises(ConfigError, match="no experiment named"):
         ExperimentConfig.from_dict({"seed": 1})
+    # neither a non-string nor an unhashable experiment raises a TypeError
+    for experiment in (5, ["kernel"], {"kernel": 1}):
+        with pytest.raises(ConfigError, match="unknown experiment"):
+            ExperimentConfig.from_dict({"experiment": experiment, "seed": 1, "grid": [8, 8]})
+
+
+def test_every_experiment_accepts_a_seed():
+    # the CLI's --seed sets it whatever the experiment
+    for experiment, row in harness._EXPERIMENTS.items():
+        domain = SQUARE if row.kinds and "disk" not in row.kinds else {"kind": "unit_disk"}
+        ExperimentConfig.from_dict({"experiment": experiment, "seed": 0, "domain": domain})
+
+
+def test_each_config_builds_its_domain_once(monkeypatch):
+    # the study config and each swept copy build one domain each, and the
+    # run takes them from the configs; validating again builds none
+    built, build = [], harness.make_domain
+    monkeypatch.setattr(harness, "make_domain", lambda *a, **kw: built.append(1) or build(*a, **kw))
+    disk_identity = {"experiment": "verify-identity", "domain": {"kind": "unit_disk"},
+                     **RHO_Z_PLUS_2, "basis_order": 30, "quad_order": 40, "seed": 7, "count": 25}
+    for configs, builds in (([disk_identity], 1),
+                            ([_GRID_IDENTITY_SQUARE, _GRID_IDENTITY_ANNULUS], 2),
+                            ([_GRID_REFERENCE], 4)):
+        built.clear()
+        for data in configs:
+            config = ExperimentConfig.from_dict(data)
+            config.validate()
+            assert config.primary_tolerance()
+            run(config)
+        assert len(built) == builds, configs
 
 
 def test_config_is_validated_once_on_construction(tmp_path, monkeypatch):
@@ -188,6 +221,29 @@ def test_config_construction_validates_and_freezes():
         config.seed = 2
 
 
+def _readme_experiment_table() -> dict:
+    """(experiment, pde_check or None) -> (keys, domain kinds or None, --tol
+    key) of the README's experiment table."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| experiment | keys read | domains | `--tol` |") + 2
+    rows = {}
+    for line in itertools.takewhile(lambda s: s.startswith("|"), lines[start:]):
+        name, keys, kinds, tol = (re.findall(r"`([^`]+)`", cell) for cell in line.split("|")[1:-1])
+        rows[(name[0], name[1] if len(name) > 1 else None)] = (
+            set(keys), tuple(kinds) or None, tol[0])
+    return rows
+
+
+def test_readme_experiment_table_matches_the_harness_table():
+    want = {}
+    for experiment, row in harness._EXPERIMENTS.items():
+        for check in harness.PDE_CHECKS if experiment == "pde-green" else [None]:
+            keys = harness._keys_read(experiment, check) - harness.COMMON_KEYS
+            tol = row.tol or harness.PDE_TOLERANCE[check]
+            want[(experiment, check)] = (set(keys), row.kinds, tol)
+    assert _readme_experiment_table() == want
+
+
 def test_exhaust_table(tmp_path):
     report = run(ExperimentConfig.from_dict(
         {"experiment": "exhaust", "seed": 1, "exhaust_steps": 6}), tmp_path)
@@ -200,9 +256,9 @@ def test_exhaust_table(tmp_path):
 
 
 def test_exhaust_rejects_a_moebius_disk():
-    with pytest.raises(ConfigError, match="runs on disks"):
-        run(ExperimentConfig.from_dict({"experiment": "exhaust", "seed": 1, "domain": {
-            "kind": "moebius_disk", "params": {"a": [0.3, 0.1], "theta": 0.5}}}))
+    with pytest.raises(ConfigError, match="exhaust runs only on disk domains, not on moebius_disk"):
+        ExperimentConfig.from_dict({"experiment": "exhaust", "seed": 1, "domain": {
+            "kind": "moebius_disk", "params": {"a": [0.3, 0.1], "theta": 0.5}}})
 
 
 SQUARE = {"kind": "rectangle", "params": {"x0": 0, "x1": 1, "y0": 0, "y1": 1}}
@@ -283,7 +339,7 @@ WRITER_CONFIGS = {
     "factorization": {"experiment": "pde-green", "pde_check": "factorization", "domain": SQUARE,
                       "weight": {"representation": "holo_modulus_squared",
                                  "coefficients": [[2, 0], [1, 0]]},
-                      "grid": [32, 32], **SMALL},
+                      "grid": [32, 32]},
     "gauge-generic": {"experiment": "gauge-experiment", "domain": SQUARE, "grid": [32, 32],
                       "weight": {"representation": "generic_c1", "name": "exp_abs_sq"}, **SMALL},
     "all-leave": {"experiment": "verify-identity", **SMALL,
@@ -569,14 +625,14 @@ def test_study_notes_every_skipped_value(tmp_path, monkeypatch):
     assert rep.notes[-1] == "study value 0.6 skipped: error None is not positive and finite"
     assert len(rep.notes) == 3  # and one note per pair the stencil left
 
-    original = harness._EXPERIMENT_FUNCS["verify-identity"]
+    row = harness._EXPERIMENTS["verify-identity"]
 
     def raising(config):
         if config.basis_order == 15:
             raise NumericError("Cholesky factor is singular")
-        return original(config)
+        return row.run(config)
 
-    monkeypatch.setitem(harness._EXPERIMENT_FUNCS, "verify-identity", raising)
+    monkeypatch.setitem(harness._EXPERIMENTS, "verify-identity", row._replace(run=raising))
     rep = run(_study("verify-identity", "basis_order", [10, 15, 20, 30]), tmp_path / "r")
     assert rep.notes == ["study value 15 skipped: Cholesky factor is singular"]
     assert [r["value"] for r in rep.tables["study"]["rows"]] == [10.0, 20.0, 30.0]
@@ -622,6 +678,10 @@ def test_cli_exit_codes(tmp_path):
     assert cli_main(["verify-identity", "--config", str(bad)]) == 2
     bad.write_text("[1, 2]")
     assert cli_main(["verify-identity", "--config", str(bad)]) == 2
+    # a negative seed or a tolerance that is not finite is a config error too
+    for flags in (["--seed", "-5"], ["--tol", "inf"], ["--tol", "nan"]):
+        assert cli_main(["verify-identity", "--config", str(cfg_path), "--out",
+                         str(tmp_path / "out3"), *flags]) == 2, flags
 
 
 def test_cli_overrides(tmp_path):
@@ -670,43 +730,55 @@ def test_validate_rejects_unparsable_specs(change, message):
         ExperimentConfig.from_dict({"experiment": "kernel", "seed": 1, **change})
 
 
+GENERIC = {"representation": "generic_c1", "name": "exp_abs_sq"}
+
+
 @pytest.mark.parametrize("change, message", [
     ({"count": "5"}, "count must be an integer"),
     ({"weight": {"representation": "holo_modulus_squared", "coefficients": [[0, 0]]}},
      "bad weight spec"),
     ({"tolerances": {"hermitan": 1e-30}}, "unknown tolerance names"),
     ({"basis_order": 2.5}, "basis_order must be an integer"),
-    ({"fd_step": "small"}, "fd_step must be a number"),
+    ({"experiment": "verify-identity", "fd_step": "small"}, "fd_step must be a number"),
     ({"seed": "7"}, "seed must be an integer"),
     ({"tolerances": {"hermitian": "tiny"}}, "tolerance hermitian must be a number"),
     ({"pairs": [[0.1, 0.2]]}, "pairs must be a list"),
     ({"pairs": []}, "pairs must not be empty"),
-    ({"grid": [64.5, 64]}, "grid must be two positive integers"),
-    ({"grid": [64]}, "grid must be two positive integers"),
-    ({"grid": [0, 64]}, "grid must be two positive integers"),
-    ({"exhaust_steps": 0}, "exhaust_steps must be >= 1"),
+    ({"experiment": "pde-green", "domain": SQUARE, "grid": [64.5, 64]},
+     "grid must be two positive integers"),
+    ({"experiment": "pde-green", "domain": SQUARE, "grid": [64]},
+     "grid must be two positive integers"),
+    ({"experiment": "pde-green", "domain": SQUARE, "grid": [0, 64]},
+     "grid must be two positive integers"),
+    ({"experiment": "exhaust", "exhaust_steps": 0}, "exhaust_steps must be >= 1"),
     # keys that once set the annulus basis and the sampling margin
     ({"laurent": [-8, 8]}, "unknown config keys: ['laurent']"),
     ({"margin": 0.7}, "unknown config keys: ['margin']"),
-    ({"grid": [4, 4]}, "grid needs at least 8 nodes per axis"),
-    ({"domain": ANNULUS_SPEC, "grid": [16, 15]}, "annulus grids need an even angular count"),
-    ({"domain": ANNULUS_SPEC, "grid": [16, 8]}, "annulus grids need an even angular count"),
-    ({"experiment": "pde-green", "pde_check": "reference", "grid": [32, 128]},
-     "solves on a square grid"),
+    ({"experiment": "pde-green", "domain": SQUARE, "grid": [4, 4]},
+     "grid needs at least 8 nodes per axis"),
+    ({"experiment": "pde-green", "domain": ANNULUS_SPEC, "grid": [16, 15]},
+     "annulus grids need an even angular count"),
+    ({"experiment": "pde-green", "domain": ANNULUS_SPEC, "grid": [16, 8]},
+     "annulus grids need an even angular count"),
+    ({"experiment": "pde-green", "pde_check": "reference", "domain": SQUARE, "grid": [32, 128]},
+     "pde_check 'reference' builds its grids from n = grid[0] (n x 2n on annuli), "
+     "so grid must be [n, n]; got [32, 128]"),
     ({"experiment": "pde-green", "pde_check": "factorization", "domain": ANNULUS_SPEC,
-      "grid": [64, 32]}, "solves on a square grid"),
-    ({"experiment": "pde-green", "pde_check": "factorization", "grid": [12, 12]},
+      "grid": [32, 64]}, "pde_check 'factorization' builds its grids from n = grid[0] "
+     "(n x 2n on annuli), so grid must be [n, n]; got [32, 64]"),
+    ({"experiment": "pde-green", "pde_check": "factorization", "domain": SQUARE, "grid": [12, 12]},
      "pde_check 'factorization' also solves at grid[0] // 2: grid needs at least 8 nodes per axis"),
-    ({"experiment": "pde-green", "pde_check": "reference",
+    ({"experiment": "pde-green", "pde_check": "reference", "domain": SQUARE,
       "study": {"parameter": "grid_resolution", "values": [4, 16, 32, 64]}},
      "study value 4 of grid_resolution: grid needs at least 8 nodes per axis"),
-    ({"experiment": "pde-green", "pde_check": "reference",
+    ({"experiment": "pde-green", "pde_check": "reference", "domain": SQUARE,
       "study": {"parameter": "grid_resolution", "values": [4, 6, 16]}},
      "study value 4 of grid_resolution: grid needs at least 8 nodes per axis"),
-    ({"experiment": "pde-green", "pde_check": "reference",
+    ({"experiment": "pde-green", "pde_check": "reference", "domain": SQUARE,
       "study": {"parameter": "grid_resolution", "values": [16, 24.5, 32]}},
      "study value 24.5 of grid_resolution: grid must be two positive integers"),
-    ({"study": {"parameter": "fd_step", "values": [1e-3, "2e-3", 4e-3]}},
+    ({"experiment": "verify-identity",
+      "study": {"parameter": "fd_step", "values": [1e-3, "2e-3", 4e-3]}},
      "study values must be a list of numbers"),
     *UNPARSABLE_SPECS,
     # the perturbation table's epsilons are fixed (harness.PERTURBATIONS)
@@ -721,26 +793,27 @@ def test_validate_rejects_unparsable_specs(change, message):
     ({"experiment": "pde-green", "pde_check": "factorization", "domain": SQUARE,
       "weight": {"coefficients": [[3, 0]]}}, "the factorization check needs a non-constant weight"),
     ({"experiment": "pde-green", "pde_check": "factorization", "domain": SQUARE,
-      "weight": {"representation": "generic_c1", "name": "exp_abs_sq"}},
-     "the factorization check needs a weight with a gauge"),
-    ({"study": {"parameter": "fd_step", "values": [1e-3, 2e-3]}}, "at least three values"),
-    ({"study": {"parameter": "fd_step", "values": [1e-3, 4e-3, 2e-3]}}, "strictly monotone"),
+      "weight": GENERIC}, "the factorization check needs a weight with a gauge"),
+    ({"experiment": "verify-identity", "study": {"parameter": "fd_step", "values": [1e-3, 2e-3]}},
+     "at least three values"),
+    ({"experiment": "verify-identity",
+      "study": {"parameter": "fd_step", "values": [1e-3, 4e-3, 2e-3]}}, "strictly monotone"),
     ({"study": {"parameter": "grid", "values": [16, 32, 64]}}, "unknown study parameter"),
     ({"study": {"parameter": "basis_order", "values": [-1, 4, 8]}},
      "study values must be positive"),
-    # a study re-runs its own experiment: verify-identity has no closed form
-    # on an annulus and builds no grid on the unit disk, and green builds no
-    # kernel
-    ({"experiment": "verify-identity", "domain": ANNULUS_SPEC,
-      "weight": {"representation": "generic_c1", "name": "exp_abs_sq"},
+    # verify-identity has no closed form on an annulus; a study re-runs its
+    # own experiment, and the generic-weight gauge experiment reads the grid,
+    # but its only check holds at every resolution; green builds no kernel
+    ({"experiment": "verify-identity", "domain": ANNULUS_SPEC, "weight": GENERIC,
       "study": {"parameter": "grid_resolution", "values": [64, 128, 192]}},
-     "no closed-form Green's function on annulus"),
-    ({"experiment": "verify-identity",
-      "study": {"parameter": "grid_resolution", "values": [32, 64, 128]}},
+     "verify-identity runs only on disk and moebius_disk domains, not on annulus"),
+    ({"experiment": "gauge-experiment", "domain": SQUARE, "weight": GENERIC, "basis_order": 10,
+      "quad_order": 16, "study": {"parameter": "grid_resolution", "values": [16, 24, 32]}},
      "study parameter grid_resolution does not reach the check 'identity residual"),
     ({"experiment": "green", "study": {"parameter": "basis_order", "values": [10, 20, 30]}},
-     "study parameter basis_order does not reach the check 'symmetry"),
-    ({"domain": ANNULUS_SPEC, "study": {"parameter": "grid_resolution", "values": [16, 17, 32]}},
+     "study parameter basis_order: green does not read config keys ['basis_order']"),
+    ({"experiment": "pde-green", "domain": ANNULUS_SPEC,
+      "study": {"parameter": "grid_resolution", "values": [16, 17, 32]}},
      "study value 17 of grid_resolution: annulus grids need an even angular count"),
     # explicit points must lie in the domain, and a NaN lies nowhere
     ({"pairs": [[[2, 0], [3, 0.5]], [[0.1, 0], [5, 0]]]},
@@ -751,10 +824,43 @@ def test_validate_rejects_unparsable_specs(change, message):
      "pairs must lie in the domain; (3+0.5j) does not"),
     ({"experiment": "green", "pairs": [[[0.1, math.nan], [0.2, 0]]]},
      "pairs must lie in the domain; (0.1+nanj) does not"),
+    # keys the experiment does not read, whatever their value
+    ({"grid": [4, 4]}, "kernel does not read config keys ['grid']"),
+    ({"grid": [128, 128], "fd_step": 1e-3, "exhaust_steps": 6, "pde_check": "identity"},
+     "kernel does not read config keys ['exhaust_steps', 'fd_step', 'grid', 'pde_check']"),
+    ({"experiment": "green", "weight": {"coefficients": [[2, 0], [1, 0]]}},
+     "green does not read config keys ['weight']"),
+    ({"experiment": "pde-green", "pde_check": "reference", "domain": SQUARE, "basis_order": 10},
+     "pde-green with pde_check 'reference' does not read config keys ['basis_order']"),
+    ({"experiment": "pde-green", "domain": SQUARE, "count": 4},
+     "pde-green with pde_check 'identity' does not read config keys ['count']"),
+    ({"experiment": "exhaust", "count": 4}, "exhaust does not read config keys ['count']"),
+    ({"study": {"parameter": "grid_resolution", "values": [32, 64, 128]}},
+     "study parameter grid_resolution: kernel does not read config keys ['grid']"),
+    ({"experiment": "verify-identity",
+      "study": {"parameter": "grid_resolution", "values": [32, 64, 128]}},
+     "study parameter grid_resolution: verify-identity does not read config keys ['grid']"),
+    ({"experiment": "pde-green", "pde_check": ["identity"], "domain": SQUARE},
+     "unknown pde_check ['identity']"),
+    # domains the experiment does not run on
+    ({"experiment": "green", "domain": SQUARE},
+     "green runs only on disk and moebius_disk domains, not on rectangle"),
+    ({"experiment": "exhaust", "domain": ANNULUS_SPEC},
+     "exhaust runs only on disk domains, not on annulus"),
+    ({"experiment": "pde-green"}, "pde-green runs only on rectangle and annulus domains, not on disk"),
+    # malformed numbers
+    ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+    ({"experiment": "verify-identity", "fd_step": math.nan},
+     "fd_step must be positive and finite, got nan"),
+    ({"experiment": "verify-identity", "fd_step": math.inf},
+     "fd_step must be positive and finite, got inf"),
+    ({"experiment": "verify-identity",
+      "tolerances": {"identity_fd": math.inf, "identity_analytic": math.inf}},
+     "tolerance identity_fd must be finite, got inf"),
 ])
 def test_cli_malformed_config_exits_2(tmp_path, capsys, change, message):
     path = tmp_path / "cfg.json"
-    data = {"experiment": "kernel", "seed": 3, "count": 4, **change}
+    data = {"experiment": "kernel", "seed": 3, **change}
     path.write_text(json.dumps(data))
     assert cli_main([data["experiment"], "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err

@@ -4,7 +4,9 @@ Hermitian symmetry and positive semidefiniteness of the sampled kernel over
 random disks, Moebius images of the unit disk and admissible weights
 |mu|^2, mu(z) = c (z - root) with the root outside the closed domain; and
 symmetry and positivity of the Moebius-transported Green's function on
-arrays; and the exit status of the command on generated study configs.
+arrays; and the exit status of the command on generated configs, each
+drawn from the keys and domains its experiment's row of the harness table
+names, or given one key that row does not name.
 """
 
 import cmath
@@ -32,11 +34,14 @@ from bergreen import (  # noqa: E402
 )
 from bergreen.cli import main as cli_main  # noqa: E402
 from bergreen.errors import ConfigError  # noqa: E402
+from bergreen.geometry import make_domain  # noqa: E402
 from bergreen.harness import (  # noqa: E402
+    _EXPERIMENTS,
     EXPERIMENTS,
     PDE_CHECKS,
     STUDY_PARAMETERS,
     ExperimentConfig,
+    _keys_read,
 )
 from bergreen.weights import HoloModulusSquaredWeight  # noqa: E402
 
@@ -118,9 +123,21 @@ STUDY_DOMAINS = [
 ]
 
 
+def _key(parameter):
+    """The config key a study parameter sets."""
+    return "grid" if parameter == "grid_resolution" else parameter
+
+
+def _runs_on(experiment, spec) -> bool:
+    kinds = _EXPERIMENTS[experiment].kinds
+    return kinds is None or make_domain(spec["kind"], **spec.get("params", {})).kind in kinds
+
+
 @st.composite
-def studies(draw):
-    parameter = draw(st.sampled_from(STUDY_PARAMETERS))
+def studies(draw, keys):
+    # a parameter the experiment reads, when it reads one
+    read = [p for p in STUDY_PARAMETERS if _key(p) in keys] or list(STUDY_PARAMETERS)
+    parameter = draw(st.sampled_from(read))
     values = sorted(draw(st.sets(STUDY_VALUES[parameter], min_size=3, max_size=3)))
     return {"parameter": parameter, "values": values[::-1] if draw(st.booleans()) else values}
 
@@ -129,21 +146,58 @@ def studies(draw):
 STUDY_WEIGHTS = [{"coefficients": [[1, 0]]}, {"coefficients": [[2, 0], [1, 0]]}]
 
 
-@given(st.sampled_from(EXPERIMENTS), st.sampled_from(STUDY_DOMAINS),
-       st.sampled_from(STUDY_WEIGHTS), st.sampled_from(PDE_CHECKS), studies())
-def test_study_configs_exit_0_1_or_2(experiment, domain, weight, pde_check, study):
-    # small orders, grids and point counts keep each example cheap
-    config = {"seed": 1, "count": 3, "basis_order": 8, "quad_order": 8,
-              "grid": [16, 16], "exhaust_steps": 2, "domain": domain, "weight": weight,
-              "pde_check": pde_check, "study": study}
+def _cli(experiment, config):
+    """Exit status and stderr of the command on ``config``."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(config))
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
             code = cli_main([experiment, "--config", str(path), "--out", str(Path(tmp) / "o")])
+    return code, err.getvalue()
+
+
+@given(st.sampled_from(EXPERIMENTS), st.sampled_from(STUDY_WEIGHTS),
+       st.sampled_from(PDE_CHECKS), st.data())
+def test_study_configs_exit_0_1_or_2(experiment, weight, pde_check, data):
+    # small orders, grids and point counts keep each example cheap
+    keys = _keys_read(experiment, pde_check)
+    domain = data.draw(st.sampled_from([d for d in STUDY_DOMAINS if _runs_on(experiment, d)]))
+    config = {k: v for k, v in {
+        "seed": 1, "count": 3, "basis_order": 8, "quad_order": 8, "grid": [16, 16],
+        "exhaust_steps": 2, "domain": domain, "weight": weight, "pde_check": pde_check,
+    }.items() if k in keys}
+    code, err = _cli(experiment, {**config, "study": data.draw(studies(keys))})
     assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
+
+
+# a well-formed and a malformed value of every key an experiment may not read
+UNREAD_VALUES = {
+    "domain": [{"kind": "unit_disk"}, {"kind": "nowhere"}],
+    "weight": [{"coefficients": [[2, 0], [1, 0]]}, {"coefficients": "ab"}],
+    "basis_order": [8, -1],
+    "quad_order": [8, 2.5],
+    "grid": [[16, 16], [4, 4]],
+    "fd_step": [1e-3, float("nan")],
+    "count": [3, 0],
+    "pairs": [[[[0.1, 0], [0.2, 0]]], []],
+    "exhaust_steps": [2, 0],
+    "pde_check": ["identity", "nope"],
+}
+
+
+@given(st.sampled_from(EXPERIMENTS), st.sampled_from(PDE_CHECKS), st.data())
+def test_a_key_the_experiment_does_not_read_exits_2(experiment, pde_check, data):
+    keys = _keys_read(experiment, pde_check)
+    key = data.draw(st.sampled_from(sorted(set(UNREAD_VALUES) - keys)))
+    config = {"seed": 1, key: data.draw(st.sampled_from(UNREAD_VALUES[key]))}
+    if "pde_check" in keys:
+        config["pde_check"] = pde_check
+    code, err = _cli(experiment, config)
+    assert code == 2
+    assert "does not read config keys" in err and repr(key) in err
+    assert "Traceback" not in err
 
 
 DOMAIN_PARAMS = {
@@ -178,7 +232,9 @@ def _validation_error(config):
 def test_every_spelling_of_a_domain_kind_validates_like_the_kind(kinds, experiment, pde_check,
                                                                  grid):
     kind, spelling = kinds
-    config = {"experiment": experiment, "seed": 1, "pde_check": pde_check, "grid": list(grid)}
+    keys = _keys_read(experiment, pde_check)
+    config = {k: v for k, v in {"experiment": experiment, "seed": 1, "pde_check": pde_check,
+                                "grid": list(grid)}.items() if k in keys}
     canonical = _validation_error({**config, "domain": {"kind": kind, "params": DOMAIN_PARAMS[kind]}})
     spelled = _validation_error({**config,
                                  "domain": {"kind": spelling, "params": DOMAIN_PARAMS[kind]}})
