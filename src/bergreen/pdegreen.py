@@ -41,10 +41,10 @@ gauge-factored unweighted one, still measures the discretization.  Where
 the gauge varies over the grid, T_1 runs in single precision: the
 correction solve of a refinement need only contract, while the residual is
 formed in double (Moler 1967; Carson & Higham 2018).  A constant gauge
-keeps T_1 in double, since there it is the exact inverse and one
-correction must reach the tolerance.  Every other weight, and a refinement
-that does not converge, goes through the sparse LU, which alone needs
-scipy.
+keeps T_1 in double, since there it is the exact inverse, whose own answer
+mostly meets the tolerance with no correction.  Every other weight, and a
+refinement that does not converge, goes through the sparse LU, which alone
+needs scipy.
 
 The continuum operator is self-adjoint, and the discretization keeps this
 up to the cell-area factor: with D = I on rectangles and D = diag(r) on
@@ -190,8 +190,9 @@ def _full_weight_grid(grid: GridSpec, weight: Weight, columns: int | None = None
 
 
 #: The refinement of :meth:`DiscreteOperator.solve` stops at the first
-#: correction whose normwise backward error is at most REFINEMENT_TOLERANCE in
-#: every column, and gives up after REFINEMENT_MAX_STEPS corrections.
+#: iterate, its starting one included, whose normwise backward error is at
+#: most REFINEMENT_TOLERANCE in every column, and gives up after
+#: REFINEMENT_MAX_STEPS corrections.
 REFINEMENT_TOLERANCE = 1e-15
 REFINEMENT_MAX_STEPS = 30
 
@@ -324,16 +325,13 @@ class DiscreteOperator:
         For a weight with a gauge (``method == "transform"``) it is iterative
         refinement preconditioned by M b = conj(mu) T_1(mu b), T_1 the rho = 1
         transform solver (the gauge identity of the module docstring): x = M b,
-        then x += M (b - A x) until a correction brings the backward error
-        (below) to at most ``REFINEMENT_TOLERANCE`` in every column.  It makes
-        at least one: for a constant weight M b alone has a backward error of
-        up to about 1e-15 and differs from the refined x by up to about 5e-15
-        relative (random and point right-hand sides on 64^2 to 192^2
-        squares), which the fitted order of the reference study magnifies
-        about 1e4.  One suffices there (a real b then gives a real x), five on
-        the identity check's square.  After ``REFINEMENT_MAX_STEPS``
-        corrections, or one that does not shrink the backward error, the
-        sparse LU solves instead.
+        then x += M (b - A x) until the backward error (below) is at most
+        ``REFINEMENT_TOLERANCE`` in every column, M b itself included.  For a
+        constant weight M b mostly passes (point sources on 64^2 to 192^2
+        squares and the unit annulus), and random columns on larger squares
+        take one correction; the identity check's square takes five.  After
+        ``REFINEMENT_MAX_STEPS`` corrections, or one that does not shrink the
+        backward error, the sparse LU solves instead.
 
         Otherwise it is a sparse LU solve of :attr:`matrix`.  The nine-point
         stencil is structurally symmetric, so the column ordering is minimum
@@ -357,13 +355,13 @@ class DiscreteOperator:
         apply_rows = self._row_operator()
         backward_error = self._backward_error(rows)
         refined = None if self.gauge is None else self._refinement(rows, apply_rows, backward_error)
+        method = "sparse_lu" if refined is None else "transform"
         if refined is None:
             x = self._lu_solve(rows)
             refined = x, 0, backward_error(rows - apply_rows(x), x)
         x, steps, eta = refined
-        if stats is not None:  # the refinement makes at least one correction, the LU none
-            stats.update(method="transform" if steps else "sparse_lu", unknowns=self.size,
-                         refinement_steps=steps, backward_error=eta)
+        if stats is not None:
+            stats.update(method=method, unknowns=self.size, refinement_steps=steps, backward_error=eta)
         return x.T.reshape(np.shape(rhs))
 
     def _refinement(self, rows: np.ndarray, apply_rows, backward_error):
@@ -374,10 +372,10 @@ class DiscreteOperator:
         conj(mu) T_1 mu only approximates A^-1 there, and shrinks the
         backward error by a factor of 2e-3 to 0.2 a correction on the grids
         tested, so T_1's own rounding of about 1e-7 costs no step.  A
-        constant gauge's T_1 is an exact inverse, and its single correction
-        needs it in double.  One block holds each step's residual and then,
-        overwritten by T_1, its correction; T_1 keeps its work blocks from
-        one step to the next."""
+        constant gauge's T_1 is an exact inverse, whose own answer passes
+        with no correction only in double.  One block holds each step's
+        residual and then, overwritten by T_1, its correction; T_1 keeps its
+        work blocks from one step to the next."""
         mu = self.gauge  # a scalar or one value per node, alike for every row
         mu_bar = np.conj(mu)
         unweighted = _transform_solver(self.grid, np.float32 if np.ndim(mu) else np.float64)
@@ -388,7 +386,7 @@ class DiscreteOperator:
         for steps in range(REFINEMENT_MAX_STEPS + 1):
             np.subtract(rows, apply_rows(x, out=r), out=r)
             eta = backward_error(r, x)
-            if steps and eta <= REFINEMENT_TOLERANCE:
+            if eta <= REFINEMENT_TOLERANCE:
                 return x, steps, eta
             if not eta < previous or steps == REFINEMENT_MAX_STEPS:
                 return None

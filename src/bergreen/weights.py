@@ -68,6 +68,10 @@ def _coeffs(c):
     arr = np.atleast_1d(np.asarray(c, dtype=complex))
     if arr.ndim != 1 or arr.size == 0:
         raise ParameterError("polynomial coefficients must be a nonempty 1-d sequence")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        bad = [complex(v) for v in arr[~finite]]
+        raise ParameterError(f"polynomial coefficients must be finite, got {bad}")
     # trailing zeros add no term, so a constant polynomial has one coefficient
     return arr[:max(1, len(np.trim_zeros(arr, "b")))]
 

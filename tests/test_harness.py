@@ -421,19 +421,9 @@ def test_pde_green_reference_and_identity(tmp_path):
     assert rep2.passed
     for name, n in (("ref", 128), ("id", 64)):
         solver = json.loads((tmp_path / name / "report.json").read_text())["tables"]["solver"]
-        assert solver == {"method": "transform", "unknowns": n * n, "refinement_steps": 1,
+        assert solver == {"method": "transform", "unknowns": n * n, "refinement_steps": 0,
                           "backward_error": solver["backward_error"]}
         assert solver["backward_error"] <= REFINEMENT_TOLERANCE
-
-
-def test_reference_study_solves_take_one_correction():
-    # pinned, so that a change to the transform preconditioner cannot trade
-    # speed for refinement steps (the identity square is pinned in
-    # test_pdegreen)
-    single = {k: v for k, v in _GRID_REFERENCE.items() if k != "study"}
-    for n in _GRID_REFERENCE["study"]["values"]:
-        solver = run(ExperimentConfig.from_dict({**single, "grid": [n, n]})).tables["solver"]
-        assert solver["method"] == "transform" and solver["refinement_steps"] == 1, n
 
 
 def test_pde_green_reference_with_constant_weight(tmp_path):
@@ -857,6 +847,12 @@ GENERIC = {"representation": "generic_c1", "name": "exp_abs_sq"}
     ({"experiment": "verify-identity",
       "tolerances": {"identity_fd": math.inf, "identity_analytic": math.inf}},
      "tolerance identity_fd must be finite, got inf"),
+    ({"weight": {"representation": "log_harmonic", "coefficients": [[math.nan, 0]]}},
+     "polynomial coefficients must be finite, got [(nan+0j)]"),
+    ({"weight": {"coefficients": [[1, math.nan]]}},
+     "polynomial coefficients must be finite, got [(1+nanj)]"),
+    ({"weight": {"coefficients": [[math.nan, 0], [1, 0]]}},
+     "polynomial coefficients must be finite, got [(nan+0j)]"),
 ])
 def test_cli_malformed_config_exits_2(tmp_path, capsys, change, message):
     path = tmp_path / "cfg.json"
@@ -965,6 +961,21 @@ _GRID_IDENTITY_ANNULUS = {"experiment": "pde-green", "pde_check": "identity", "s
                           "domain": {"kind": "annulus", "params": {"inner": 0.5, "outer": 1.0}},
                           "grid": [128, 256], "quad_order": 24}
 
+
+def test_grid_workload_solves_take_pinned_steps():
+    # the census of the benchmark's grid solves, pinned so that a change to
+    # the transform preconditioner cannot trade speed for refinement steps
+    # unseen: constant weights accept T_1's own answer, and the rho = |z+2|^2
+    # square takes five corrections
+    single = {k: v for k, v in _GRID_REFERENCE.items() if k != "study"}
+    configs = [{**single, "grid": [n, n]} for n in _GRID_REFERENCE["study"]["values"]]
+    census = [run(ExperimentConfig.from_dict(cfg)).tables["solver"]
+              for cfg in (*configs, _GRID_IDENTITY_SQUARE, _GRID_IDENTITY_ANNULUS)]
+    assert [(s["method"], s["refinement_steps"]) for s in census] == \
+        [("transform", 0)] * 3 + [("transform", 5), ("transform", 0)]
+    assert all(s["backward_error"] <= REFINEMENT_TOLERANCE for s in census)
+
+
 # The transform-preconditioned grid solve, for a constant weight or one with a
 # gauge, works without scipy; only a sparse LU factorization (here of the
 # generic weight exp(|z|^2), which has no gauge) loads it.
@@ -1022,6 +1033,6 @@ def test_grid_identity_square_outputs_identical_under_one_and_two_blas_threads(t
 
 def test_grid_identity_annulus_outputs_identical_under_one_and_two_blas_threads(tmp_path):
     # the unit weight takes the Fourier transform and tridiagonal sweeps of
-    # the annulus, with one correction
+    # the annulus, with no correction
     digests = _digests_at_one_and_two_blas_threads(_GRID_IDENTITY_ANNULUS, tmp_path)
     assert len(digests) == 1 and "pde_identity.csv" in digests.pop()

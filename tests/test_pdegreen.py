@@ -488,7 +488,7 @@ def test_transform_solve_matches_sparse_lu(case, monkeypatch):
         assert got.shape == b.shape and got.dtype == np.result_type(op.dtype, b.dtype)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert stats["method"] == "transform"
-        assert stats["refinement_steps"] == 1 if constant else \
+        assert stats["refinement_steps"] == 0 if constant else \
             1 <= stats["refinement_steps"] <= REFINEMENT_MAX_STEPS
         assert stats["backward_error"] == pytest.approx(backward_error(op, b, got), rel=1e-12)
         assert stats["backward_error"] <= REFINEMENT_TOLERANCE
@@ -574,17 +574,57 @@ def test_smooth_right_hand_side_stays_on_the_transform_path(monkeypatch):
         assert stats["method"] == "transform" and stats["backward_error"] <= REFINEMENT_TOLERANCE
 
 
-def test_non_constant_weight_takes_sparse_lu():
+def test_solve_method_follows_the_weight():
     grid = GridSpec(SQUARE, (16, 16))
     gauge_steps = range(1, REFINEMENT_MAX_STEPS + 1)
     for weight, method, steps in ((GENERIC_BUILTINS["exp_abs_sq"](SQUARE), "sparse_lu", {0}),
                                   (HoloModulusSquaredWeight([2, 1], SQUARE), "transform", gauge_steps),
-                                  (unit_weight(SQUARE), "transform", {1})):
+                                  (unit_weight(SQUARE), "transform", {0})):
         op = discretize(grid, weight)
         assert op.method == method and (op.gauge is None) == (method == "sparse_lu")
         stats = solve_green(op, 0.5 + 0.5j).solve_stats
         assert stats["method"] == method and stats["unknowns"] == op.size
         assert stats["backward_error"] <= REFINEMENT_TOLERANCE and stats["refinement_steps"] in steps
+
+
+def test_constant_weight_corrects_a_transform_answer_that_misses_the_gate(monkeypatch):
+    # T_1 is the exact inverse for a constant weight, and its own answer is
+    # accepted where it passes the gate (the constant cases above); random
+    # columns on the 256^2 square miss the gate and take one correction
+    op = discretize(GridSpec(SQUARE, (256, 256)), unit_weight(SQUARE))
+    b = np.random.default_rng(7).standard_normal((op.size, 3))
+    monkeypatch.setattr(spla, "splu", no_lu)
+    stats = {}
+    op.solve(b, stats)
+    assert stats["method"] == "transform" and stats["refinement_steps"] == 1
+    assert stats["backward_error"] <= REFINEMENT_TOLERANCE
+
+
+@pytest.mark.parametrize("mu", [1.0, 3.0])
+def test_constant_weight_gates_the_transform_answer(mu, monkeypatch):
+    # a point source takes no correction, but a T_1 whose answer is off by a
+    # relative 1e-12 must be corrected, not accepted
+    op = discretize(GridSpec(SQUARE, (64, 64)), HoloModulusSquaredWeight([mu], SQUARE))
+    exact = solve_green(op, 0.5 + 0.5j)
+    assert exact.solve_stats["refinement_steps"] == 0
+    transform_solver = pdegreen._transform_solver
+
+    def perturbed(grid, dtype):
+        solve = transform_solver(grid, dtype)
+
+        def solve_off(rows):
+            x = solve(rows)
+            x *= 1 + 1e-12
+            return x
+
+        return solve_off
+
+    monkeypatch.setattr(pdegreen, "_transform_solver", perturbed)
+    monkeypatch.setattr(spla, "splu", no_lu)
+    got = solve_green(op, 0.5 + 0.5j)
+    assert got.solve_stats["method"] == "transform" and got.solve_stats["refinement_steps"] == 1
+    assert got.solve_stats["backward_error"] <= REFINEMENT_TOLERANCE
+    assert np.max(np.abs(got.values - exact.values)) <= 1e-14 * np.max(np.abs(exact.values))
 
 
 def test_grid_identity_square_converges_in_six_steps():
