@@ -32,7 +32,7 @@ from .errors import (
     ParameterError,
 )
 from .geometry import Annulus, Disk, Domain, MoebiusDisk, QuadratureRule, integrate
-from .weights import Weight
+from .weights import Weight, positive_values
 
 __all__ = [
     "MonomialBasis",
@@ -141,7 +141,8 @@ def gram_matrix(basis, weight: Weight, rule: QuadratureRule) -> np.ndarray:
     """Hermitian Gram matrix of the basis in the rho-weighted inner product.
 
     Entry (m, n) is the quadrature sum of e_m conj(e_n) rho over the rule's
-    nodes.  Both paths are deterministic and identical under 1 and 2 BLAS
+    nodes, where rho must be finite and positive (``WeightError`` otherwise).
+    Both paths are deterministic and identical under 1 and 2 BLAS
     threads; neither is correctly rounded, and both agree with the
     fsum-reduced sum to about 1e-15 relative.
 
@@ -170,7 +171,7 @@ def gram_matrix(basis, weight: Weight, rule: QuadratureRule) -> np.ndarray:
         raise ParameterError("quadrature rule and basis live on different domains")
     if weight.domain != basis.domain:
         raise ParameterError("weight and basis live on different domains")
-    rho = np.real(np.asarray(weight.value(rule.nodes), dtype=complex))
+    rho = positive_values(weight, rule.nodes, "quadrature node")
     n = basis.size
     if rule.polar is not None:
         t, w_radial, m = rule.polar

@@ -2,7 +2,8 @@
 
 Writes ``report.json`` plus CSV data files into the output directory and
 prints one line per pass/fail check.  Exit status is 0 when every check
-passed, 1 when any failed, and 2 for configuration errors.
+passed, 1 when any failed, and 2 for configuration errors, a weight that is
+not finite and positive where it is sampled among them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import BergreenError, ConfigError
+from .errors import BergreenError, ConfigError, WeightError
 from .harness import EXPERIMENTS, ExperimentConfig, run
 
 
@@ -60,7 +61,7 @@ def main(argv=None) -> int:
 
     try:
         report = run(config, args.out)
-    except ConfigError as exc:
+    except (ConfigError, WeightError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except BergreenError as exc:

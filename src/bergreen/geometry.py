@@ -10,6 +10,7 @@ rectangles) that back every area integral in the package.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -251,30 +252,32 @@ def make_domain(kind: str, **params) -> Domain:
     """Construct a domain from its kind tag and parameters.
 
     Complex parameters may be passed as Python complex numbers or as
-    ``[re, im]`` pairs (the JSON form).
+    ``[re, im]`` pairs (the JSON form).  Every parameter must be finite.
     """
-
-    def _c(v):
-        if isinstance(v, (list, tuple)):
-            return complex(v[0], v[1])
-        return complex(v)
-
     kind = kind.lower().replace("-", "_")
+
+    def _finite(name, value):
+        if not cmath.isfinite(value):
+            raise ParameterError(f"{kind} parameter {name} must be finite, got {value!r}")
+        return value
+
+    def _r(name, default=None):
+        return _finite(name, float(params[name] if default is None else params.get(name, default)))
+
+    def _c(name):
+        v = params.get(name, 0)
+        return _finite(name, complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v))
+
     if kind == "unit_disk":
         return UnitDisk()
     if kind == "disk":
-        return Disk(center=_c(params.get("center", 0)), radius=float(params["radius"]))
+        return Disk(center=_c("center"), radius=_r("radius"))
     if kind == "moebius_disk":
-        return MoebiusDisk(a=_c(params.get("a", 0)), theta=float(params.get("theta", 0.0)))
+        return MoebiusDisk(a=_c("a"), theta=_r("theta", 0.0))
     if kind == "annulus":
-        return Annulus(inner=float(params["inner"]), outer=float(params["outer"]))
+        return Annulus(inner=_r("inner"), outer=_r("outer"))
     if kind == "rectangle":
-        return Rectangle(
-            x0=float(params["x0"]),
-            x1=float(params["x1"]),
-            y0=float(params["y0"]),
-            y1=float(params["y1"]),
-        )
+        return Rectangle(x0=_r("x0"), x1=_r("x1"), y0=_r("y0"), y1=_r("y1"))
     raise ParameterError(f"unknown domain kind {kind!r}")
 
 

@@ -56,8 +56,7 @@ SCHEMA_VERSION = 1
 ASSUMPTIONS = [
     "gauge choice: canonical antiholomorphic gauge g = conj(mu) with "
     "h = -log(mu) on the principal branch; rescaling g by e^c multiplies the "
-    "weighted Green's function by e^(2 Re c) (quantified by the "
-    "gauge-experiment perturbation table)",
+    "weighted Green's function by e^(2 Re c)",
     "distance formula: d(z, w) = sqrt(1 - |K(z,w)| / sqrt(K(z,z) K(w,w)))",
     "delta normalization: the discrete weighted-operator Green's function "
     "solves P G = -(pi/2) delta_h, so the unweighted case reproduces "
@@ -199,10 +198,7 @@ class ExperimentConfig:
             if outside.size:
                 raise ConfigError(f"pairs must lie in the domain; {complex(outside[0])} does not")
         keys = _keys_read(self.experiment, self.pde_check)
-        # gauge-experiment reads its points off the grid domains only
-        draws = "count" in keys and not (self.experiment == "gauge-experiment"
-                                         and isinstance(domain, (Rectangle, Annulus)))
-        if self.pairs is None and self.seed is None and draws:
+        if self.pairs is None and self.seed is None and "count" in keys:
             raise ConfigError("a seed is mandatory when points are drawn randomly")
         if "grid" in keys:
             self._validate_grid(domain)
@@ -580,26 +576,40 @@ class _FieldRows:
         return np.asarray(np.column_stack([pts.real, pts.imag, vals.real, vals.imag]), dtype=dtype)
 
 
-def _grid_identity(cfg: ExperimentConfig, domain: Domain, weight, n_pairs: int = 5) -> tuple:
-    """Identity residuals at grid node pairs, the right-hand side taken from
-    the grid mixed derivative of all pairs at once.  This grid residual is
-    |K - rhs| / |K|; the closed-form residual of ``green.identity_residual``
-    (verify-identity, the gauge perturbation table) divides by max(1, |K|)
-    instead.  Returns the kernel, the residuals, their records and CSV table,
-    and the block solve's statistics."""
+def _grid_identity(cfg: ExperimentConfig, domain: Domain, weight) -> VerificationReport:
+    """The ``identity`` check: identity residuals at five grid node pairs,
+    the right-hand side taken from the grid mixed derivative of all pairs at
+    once.  This grid residual is |K - rhs| / |K|; the closed-form residual of
+    ``green.identity_residual`` (verify-identity) divides by max(1, |K|)
+    instead.  A weight the grid solves without a gauge (``op.gauge is None``)
+    gets a note, and ``log_laplacian_residual`` when ``solve_gauge`` finds no
+    gauge at all."""
     from . import pdegreen  # only when a grid is built
 
     kernel = _build_kernel(cfg, domain, weight)
     op = pdegreen.discretize(pdegreen.GridSpec(domain, tuple(cfg.grid)), weight)
-    pairs = pdegreen.grid_pairs(op.grid, n_pairs)
+    pairs = pdegreen.grid_pairs(op.grid, 5)
     solver = {}
     mixed = pdegreen.solve_mixed(op, pairs, solver)
     zs, ws = np.array(pairs, dtype=complex).T
     rhs = green.identity_rhs(weight, zs, ws, mixed)
     kv = kernel.evaluate(zs, ws)
     residual = np.abs(kv - rhs) / np.abs(kv)
-    return (kernel, residual, _pair_records(zs, ws, residual=residual),
-            _pair_csv(zs, ws, {"residual": residual}), solver)
+    checks = [Check("grid identity residual, max over pairs",
+                    _worst(residual), cfg.tol(cfg.primary_tolerance()))]
+    tables, notes = {"kernel": kernel.metadata(), "solver": solver}, []
+    if op.gauge is None:
+        try:
+            weights.solve_gauge(weight)
+        except GaugeInfeasibleError as exc:
+            tables["log_laplacian_residual"] = exc.residual
+            notes.append("no antiholomorphic gauge: log rho is not harmonic (max |Laplacian "
+                         f"log rho| = {exc.residual:.6g}); the grid solve alone gives G_rho")
+        except ParameterError:
+            pass  # numerically log-harmonic: in a closed form it would have a gauge
+    table = _pair_csv(zs, ws, {"residual": residual})
+    return VerificationReport(cfg, checks, records=_pair_records(zs, ws, residual=residual),
+                              notes=notes, tables=tables, csv_files={"pde_identity.csv": table})
 
 
 def _exp_pde_green(cfg: ExperimentConfig) -> VerificationReport:
@@ -653,41 +663,16 @@ def _exp_pde_green(cfg: ExperimentConfig) -> VerificationReport:
         return VerificationReport(cfg, checks, csv_files={
             "pde_factorization.csv": (("resolution", "max_relative_error"), rows)})
 
-    kernel, residual, records, table, solver = _grid_identity(cfg, domain, weight)
-    checks = [Check("grid identity residual, max over pairs",
-                    _worst(residual), cfg.tol(cfg.primary_tolerance()))]
-    return VerificationReport(cfg, checks, records=records,
-                              tables={"kernel": kernel.metadata(), "solver": solver},
-                              csv_files={"pde_identity.csv": table})
-
-
-#: The epsilons of the gauge-experiment table that rescales the gauge by e^epsilon
-PERTURBATIONS = (0.0, 0.1, 0.2)
+    return _grid_identity(cfg, domain, weight)
 
 
 def _exp_gauge(cfg: ExperimentConfig) -> VerificationReport:
     domain, weight = cfg.built
-
     try:
         gauge = weights.solve_gauge(weight)
     except GaugeInfeasibleError as exc:
-        if not isinstance(domain, (Rectangle, Annulus)):
-            raise ConfigError(
-                "the generic-weight experiment needs a rectangle or annulus domain"
-            ) from exc
-        _, residual, records, table, solver = _grid_identity(cfg, domain, weight)
-        finite = bool(np.all(np.isfinite(residual)))
-        checks = [Check("identity residuals computed and finite (violations)",
-                        0.0 if finite else 1.0, 0.5)]
-        notes = [
-            "no antiholomorphic gauge: log rho is not harmonic "
-            f"(max |Laplacian log rho| = {exc.residual:.6g}); identity residuals "
-            "below are reported without a pass/fail judgement"
-        ]
-        return VerificationReport(cfg, checks, records=records, notes=notes, tables={
-            "log_laplacian_residual": exc.residual, "solver": solver},
-            csv_files={"gauge_identity.csv": table})
-
+        raise ConfigError(f"{exc}; pde-green identity checks the identity for such a weight "
+                          "on rectangles and annuli") from exc
     rule = build_quadrature(domain, max(4, cfg.quad_order // 8))
     nodes = rule.nodes[:: max(1, len(rule.nodes) // 50)][:50]
     res = gauge.system_residuals(nodes)
@@ -696,24 +681,8 @@ def _exp_gauge(cfg: ExperimentConfig) -> VerificationReport:
               res["max_ratio"], cfg.tol("gauge_residual")),
         Check("antiholomorphy residual dg/dw, max", res["max_dw"], cfg.tol("gauge_residual")),
     ]
-    tables = {"decomposition_residual": gauge.decomposition_residual(nodes)}
-    csv_files = {}
-
-    # Rescaling the gauge by e^eps multiplies the weighted Green's function by
-    # e^(2 eps); the induced identity residual quantifies gauge sensitivity.
-    if not weight.is_constant and not isinstance(domain, (Rectangle, Annulus)):
-        kernel = _build_kernel(cfg, domain, weight)
-        wg = green.weighted_green(_closed_form_green(domain), gauge)
-        zs, ws = (points[:5] for points in _sample_pairs(cfg, domain))
-        rhs = green.identity_rhs(weight, zs, ws, wg.mixed_zwbar(zs, ws, method="analytic"))
-        kv = kernel.evaluate(zs, ws)
-        rows = [(eps, float(np.max(np.abs(kv - rhs * math.exp(2.0 * eps))
-                                   / np.maximum(1.0, np.abs(kv)))))
-                for eps in PERTURBATIONS]
-        csv_files["gauge_perturbation.csv"] = (("epsilon", "max_identity_residual"), rows)
-        tables["perturbation"] = [{"epsilon": e, "max_identity_residual": r} for e, r in rows]
-
-    return VerificationReport(cfg, checks, tables=tables, csv_files=csv_files)
+    return VerificationReport(
+        cfg, checks, tables={"decomposition_residual": gauge.decomposition_residual(nodes)})
 
 
 class _Experiment(NamedTuple):
@@ -739,9 +708,7 @@ _EXPERIMENTS = {
     "pde-green": _Experiment(_exp_pde_green, "domain weight grid pde_check",
                              ("rectangle", "annulus"), None),
     "distance": _Experiment(_exp_distance, _KERNEL_AT_POINTS, None, "symmetry"),
-    # reads its points off rectangles and annuli, and its grid on them
-    "gauge-experiment": _Experiment(_exp_gauge, _KERNEL_AT_POINTS + " grid", None,
-                                    "gauge_residual"),
+    "gauge-experiment": _Experiment(_exp_gauge, "domain weight quad_order", None, "gauge_residual"),
 }
 EXPERIMENTS = tuple(_EXPERIMENTS)
 
@@ -787,17 +754,18 @@ def _run_study(cfg: ExperimentConfig) -> VerificationReport:
     ``fd_step`` that of the finite-difference identity check.  The fitted
     order is the log-log slope, signed so that larger is better.  A value
     whose run raises a :class:`BergreenError` other than a
-    :class:`ConfigError`, or whose error is not positive and finite, gives
-    no row and a note.  If every run gives the same error, the parameter
-    does not reach the check, and that is a configuration error.  The runs
-    take the swept configs that validation built and checked.
+    :class:`ConfigError` or :class:`WeightError`, or whose error is not
+    positive and finite, gives no row and a note.  If every run gives the
+    same error, the parameter does not reach the check, and that is a
+    configuration error.  The runs take the swept configs that validation
+    built and checked.
     """
     parameter = cfg.study["parameter"]
     studied, errors, notes = [], [], []
     for v, swept in zip(cfg.study["values"], cfg._study_configs):
         try:
             report = _EXPERIMENTS[cfg.experiment].run(swept)
-        except ConfigError:
+        except (ConfigError, WeightError):
             raise
         except BergreenError as exc:
             notes.append(f"study value {v} skipped: {exc}")

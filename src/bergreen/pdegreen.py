@@ -64,9 +64,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParameterError, SolverError, WeightError
+from .errors import ParameterError, SolverError
 from .geometry import Annulus, Domain, Rectangle, check_grid_shape
-from .weights import HoloModulusSquaredWeight, LogHarmonicWeight, Weight, solve_gauge
+from .weights import (
+    HoloModulusSquaredWeight,
+    LogHarmonicWeight,
+    Weight,
+    positive_values,
+    solve_gauge,
+)
 
 __all__ = [
     "GridSpec",
@@ -171,7 +177,8 @@ class GridSpec:
 
 def _full_weight_grid(grid: GridSpec, weight: Weight, columns: int | None = None) -> np.ndarray:
     """rho sampled on interior plus boundary layers, shape (n1 + 2, n2 + 2),
-    or on the first ``columns`` columns of that grid only.
+    or on the first ``columns`` columns of that grid only; it must be finite
+    and positive there (:func:`~bergreen.weights.positive_values`).
 
     The periodic angular axis of an annulus has no boundary layer; it is
     padded with its last and first angles instead, so that neighbour slices
@@ -183,10 +190,7 @@ def _full_weight_grid(grid: GridSpec, weight: Weight, columns: int | None = None
         pts = a1[:, None] * np.exp(1j * a2[None, :columns])
     else:
         pts = a1[:, None] + 1j * a2[None, :columns]
-    rho = np.real(np.asarray(weight.value(pts), dtype=complex))
-    if np.any(~np.isfinite(rho)) or np.any(rho <= 0):
-        raise WeightError("weight must be finite and positive on every grid node")
-    return rho
+    return positive_values(weight, pts, "grid node")
 
 
 #: The refinement of :meth:`DiscreteOperator.solve` stops at the first

@@ -38,6 +38,7 @@ __all__ = [
     "LogHarmonicCheck",
     "Gauge",
     "unit_weight",
+    "positive_values",
     "check_log_harmonic",
     "solve_gauge",
     "weight_from_json",
@@ -151,6 +152,22 @@ GENERIC_BUILTINS = {
 def unit_weight(domain: Domain) -> HoloModulusSquaredWeight:
     """The constant weight rho = 1."""
     return HoloModulusSquaredWeight([1.0], domain)
+
+
+def positive_values(weight: Weight, z: np.ndarray, where: str) -> np.ndarray:
+    """rho at the points ``z``, as a real array of their shape.
+
+    A :class:`WeightError` names the first point where rho is not finite and
+    positive; an overflow there is that error, not a numpy warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = np.real(np.asarray(weight.value(z), dtype=complex))
+    good = (rho > 0) & (rho < np.inf)  # false for NaN too
+    if not good.all():
+        k = int(np.argmin(good.ravel()))
+        raise WeightError(f"weight must be finite and positive on every {where}; "
+                          f"rho({complex(np.ravel(z)[k]):.6g}) = {rho.flat[k]:.6g}")
+    return rho
 
 
 def weight_from_json(spec: dict, domain: Domain) -> Weight:

@@ -302,25 +302,26 @@ def test_criterion_10_reproducing_property():
 
 
 def test_criterion_11_generic_weight_experiment(tmp_path):
-    cfg = ExperimentConfig.from_dict({
-        "experiment": "gauge-experiment",
-        "seed": 2,
+    # exp(|z|^2) has no antiholomorphic gauge; pde-green identity notes the
+    # obstruction and gates the grid identity as for any weight
+    data = {
+        "experiment": "pde-green",
         "domain": {"kind": "rectangle", "params": {"x0": 0, "x1": 1, "y0": 0, "y1": 1}},
         "weight": {"representation": "generic_c1", "name": "exp_abs_sq"},
-        "grid": [48, 48],
         "basis_order": 18,
-    })
-    report = run(cfg, tmp_path)
-    finite = all(math.isfinite(r["residual"]) for r in report.records)
+    }
+    report = run(ExperimentConfig.from_dict(data), tmp_path)  # the default 128 x 128 grid
+    coarse = run(ExperimentConfig.from_dict({**data, "grid": [48, 48]}))
     noted = any("not harmonic" in n for n in report.notes)
-    ok = report.passed and finite and noted and len(report.records) > 0
-    announce(11, ok, f"generic C1 weight exp(|z|^2): run completed, "
-                     f"{len(report.records)} finite identity residuals reported, "
-                     f"obstruction noted (Laplacian log rho = "
-                     f"{report.tables['log_laplacian_residual']:.3f})")
-    assert report.passed
-    assert finite and noted
-    assert (tmp_path / "gauge_identity.csv").exists()
+    lap = report.tables["log_laplacian_residual"]
+    ok = report.passed and not coarse.passed and noted and abs(lap - 4.0) < 1e-4
+    announce(11, ok, f"generic C1 weight exp(|z|^2): obstruction noted (Laplacian log rho = "
+                     f"{lap:.3f}); grid identity residual {report.checks[0].value:.3g} at "
+                     f"128 x 128 passes, {coarse.checks[0].value:.3g} at 48 x 48 fails")
+    assert report.passed and report.checks[0].value == pytest.approx(0.0097, rel=1e-2)
+    assert not coarse.passed and coarse.checks[0].value == pytest.approx(0.0595, rel=1e-2)
+    assert noted and lap == pytest.approx(4.0, abs=1e-4)
+    assert (tmp_path / "pde_identity.csv").exists()
 
 
 def test_criterion_12_determinism(tmp_path):

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 import bergreen
-from bergreen import ConfigError, NumericError, StudyInsufficientError, harness
+from bergreen import ConfigError, NumericError, StudyInsufficientError, harness, weights
 from bergreen.cli import main as cli_main
 from bergreen.harness import (
     ASSUMPTIONS,
@@ -147,8 +148,7 @@ def test_seed_mandatory_for_random_points():
     # the experiments that draw points at random need a seed, unless the
     # pairs are given; the others do not draw and take none
     for data in ({"experiment": "verify-identity"}, {"experiment": "kernel"},
-                 {"experiment": "green"}, {"experiment": "distance"},
-                 {"experiment": "gauge-experiment", "weight": {"coefficients": [[2, 0], [1, 0]]}}):
+                 {"experiment": "green"}, {"experiment": "distance"}):
         with pytest.raises(ConfigError, match="a seed is mandatory"):
             ExperimentConfig.from_dict(data)
         ExperimentConfig.from_dict({**data, "pairs": [[[0.1, 0.2], [0.3, -0.1]]]})
@@ -157,6 +157,7 @@ def test_seed_mandatory_for_random_points():
                  {"experiment": "pde-green", "pde_check": "factorization", "domain": SQUARE,
                   "weight": {"coefficients": [[2, 0], [1, 0]]}},
                  {"experiment": "exhaust"},
+                 {"experiment": "gauge-experiment", "weight": {"coefficients": [[2, 0], [1, 0]]}},
                  {"experiment": "gauge-experiment", "domain": SQUARE,
                   "weight": {"representation": "generic_c1", "name": "exp_abs_sq"}}):
         assert ExperimentConfig.from_dict(data).seed is None
@@ -279,7 +280,7 @@ DETERMINISM_CONFIGS = {
                   "grid": [32, 32], "seed": 1, **SMALL},
     "reference": {"experiment": "pde-green", "pde_check": "reference", "domain": SQUARE,
                   "grid": [32, 32], "seed": 1},
-    "gauge-experiment": {"experiment": "gauge-experiment", "seed": 2, **SMALL,
+    "gauge-experiment": {"experiment": "gauge-experiment", "seed": 2, "quad_order": 16,
                          "weight": {"representation": "holo_modulus_squared",
                                     "coefficients": [[2, 0], [1, 0]]}},
     "study": {"experiment": "verify-identity", "seed": 1, "count": 10,
@@ -308,10 +309,12 @@ def test_annulus_kind_in_any_spelling_gets_the_annulus_grid_rule(tmp_path, capsy
 def test_determinism_byte_identical(tmp_path):
     for name, config in DETERMINISM_CONFIGS.items():
         a, b = tmp_path / name / "a", tmp_path / name / "b"
-        run(ExperimentConfig.from_dict(dict(config)), a)
+        report = run(ExperimentConfig.from_dict(dict(config)), a)
         run(ExperimentConfig.from_dict(dict(config)), b)
         files = sorted(f.name for f in a.iterdir())
-        assert "report.json" in files and len(files) > 1, name
+        assert files == sorted(["report.json", *report.csv_files]), name
+        # the gauge experiment's residuals are all in report.json
+        assert len(files) > 1 or name == "gauge-experiment", name
         assert files == sorted(f.name for f in b.iterdir()), name
         for f in files:
             assert (a / f).read_bytes() == (b / f).read_bytes(), (name, f)
@@ -340,8 +343,9 @@ WRITER_CONFIGS = {
                       "weight": {"representation": "holo_modulus_squared",
                                  "coefficients": [[2, 0], [1, 0]]},
                       "grid": [32, 32]},
-    "gauge-generic": {"experiment": "gauge-experiment", "domain": SQUARE, "grid": [32, 32],
-                      "weight": {"representation": "generic_c1", "name": "exp_abs_sq"}, **SMALL},
+    "pde-green-generic": {"experiment": "pde-green", "domain": SQUARE, "grid": [32, 32],
+                          "weight": {"representation": "generic_c1", "name": "exp_abs_sq"},
+                          **SMALL},
     "all-leave": {"experiment": "verify-identity", **SMALL,
                   "pairs": [[[0.9999, 0.0], [0.2, 0.1]], [[0.1, 0.2], [0.0, -0.9999]]]},
 }
@@ -462,40 +466,88 @@ def test_pde_green_factorization(tmp_path):
     assert rep.passed
 
 
+GAUGE_CHECKS = ["gauge equation residual (1/g) dg/dwbar - (1/rho) drho/dwbar, max",
+                "antiholomorphy residual dg/dw, max"]
+
+
 def test_gauge_experiment_holomorphic(tmp_path):
     rep = run(ExperimentConfig.from_dict({
-        "experiment": "gauge-experiment", "seed": 2,
+        "experiment": "gauge-experiment",
         "weight": {"representation": "holo_modulus_squared",
                    "coefficients": [[2, 0], [1, 0]]}}), tmp_path)
     assert rep.passed
-    pert = rep.tables["perturbation"]
-    assert pert[0]["epsilon"] == 0.0 and pert[0]["max_identity_residual"] < 1e-8
-    # rescaling the gauge visibly breaks the identity
-    assert pert[-1]["max_identity_residual"] > 1e-3
+    assert [c.name for c in rep.checks] == GAUGE_CHECKS
+    assert all(c.value < 1e-10 for c in rep.checks)
+    # it checks the gauge alone: no perturbation table and no data file
+    assert set(rep.tables) == {"decomposition_residual"}
+    assert rep.tables["decomposition_residual"] < 1e-12
+    assert [f.name for f in tmp_path.iterdir()] == ["report.json"]
 
 
 def test_gauge_experiment_on_the_unit_disk_spelled_as_a_disk(tmp_path):
     # the gauge's domain Disk(0, 1) is the domain of the disk Green's function
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
-        "seed": 2, "domain": {"kind": "disk", "params": {"center": [0, 0], "radius": 1}},
+        "domain": {"kind": "disk", "params": {"center": [0, 0], "radius": 1}},
         "weight": {"coefficients": [[2, 0], [1, 0]]}}))
     out = tmp_path / "out"
     assert cli_main(["gauge-experiment", "--config", str(path), "--out", str(out)]) == 0
     payload = json.loads((out / "report.json").read_text())
-    assert payload["tables"]["perturbation"][0]["max_identity_residual"] < 1e-8
+    assert [c["name"] for c in payload["checks"] if c["passed"]] == GAUGE_CHECKS
+    assert "perturbation" not in payload["tables"] and payload["outputs"] == []
 
 
-def test_gauge_experiment_generic_reports_obstruction(tmp_path):
-    rep = run(ExperimentConfig.from_dict({
-        "experiment": "gauge-experiment", "seed": 2,
-        "domain": {"kind": "rectangle", "params": {"x0": 0, "x1": 1, "y0": 0, "y1": 1}},
-        "weight": {"representation": "generic_c1", "name": "exp_abs_sq"},
-        "grid": [32, 32], "basis_order": 14}), tmp_path)
-    assert rep.passed  # the only check is that residuals are finite
+def test_pde_green_identity_reports_the_gauge_obstruction(tmp_path, capsys):
+    # a weight with no gauge is gated like any other, and the report names
+    # the obstruction
+    data = {"domain": SQUARE, "weight": GENERIC, "grid": [32, 32], **SMALL}
+    rep = run(ExperimentConfig.from_dict({"experiment": "pde-green", **data}), tmp_path)
+    assert not rep.passed and rep.checks[0].value == pytest.approx(0.126, rel=1e-2)
+    assert rep.tables["solver"]["method"] == "sparse_lu"
     assert any("not harmonic" in n for n in rep.notes)
     assert rep.tables["log_laplacian_residual"] == pytest.approx(4.0, abs=1e-4)
     assert all(math.isfinite(r["residual"]) for r in rep.records)
+    # gauge-experiment has nothing to check for it
+    assert _cli_exit(tmp_path, "gauge-experiment", {"domain": SQUARE, "weight": GENERIC}) == 2
+    err = capsys.readouterr().err
+    assert "no antiholomorphic gauge exists" in err and "pde-green identity" in err
+    # |z|^2 has a gauge on the annulus, but not in closed form: the grid
+    # solves it by the LU, with no note, and gauge-experiment asks for a
+    # closed form
+    abs_sq = {"domain": ANNULUS_SPEC, "weight": {"representation": "generic_c1", "name": "abs_sq"}}
+    rep = run(ExperimentConfig.from_dict({"experiment": "pde-green", "grid": [16, 32], **SMALL,
+                                          **abs_sq}))
+    assert rep.tables["solver"]["method"] == "sparse_lu"
+    assert rep.notes == [] and "log_laplacian_residual" not in rep.tables
+    assert _cli_exit(tmp_path, "gauge-experiment", abs_sq) == 1
+    assert "re-express it" in capsys.readouterr().err
+
+
+def test_each_gauge_check_fails_on_its_defect(monkeypatch):
+    # mu = z + 2 + i, where both checks read about 1e-11 as built
+    config = ExperimentConfig.from_dict({"experiment": "gauge-experiment",
+                                         "weight": {"coefficients": [[2, 1], [1, 0]]}})
+    assert run(config).passed
+    solve = weights.solve_gauge
+
+    def checks(g):
+        """(passed, value) of each check when the gauge's g is g(weight, gauge)."""
+        def defective(weight):
+            gauge = solve(weight)
+            return dataclasses.replace(gauge, _g=g(weight, gauge))
+
+        monkeypatch.setattr(weights, "solve_gauge", defective)
+        return [(c.passed, c.value) for c in run(config).checks]
+
+    # coefficients left unconjugated: g is still antiholomorphic, but of the
+    # wrong function
+    unconjugated = checks(lambda weight, gauge: (
+        lambda w: P.polyval(np.conj(w), weight.mu_coefficients)))
+    assert unconjugated[0] == (False, pytest.approx(0.954, rel=1e-3))
+    assert unconjugated[1][0]
+    # g holomorphic in w
+    holomorphic = checks(lambda weight, gauge: lambda w: P.polyval(w, gauge.conj_coefficients))
+    assert holomorphic == [(False, pytest.approx(0.766, rel=1e-3)), (False, pytest.approx(1.0))]
 
 
 def _cli_exit(tmp_path, experiment, data, *flags):
@@ -503,6 +555,62 @@ def _cli_exit(tmp_path, experiment, data, *flags):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(data))
     return cli_main([experiment, "--config", str(path), "--out", str(tmp_path / "o"), *flags])
+
+
+# a well-formed value of every config key but COMMON_KEYS
+WELL_FORMED = {"domain": {"kind": "unit_disk"}, "weight": {"coefficients": [[2, 0], [1, 0]]},
+               "basis_order": 8, "quad_order": 8, "grid": [16, 16], "fd_step": 1e-3, "count": 3,
+               "pairs": [[[0.1, 0], [0.2, 0]]], "exhaust_steps": 2, "pde_check": "identity"}
+
+
+def assert_key_census(tmp_path, capsys, experiment, base, moved):
+    """On the config ``base``, each key of the experiment's row in
+    ``harness._EXPERIMENTS`` moves a check value when set to its value in
+    ``moved``, and every other key exits 2 with a message naming it."""
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert set(WELL_FORMED) == fields - harness.COMMON_KEYS
+    row = harness._keys_read(experiment, base.get("pde_check")) - harness.COMMON_KEYS
+    assert set(moved) == row
+
+    def values(data):
+        config = ExperimentConfig.from_dict({"experiment": experiment, **data})
+        return [c.value for c in run(config).checks]
+
+    before = values(base)
+    for key, value in moved.items():
+        assert values({**base, key: value}) != before, key
+    for key in sorted(set(WELL_FORMED) - row):
+        assert _cli_exit(tmp_path, experiment, {**base, key: WELL_FORMED[key]}) == 2, key
+        assert f"{experiment} does not read config keys [{key!r}]" in capsys.readouterr().err
+
+
+# each domain kind, spelled as configs spell it, and another region; a
+# Moebius disk is the unit disk as a point set, so it moves to a smaller disk
+SMALLER_DISK = {"kind": "disk", "params": {"center": [0, 0], "radius": 0.9}}
+DOMAIN_MOVES = {
+    "unit_disk": ({"kind": "unit_disk"}, SMALLER_DISK),
+    "disk": ({"kind": "disk", "params": {"center": [0.1, 0], "radius": 0.8}},
+             {"kind": "disk", "params": {"center": [0.1, 0], "radius": 0.7}}),
+    "moebius_disk": ({"kind": "moebius_disk", "params": {"a": [0.3, 0.1], "theta": 0.5}},
+                     SMALLER_DISK),
+    "annulus": (ANNULUS_SPEC, {"kind": "annulus", "params": {"inner": 0.6, "outer": 1.0}}),
+    "rectangle": (SQUARE, {"kind": "rectangle", "params": {"x0": 0, "x1": 1.5, "y0": 0, "y1": 1}}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DOMAIN_MOVES))
+def test_gauge_experiment_reads_every_key_of_its_row(tmp_path, capsys, kind):
+    # quad_order sets the rule's order max(4, quad_order // 8), so 40 and 48
+    # take different nodes
+    domain, moved_domain = DOMAIN_MOVES[kind]
+    assert_key_census(tmp_path, capsys, "gauge-experiment",
+                      {"domain": domain, "weight": {"coefficients": [[2, 1], [1, 0]]}},
+                      {"domain": moved_domain, "weight": {"coefficients": [[3, 1], [1, 0]]},
+                       "quad_order": 48})
+
+
+def test_gauge_experiment_of_a_constant_weight_takes_no_seed(tmp_path):
+    assert _cli_exit(tmp_path, "gauge-experiment", {"weight": {"coefficients": [[3, 0]]}}) == 0
 
 
 def _study(experiment, parameter, values, **kw):
@@ -771,7 +879,7 @@ GENERIC = {"representation": "generic_c1", "name": "exp_abs_sq"}
       "study": {"parameter": "fd_step", "values": [1e-3, "2e-3", 4e-3]}},
      "study values must be a list of numbers"),
     *UNPARSABLE_SPECS,
-    # the perturbation table's epsilons are fixed (harness.PERTURBATIONS)
+    # a key that once set the epsilons of a gauge perturbation table
     ({"experiment": "gauge-experiment", "perturbations": [0.0, 0.1],
       "weight": {"coefficients": [[2, 0], [1, 0]]}}, "unknown config keys: ['perturbations']"),
     ({"experiment": "gauge-experiment", "perturbations": ["a"]},
@@ -792,14 +900,14 @@ GENERIC = {"representation": "generic_c1", "name": "exp_abs_sq"}
     ({"study": {"parameter": "basis_order", "values": [-1, 4, 8]}},
      "study values must be positive"),
     # verify-identity has no closed form on an annulus; a study re-runs its
-    # own experiment, and the generic-weight gauge experiment reads the grid,
-    # but its only check holds at every resolution; green builds no kernel
+    # own experiment, and the gauge experiment builds no grid; green builds
+    # no kernel
     ({"experiment": "verify-identity", "domain": ANNULUS_SPEC, "weight": GENERIC,
       "study": {"parameter": "grid_resolution", "values": [64, 128, 192]}},
      "verify-identity runs only on disk and moebius_disk domains, not on annulus"),
-    ({"experiment": "gauge-experiment", "domain": SQUARE, "weight": GENERIC, "basis_order": 10,
-      "quad_order": 16, "study": {"parameter": "grid_resolution", "values": [16, 24, 32]}},
-     "study parameter grid_resolution does not reach the check 'identity residual"),
+    ({"experiment": "gauge-experiment", "domain": SQUARE, "weight": GENERIC, "quad_order": 16,
+      "study": {"parameter": "grid_resolution", "values": [16, 24, 32]}},
+     "study parameter grid_resolution: gauge-experiment does not read config keys ['grid']"),
     ({"experiment": "green", "study": {"parameter": "basis_order", "values": [10, 20, 30]}},
      "study parameter basis_order: green does not read config keys ['basis_order']"),
     ({"experiment": "pde-green", "domain": ANNULUS_SPEC,
@@ -853,6 +961,35 @@ GENERIC = {"representation": "generic_c1", "name": "exp_abs_sq"}
      "polynomial coefficients must be finite, got [(1+nanj)]"),
     ({"weight": {"coefficients": [[math.nan, 0], [1, 0]]}},
      "polynomial coefficients must be finite, got [(nan+0j)]"),
+    # every domain parameter must be finite
+    ({"experiment": "pde-green", "domain": {"kind": "rectangle", "params": {
+        "x0": 0, "x1": math.inf, "y0": 0, "y1": 1}}}, "rectangle parameter x1 must be finite"),
+    ({"domain": {"kind": "disk", "params": {"radius": math.inf}}},
+     "disk parameter radius must be finite, got inf"),
+    ({"domain": {"kind": "disk", "params": {"center": [math.nan, 0], "radius": 1}}},
+     "disk parameter center must be finite, got (nan+0j)"),
+    ({"experiment": "green", "domain": {"kind": "disk", "params": {"center": [math.inf, 0],
+                                                                   "radius": 1}}},
+     "disk parameter center must be finite, got (inf+0j)"),
+    ({"domain": {"kind": "annulus", "params": {"inner": 0.5, "outer": math.inf}}},
+     "annulus parameter outer must be finite, got inf"),
+    ({"experiment": "distance", "domain": {"kind": "moebius_disk", "params": {"theta": math.nan}}},
+     "moebius_disk parameter theta must be finite, got nan"),
+    # a weight that overflows at a quadrature node or is not positive on the grid
+    ({"weight": {"representation": "log_harmonic", "coefficients": [[0, 0], [1000, 0]]}},
+     "weight must be finite and positive on every quadrature node; rho("),
+    ({"weight": {"representation": "log_harmonic", "coefficients": [[0, 0], [1000, 0]]},
+      "study": {"parameter": "basis_order", "values": [4, 6, 8]}},
+     "weight must be finite and positive on every quadrature node; rho("),
+    ({"experiment": "pde-green", "domain": SQUARE,
+      "weight": {"representation": "generic_c1", "name": "abs_sq"}},
+     "weight must be finite and positive on every grid node; rho(0+0j) = 0"),
+    # keys gauge-experiment does not read, on the domain it would run on
+    ({"experiment": "gauge-experiment", "grid": [4, 4]},
+     "gauge-experiment does not read config keys ['grid']"),
+    ({"experiment": "gauge-experiment", "domain": SQUARE, "count": 7, "basis_order": 3,
+      "weight": {"coefficients": [[2, 0], [1, 0]]}, "pairs": [[[0.1, 0.2], [0.3, 0.4]]]},
+     "gauge-experiment does not read config keys ['basis_order', 'count', 'pairs']"),
 ])
 def test_cli_malformed_config_exits_2(tmp_path, capsys, change, message):
     path = tmp_path / "cfg.json"
