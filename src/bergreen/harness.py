@@ -668,6 +668,11 @@ def _exp_pde_green(cfg: ExperimentConfig) -> VerificationReport:
 
 def _exp_gauge(cfg: ExperimentConfig) -> VerificationReport:
     domain, weight = cfg.built
+    if weight.is_constant:
+        # its gauge is a constant, whose central differences cancel exactly,
+        # so both checks and the decomposition residual would read 0.0
+        raise ConfigError("gauge-experiment needs a non-constant weight: the gauge of a constant "
+                          "weight is constant, and its checks would hold by construction")
     try:
         gauge = weights.solve_gauge(weight)
     except GaugeInfeasibleError as exc:

@@ -52,8 +52,16 @@ annuli, H = D A is Hermitian (to roundoff).  The source normalization
 divides by the cell area h1 h2 D[s], so the discrete Green's function is
 G_h(x, s) = kappa (H^-1)[x, s] with kappa = -(pi/2)/(h1 h2), and it is
 reciprocal: G_h(z, w) = conj(G_h(w, z)).  :func:`solve_mixed` uses this to
-get d^2 G_h / dz d(conj w) at a pair from one right-hand side at z, where
-differencing across sources would need one solve per neighbour of w.
+get d^2 G_h / dz d(conj w) at a pair from one solve whose sources are the
+four nodes of the d/dz stencil at z, where differencing across sources
+would need one solve per neighbour of w.
+
+Every grid solve takes point sources, (node, value) pairs per right-hand
+side, never a dense right-hand side: one node for :func:`solve_green`, four
+for each pair of :func:`solve_mixed`.  It holds the block of solutions,
+T_1's work and at most one correction block, of the rows whose backward
+error is still above the tolerance; the residuals are formed one row at a
+time.  Only the sparse LU forms the dense right-hand sides.
 """
 
 from __future__ import annotations
@@ -193,9 +201,9 @@ def _full_weight_grid(grid: GridSpec, weight: Weight, columns: int | None = None
     return positive_values(weight, pts, "grid node")
 
 
-#: The refinement of :meth:`DiscreteOperator.solve` stops at the first
-#: iterate, its starting one included, whose normwise backward error is at
-#: most REFINEMENT_TOLERANCE in every column, and gives up after
+#: The refinement of :meth:`DiscreteOperator.solve` stops correcting a row
+#: at its first iterate, its starting one included, whose normwise backward
+#: error is at most REFINEMENT_TOLERANCE, and gives up after
 #: REFINEMENT_MAX_STEPS corrections.
 REFINEMENT_TOLERANCE = 1e-15
 REFINEMENT_MAX_STEPS = 30
@@ -240,58 +248,61 @@ class DiscreteOperator:
 
     def _row_operator(self):
         """The function ``(rows, out=None)`` that applies the operator to each
-        row of an (m, size) block, one right-hand side per row, by one
-        contiguous slice of the row per stencil term, into ``out`` if given;
-        off the grid is zero.
+        row of an (m, size) block, one vector per row, by one contiguous slice
+        of the row per stencil term, into ``out`` if given; off the grid is
+        zero.
 
-        The coefficients are held in the operator's dtype, so a complex
-        operator multiplies complex by complex and casts none on the way.
-        The centre term writes each output row, and every other term is
-        formed in one scratch row, allocated once per call, and added in.
-        A term with d2 = 0 shifts whole grid rows of the row's (n1, n2) view
-        and multiplies by the stored coefficients, which broadcast, so a
-        constant weight's (n1, 1) columns are never expanded.  A term with
-        d2 != 0 shifts the flat row by d1 n2 + d2, with its coefficients
-        zeroed in the column whose neighbour j + d2 lies off the grid; on
-        annuli one more term takes that column to its wrapped neighbour.
+        It reads the coefficients of :attr:`stencil` where they lie, in the
+        operator's dtype, so a complex operator multiplies complex by complex
+        and casts none on the way.  The centre term writes each output row,
+        and every other term is formed in one scratch row, held from one
+        call to the next, and added in.  A term with d2 = 0 shifts whole
+        grid rows of the row's (n1, n2) view and multiplies by the stored
+        coefficients, which broadcast.  A term with d2 != 0 shifts the flat
+        row by d1 n2 + d2, and its scratch row is zeroed in the column whose
+        neighbour j + d2 lies off the grid before it is added; on annuli one
+        more term takes that column to its wrapped neighbour.  Only a
+        constant weight's (n1, 1) coefficients of such a term are expanded
+        to the grid, once per call of this method.
         """
         n1, n2 = self.grid.shape
         dtype = self.dtype
+        scratch = _held_block()
 
         def shift(d, n):  # (target, source) slices taking entry k + d of n to entry k
             return slice(max(-d, 0), n - max(d, 0)), slice(max(d, 0), n - max(-d, 0))
 
         center = self.stencil[(0, 0)].astype(dtype, copy=False)
-        terms = []  # (on the (n1, n2) view?, target, source, coefficients), by offset
+        terms = []  # (on the (n1, n2) view?, target, source, coefficients, edge column), by offset
         for (d1, d2), coeff in self.stencil.items():
             coeff = coeff.astype(dtype, copy=False)
             r_out, r_in = shift(d1, n1)
             if d2 == 0:
                 if d1:
-                    terms.append((True, r_out, r_in, coeff[r_out]))
+                    terms.append((True, r_out, r_in, coeff[r_out], None))
                 continue
             edge = n2 - 1 if d2 > 0 else 0
-            coeff = np.array(np.broadcast_to(coeff, (n1, n2)))
-            wrap = coeff[r_out, edge].copy()
-            coeff[:, edge] = 0
+            grid_coeff = np.broadcast_to(coeff, (n1, n2))  # ravels to a view unless expanded
             f_out, f_in = shift(d1 * n2 + d2, n1 * n2)
-            terms.append((False, f_out, f_in, coeff.ravel()[f_out]))
+            terms.append((False, f_out, f_in, grid_coeff.ravel()[f_out], edge))
             if self.grid.is_polar:
-                terms.append((True, (r_out, edge), (r_in, n2 - 1 - edge), wrap))
+                terms.append((True, (r_out, edge), (r_in, n2 - 1 - edge), grid_coeff[r_out, edge], None))
 
         def apply_rows(rows, out=None):
             if out is None:
                 out = np.empty(rows.shape, dtype=np.result_type(dtype, rows.dtype))
-            term = np.empty(n1 * n2, out.dtype)
+            term = scratch((n1 * n2,), out.dtype)
             grid_term = term.reshape(n1, n2)
             for x, y in zip(rows, out):
                 grid_x, grid_y = x.reshape(n1, n2), y.reshape(n1, n2, copy=False)
                 np.multiply(center, grid_x, out=grid_y)
-                for on_grid, target, source, coeff in terms:
+                for on_grid, target, source, coeff, edge in terms:
                     if on_grid:
                         grid_y[target] += np.multiply(coeff, grid_x[source], out=grid_term[target])
-                    else:
-                        y[target] += np.multiply(coeff, x[source], out=term[target])
+                        continue
+                    np.multiply(coeff, x[source], out=term[target])
+                    grid_term[:, edge] = 0
+                    y[target] += term[target]
             return out
 
         return apply_rows
@@ -316,26 +327,32 @@ class DiscreteOperator:
         indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=(2, 3)))])
         return sp.csr_matrix((data[keep], cols[keep], indptr), shape=(self.size, self.size))
 
-    def solve(self, rhs: np.ndarray, stats: dict | None = None) -> np.ndarray:
-        """Solve for one right-hand side or a block of columns.  Nothing is
-        kept between calls, so batch all columns into one call.
+    def solve(self, nodes, values, stats: dict | None = None) -> np.ndarray:
+        """Solve A x_j = b_j for m point-source right-hand sides, and return
+        the (m, size) block of the x_j, one per row.  Nothing is kept between
+        calls, so batch all sources into one call.
 
-        Inside, the block is held as (m, size), one right-hand side per
-        contiguous row, so that every stencil term and transform runs over
-        long slices.  The columns are copied into that layout once, which
-        costs nothing when ``rhs`` is the transpose of a C-ordered block, and
-        the result is returned as a transposed view.
+        Source j is b_j = sum_i values[j, i] e_(nodes[j, i]): ``nodes`` is an
+        (m, k) array of flat node indices i n2 + j, distinct within a row,
+        and ``values`` an (m, k) array of their values.  No b_j is formed.
+        The first iterate scatters the values into the block of x, each
+        residual is -A x with the values added at their nodes, which gives
+        the bits of b - A x, and the norm of b in the backward error is read
+        off the values.  Only the sparse LU forms the dense b_j.
 
         For a weight with a gauge (``method == "transform"``) it is iterative
         refinement preconditioned by M b = conj(mu) T_1(mu b), T_1 the rho = 1
         transform solver (the gauge identity of the module docstring): x = M b,
-        then x += M (b - A x) until the backward error (below) is at most
-        ``REFINEMENT_TOLERANCE`` in every column, M b itself included.  For a
-        constant weight M b mostly passes (point sources on 64^2 to 192^2
-        squares and the unit annulus), and random columns on larger squares
-        take one correction; the identity check's square takes five.  After
-        ``REFINEMENT_MAX_STEPS`` corrections, or one that does not shrink the
-        backward error, the sparse LU solves instead.
+        then x += M (b - A x) for each row whose backward error (below) is
+        above ``REFINEMENT_TOLERANCE``, M b itself included; a row that meets
+        it is not corrected again.  For a constant weight M b mostly passes
+        (point sources on 64^2 to 192^2 squares and the unit annulus), and
+        random sources on larger squares take one correction; the identity
+        check's square takes five.  After ``REFINEMENT_MAX_STEPS``
+        corrections, or one that does not shrink the largest backward error
+        of the rows still corrected, the sparse LU solves every row instead.
+        It holds x, T_1's work and at most one correction block, of the rows
+        above the tolerance (:meth:`_refinement`).
 
         Otherwise it is a sparse LU solve of :attr:`matrix`.  The nine-point
         stencil is structurally symmetric, so the column ordering is minimum
@@ -350,84 +367,123 @@ class DiscreteOperator:
         backward error keep their meaning.
 
         A ``stats`` dict receives the method that solved, the unknowns, the
-        corrections taken and the largest normwise backward error over the
-        columns (Rigal & Gaches 1967), ||D^-1 (b - A x)|| / (||D^-1 A|| ||x||
-        + ||D^-1 b||) in the max norm with D = |diag A|.  Its norms are maxima,
-        so it is deterministic and independent of the BLAS thread count.
+        most corrections any row took and the largest normwise backward error
+        over the rows (Rigal & Gaches 1967), ||D^-1 (b - A x)|| / (||D^-1 A||
+        ||x|| + ||D^-1 b||) in the max norm with D = |diag A|.  Its norms are
+        maxima, so it is deterministic and independent of the BLAS thread
+        count.
         """
-        rows = np.ascontiguousarray(np.reshape(rhs, (self.size, -1)).T)
+        nodes, values = np.asarray(nodes), np.asarray(values)
+        well_formed = nodes.ndim == 2 and values.shape == nodes.shape and nodes.dtype.kind in "iu"
+        ordered = np.sort(nodes, axis=1) if well_formed else None
+        if (not well_formed or np.any(ordered[:, :1] < 0) or np.any(ordered[:, -1:] >= self.size)
+                or np.any(ordered[:, 1:] == ordered[:, :-1])):
+            raise ParameterError(f"point sources need (m, k) node indices, distinct within a row and "
+                                 f"in [0, {self.size}), and values of their shape")
         apply_rows = self._row_operator()
-        backward_error = self._backward_error(rows)
-        refined = None if self.gauge is None else self._refinement(rows, apply_rows, backward_error)
+
+        def residual(j, x, out):  # b_j - A x into the row out
+            apply_rows(x[None], out=out[None])
+            np.negative(out, out=out)
+            out[nodes[j]] += values[j]
+            return out
+
+        backward_error = self._backward_error(nodes, values)
+        refined = None if self.gauge is None else self._refinement(nodes, values, residual, backward_error)
         method = "sparse_lu" if refined is None else "transform"
         if refined is None:
-            x = self._lu_solve(rows)
-            refined = x, 0, backward_error(rows - apply_rows(x), x)
+            x = self._lu_solve(nodes, values)
+            r = np.empty(self.size, x.dtype)
+            refined = x, 0, float(np.max([backward_error(j, residual(j, row, r), row)
+                                          for j, row in enumerate(x)]))
         x, steps, eta = refined
         if stats is not None:
             stats.update(method=method, unknowns=self.size, refinement_steps=steps, backward_error=eta)
-        return x.T.reshape(np.shape(rhs))
+        return x
 
-    def _refinement(self, rows: np.ndarray, apply_rows, backward_error):
-        """(x, corrections, backward error) of the refinement of :meth:`solve`
-        on an (m, size) block of rows, or None if it does not converge.
+    def _refinement(self, nodes, values, residual, backward_error):
+        """(x, corrections, backward error) of the refinement of :meth:`solve`,
+        x the (m, size) block of its solutions, or None if it does not
+        converge.
 
         A gauge that varies over the grid runs T_1 in single precision:
         conj(mu) T_1 mu only approximates A^-1 there, and shrinks the
         backward error by a factor of 2e-3 to 0.2 a correction on the grids
         tested, so T_1's own rounding of about 1e-7 costs no step.  A
         constant gauge's T_1 is an exact inverse, whose own answer passes
-        with no correction only in double.  One block holds each step's
-        residual and then, overwritten by T_1, its correction; T_1 keeps its
-        work blocks from one step to the next."""
+        with no correction only in double.
+
+        Each row's residual and backward error are formed in one row buffer:
+        the next free row of the correction block, once there is one, which
+        a row above the tolerance keeps.  The block is allocated at the first
+        such row, with one row for it and each row not yet checked, and that
+        row's residual is moved into it, so a solve whose first iterate
+        passes allocates none.  T_1 overwrites the kept rows with their
+        corrections, and keeps its work blocks from one step to the next."""
         mu = self.gauge  # a scalar or one value per node, alike for every row
         mu_bar = np.conj(mu)
         unweighted = _transform_solver(self.grid, np.float32 if np.ndim(mu) else np.float64)
-        x = unweighted(mu * rows)
+        m = len(nodes)
+        x = np.zeros((m, self.size), np.result_type(self.dtype, values, mu))
+        np.put_along_axis(x, nodes, (mu[nodes] if np.ndim(mu) else mu) * values, axis=1)
+        unweighted(x)
         x *= mu_bar
-        r = np.empty_like(x)
-        previous = math.inf
+        r = np.empty(self.size, x.dtype)
+        etas = np.empty(m)
+        active, block, previous = range(m), None, math.inf
         for steps in range(REFINEMENT_MAX_STEPS + 1):
-            np.subtract(rows, apply_rows(x, out=r), out=r)
-            eta = backward_error(r, x)
-            if eta <= REFINEMENT_TOLERANCE:
-                return x, steps, eta
+            failing = []
+            for position, j in enumerate(active):
+                row = r if block is None else block[len(failing)]
+                etas[j] = backward_error(j, residual(j, x[j], row), x[j])
+                if not etas[j] <= REFINEMENT_TOLERANCE:
+                    if block is None:
+                        block = np.empty((len(active) - position, self.size), x.dtype)
+                        block[0] = r
+                        r = None  # the block's free rows take the residuals from here on
+                    failing.append(j)
+            if not failing:
+                return x, steps, float(etas.max())
+            eta = etas[failing].max()
             if not eta < previous or steps == REFINEMENT_MAX_STEPS:
                 return None
             previous = eta
-            r *= mu
-            unweighted(r)
-            r *= mu_bar
-            x += r
+            correction = block[:len(failing)]
+            correction *= mu
+            unweighted(correction)
+            correction *= mu_bar
+            for j, c in zip(failing, correction):
+                x[j] += c
+            active = failing
 
-    def _backward_error(self, rows: np.ndarray):
-        """The function (r, x) -> largest normwise backward error over the
-        rows of x, given r = rows - A x.  D = |diag A| scales each row's
-        grid, and ||D^-1 A|| is the largest absolute row sum of the scaled
-        stencil.  Each row's |v|, scaled by D^-1 where it is, is taken into
-        one (n1, n2) buffer allocated per call, so no block of |v| is made."""
+    def _backward_error(self, nodes, values):
+        """The function (j, r, x) -> normwise backward error of row j, given
+        one row x and r = b_j - A x.  D = |diag A| scales each row's grid,
+        ||D^-1 A|| is the largest absolute row sum of the scaled stencil, and
+        ||D^-1 b_j|| is read off the values.  |v|, scaled by D^-1 where it
+        is, is taken into one (n1, n2) buffer, allocated here."""
         n1, n2 = self.grid.shape
         inverse = 1.0 / np.abs(self.stencil[(0, 0)])
         a_norm = np.max(sum(np.abs(c) for c in self.stencil.values()) * inverse)
+        b_norm = np.max(np.abs(values) * np.broadcast_to(inverse, (n1, n2))[np.divmod(nodes, n2)],
+                        axis=1, initial=0.0)
+        magnitude = np.empty((n1, n2))
 
-        def row_max(v, magnitude, scale=None):
-            peaks = np.empty(len(v))
-            for k, row in enumerate(v):
-                np.abs(row.reshape(n1, n2), out=magnitude)
-                if scale is not None:
-                    magnitude *= scale
-                peaks[k] = magnitude.max()
-            return peaks
+        def peak(v, scale=None):
+            np.abs(v.reshape(n1, n2), out=magnitude)
+            if scale is not None:
+                np.multiply(magnitude, scale, out=magnitude)
+            return magnitude.max()
 
-        def backward_error(r, x):
-            magnitude = np.empty((n1, n2))
-            scale = a_norm * row_max(x, magnitude) + b_norm
-            return float(np.max(row_max(r, magnitude, inverse) / np.where(scale > 0, scale, 1.0)))
+        def backward_error(j, r, x):
+            scale = a_norm * peak(x) + b_norm[j]
+            return float(peak(r, inverse) / (scale if scale > 0 else 1.0))
 
-        b_norm = row_max(rows, np.empty((n1, n2)), inverse)
         return backward_error
 
-    def _lu_solve(self, rows: np.ndarray) -> np.ndarray:
+    def _lu_solve(self, nodes, values) -> np.ndarray:
+        """The (m, size) block of solutions by the sparse LU, the one place
+        that forms the dense right-hand sides."""
         import scipy.sparse.linalg as spla
         try:
             lu = spla.splu(self.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
@@ -435,6 +491,8 @@ class DiscreteOperator:
             raise SolverError(
                 f"sparse factorization failed on {self.size} unknowns: {exc}"
             ) from exc
+        rows = np.zeros((len(nodes), self.size), np.result_type(self.dtype, values))
+        np.put_along_axis(rows, nodes, values, axis=1)
         return lu.solve(rows.T).T
 
 
@@ -673,6 +731,8 @@ def discretize(grid: GridSpec, weight: Weight) -> DiscreteOperator:
     div_entries, rot_entries = _assemble(grid, rho)
     stencil = {offset: 0.25 * coeff for offset, coeff in div_entries.items()}
     if any(np.max(np.abs(v)) > 0 for v in rot_entries.values()):
+        # held in the operator's dtype, which every product with it then takes
+        stencil = {offset: coeff.astype(complex) for offset, coeff in stencil.items()}
         stencil.update((offset, 0.25j * coeff) for offset, coeff in rot_entries.items())
     gauge = None
     if constant:
@@ -716,10 +776,8 @@ def solve_green(op: DiscreteOperator, source: complex) -> DiscreteGreen:
     snapped = grid.node_point(*idx)
     h1, h2 = grid.spacing
     cell_area = (abs(snapped) if grid.is_polar else 1.0) * h1 * h2
-    rhs = np.zeros(op.size, dtype=op.dtype)
-    rhs[idx[0] * grid.shape[1] + idx[1]] = -(math.pi / 2.0) / cell_area
     stats = {}
-    sol = op.solve(rhs, stats)
+    (sol,) = op.solve([[idx[0] * grid.shape[1] + idx[1]]], [[-(math.pi / 2.0) / cell_area]], stats)
     return DiscreteGreen(grid=grid, source=snapped, source_index=idx,
                          values=sol.reshape(grid.shape), solve_stats=stats)
 
@@ -767,12 +825,13 @@ def solve_mixed(op: DiscreteOperator, pairs, stats: dict | None = None) -> np.nd
               = kappa sum_o e_o conj(y[w+o]),   A y = D^-1 sum_a conj(c_a) e_(z+a).
 
     This is Green's reciprocity G_h(z, w) = conj(G_h(w, z)) on the grid.
-    The right-hand sides are built as the rows of one block, whose
-    transpose goes to one ``op.solve`` call without a copy; it fills
-    ``stats`` as in :meth:`DiscreteOperator.solve`.  For a real matrix the
-    block is real: the real parts of the right-hand sides, then their
-    imaginary parts, and y is formed as y[:, k] + 1j y[:, m + k] at the four
-    nodes w+o of each pair only.
+    The right-hand sides go to one ``op.solve`` call as point sources, the
+    four nodes z+a of each pair with the values D^-1 conj(c_a), so no dense
+    block of them is formed; it fills ``stats`` as in
+    :meth:`DiscreteOperator.solve`.  For a real matrix the sources are real:
+    the real parts of the values, then their imaginary parts, on the same
+    nodes, and y is formed as y[k] + 1j y[m + k] at the four nodes w+o of
+    each pair only.
     """
     grid = op.grid
     n2 = grid.shape[1]
@@ -782,20 +841,17 @@ def solve_mixed(op: DiscreteOperator, pairs, stats: dict | None = None) -> np.nd
 
     radii = grid.axes[0][1:-1] if grid.is_polar else np.ones(grid.shape[0])
     m = len(stencils)
+    nodes = np.array([[node for node, _ in dz] for dz, _ in stencils], dtype=np.intp)
+    values = np.array([[np.conj(c) / radii[node // n2] for node, c in dz] for dz, _ in stencils],
+                      dtype=complex)
     real = not np.issubdtype(op.dtype, np.complexfloating)
-    rows = np.zeros((2 * m if real else m, op.size), dtype=op.dtype)
-    for k, (dz, _) in enumerate(stencils):
-        for node, c in dz:
-            b = np.conj(c) / radii[node // n2]
-            if real:
-                rows[k, node], rows[m + k, node] = b.real, b.imag
-            else:
-                rows[k, node] = b
-    y = op.solve(rows.T, stats)
+    if real:
+        nodes, values = np.concatenate([nodes, nodes]), np.concatenate([values.real, values.imag])
+    y = op.solve(nodes, values, stats)
     kappa = -(math.pi / 2.0) / (h1 * h2)
 
-    def value(node, k):  # y at one node for pair k; a real block holds it in two columns
-        return y[node, k] + 1j * y[node, m + k] if real else y[node, k]
+    def value(node, k):  # y at one node for pair k; a real block holds it in two rows
+        return y[k, node] + 1j * y[m + k, node] if real else y[k, node]
 
     return np.array([kappa * np.conj(sum(c * value(node, k) for node, c in dw))
                      for k, (_, dw) in enumerate(stencils)])

@@ -296,6 +296,43 @@ def test_ill_conditioned_gram_is_trimmed():
     assert np.isfinite(v.real) and np.isfinite(v.imag)
 
 
+def linear_scan_order(G):
+    """The trim order by dropping one trailing column at a time, with the
+    eigenvalues of the block kept."""
+    for n in range(G.shape[0], 0, -1):
+        eigs = np.linalg.eigvalsh(G[:n, :n])
+        if eigs[0] > 0 and eigs[0] >= 1e-12 * eigs[-1]:
+            return n, eigs
+    return 0, None
+
+
+@pytest.mark.parametrize("case", ["square", "rectangle", "annulus"])
+def test_trim_order_by_bisection_matches_the_linear_scan(case, monkeypatch):
+    # the unit square caps at 24, the 2 x 0.7 rectangle trims too, and the
+    # (0.5, 1) annulus is capped at 42 Laurent exponents from basis 60 to 140
+    domain, bases = {
+        "square": (Rectangle(0, 1, 0, 1), [MonomialBasis(Rectangle(0, 1, 0, 1), d) for d in (8, 20, 24, 30, 45)]),
+        "rectangle": (Rectangle(0, 2, 0, 0.7), [MonomialBasis(Rectangle(0, 2, 0, 0.7), d) for d in (8, 16, 30, 40)]),
+        "annulus": (Annulus(0.5, 1.0), [LaurentBasis(Annulus(0.5, 1.0), -(n // 2), (n + 1) // 2)
+                                         for n in (60, 80, 100, 120, 140)]),
+    }[case]
+    rule = build_quadrature(domain, 40)
+    calls, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or eigvalsh(a))
+    trimmed = 0
+    for basis in bases:
+        want, eigs = linear_scan_order(gram_matrix(basis, unit_weight(domain), rule))
+        calls.clear()
+        k = kernel_from_gram(basis, unit_weight(domain), rule)
+        assert k.order == want, (basis, k.order, want)
+        assert (k.eig_min, k.eig_max) == (float(eigs[0]), float(eigs[-1]))
+        assert calls[0] == basis.size and len(calls) <= math.log2(basis.size) + 2
+        trimmed += k.order < basis.size
+        if case == "annulus":
+            assert k.order == 42
+    assert trimmed
+
+
 def test_extremal_function():
     kernel, rule = build_disk_kernel()
     phi0 = extremal_function(kernel, 0.0)

@@ -609,8 +609,14 @@ def test_gauge_experiment_reads_every_key_of_its_row(tmp_path, capsys, kind):
                        "quad_order": 48})
 
 
-def test_gauge_experiment_of_a_constant_weight_takes_no_seed(tmp_path):
-    assert _cli_exit(tmp_path, "gauge-experiment", {"weight": {"coefficients": [[3, 0]]}}) == 0
+def test_gauge_experiment_of_a_constant_weight_takes_no_seed(tmp_path, capsys):
+    # the config is valid without a seed, and the run exits 2 on the weight:
+    # a constant gauge would pass both checks at exactly 0
+    data = {"experiment": "gauge-experiment", "weight": {"coefficients": [[3, 0]]}}
+    assert ExperimentConfig.from_dict(data).seed is None
+    assert _cli_exit(tmp_path, "gauge-experiment", data) == 2
+    err = capsys.readouterr().err
+    assert "gauge-experiment needs a non-constant weight" in err and "seed" not in err
 
 
 def _study(experiment, parameter, values, **kw):
@@ -990,6 +996,13 @@ GENERIC = {"representation": "generic_c1", "name": "exp_abs_sq"}
     ({"experiment": "gauge-experiment", "domain": SQUARE, "count": 7, "basis_order": 3,
       "weight": {"coefficients": [[2, 0], [1, 0]]}, "pairs": [[[0.1, 0.2], [0.3, 0.4]]]},
      "gauge-experiment does not read config keys ['basis_order', 'count', 'pairs']"),
+    # a constant weight, the default one included, has a constant gauge
+    ({"experiment": "gauge-experiment"}, "gauge-experiment needs a non-constant weight"),
+    ({"experiment": "gauge-experiment", "weight": {"coefficients": [[3, 0]]}},
+     "gauge-experiment needs a non-constant weight"),
+    ({"experiment": "gauge-experiment", "domain": ANNULUS_SPEC,
+      "weight": {"representation": "log_harmonic", "coefficients": [[0.5, 1]]}},
+     "gauge-experiment needs a non-constant weight"),
 ])
 def test_cli_malformed_config_exits_2(tmp_path, capsys, change, message):
     path = tmp_path / "cfg.json"

@@ -460,6 +460,15 @@ def no_lu(*args, **kwargs):
     raise AssertionError("a converging transform solve must not factor")
 
 
+def dense_solve(op, b, stats=None):
+    """``op.solve`` of dense right-hand sides, b of shape (size,) or (size, m):
+    each column as size point sources, one at every node, and the solution
+    in the shape of b."""
+    columns = np.reshape(b, (op.size, -1)).T
+    nodes = np.broadcast_to(np.arange(op.size), columns.shape)
+    return op.solve(nodes, columns, stats).T.reshape(np.shape(b))
+
+
 @pytest.mark.parametrize("case", sorted(TRANSFORM_CASES))
 def test_transform_solve_matches_sparse_lu(case, monkeypatch):
     grid, weight = TRANSFORM_CASES[case]
@@ -484,7 +493,7 @@ def test_transform_solve_matches_sparse_lu(case, monkeypatch):
     monkeypatch.setattr(spla, "splu", no_lu)
     for b, ref in zip(rhs, refs):
         stats = {}
-        got = op.solve(b, stats)
+        got = dense_solve(op, b, stats)
         assert got.shape == b.shape and got.dtype == np.result_type(op.dtype, b.dtype)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert stats["method"] == "transform"
@@ -508,10 +517,10 @@ def test_refinement_precision_follows_the_gauge_and_commutes_with_powers_of_two(
     rng = np.random.default_rng(11)
     b = rng.standard_normal((op.size, 2)) + 1j * rng.standard_normal((op.size, 2))
     stats = {}
-    x = op.solve(b, stats)
+    x = dense_solve(op, b, stats)
     for k in (200, -200):
         scaled = {}
-        assert np.array_equal(op.solve(b * 2.0**k, scaled), 2.0**k * x), k
+        assert np.array_equal(dense_solve(op, b * 2.0**k, scaled), 2.0**k * x), k
         assert scaled == stats
     assert built == [np.dtype(np.float64 if isinstance(op.gauge, float) else np.float32)] * 3
 
@@ -567,7 +576,7 @@ def test_smooth_right_hand_side_stays_on_the_transform_path(monkeypatch):
     monkeypatch.setattr(spla, "splu", no_lu)
     for grid, weight in ((GridSpec(SQUARE, (128, 128)), z2), TRANSFORM_CASES["square-log_harmonic"]):
         stats = {}
-        discretize(grid, weight).solve(np.ones(grid.shape[0] * grid.shape[1]), stats)
+        dense_solve(discretize(grid, weight), np.ones(grid.shape[0] * grid.shape[1]), stats)
         assert stats["method"] == "transform" and stats["backward_error"] <= REFINEMENT_TOLERANCE
     for weight in (z2, unit_weight(SQUARE)):
         stats = solve_green(discretize(GridSpec(SQUARE, (256, 256)), weight), 0.5 + 0.5j).solve_stats
@@ -595,7 +604,7 @@ def test_constant_weight_corrects_a_transform_answer_that_misses_the_gate(monkey
     b = np.random.default_rng(7).standard_normal((op.size, 3))
     monkeypatch.setattr(spla, "splu", no_lu)
     stats = {}
-    op.solve(b, stats)
+    dense_solve(op, b, stats)
     assert stats["method"] == "transform" and stats["refinement_steps"] == 1
     assert stats["backward_error"] <= REFINEMENT_TOLERANCE
 
@@ -647,17 +656,20 @@ def test_stalling_gauge_falls_back_to_sparse_lu(case):
     # with 1/mu for mu the refinement contracts by only about 0.97 a step on
     # the square, grows about 400-fold a step on the annulus, and with a root
     # of mu 0.005 off the square would overflow within 30 steps (an error
-    # under this suite's warning filter); each time the LU must solve
+    # under this suite's warning filter); each time the LU must solve, dense
+    # right-hand sides and point sources alike
     grid, weight = {"stalls": TRANSFORM_CASES["square-|z+2|^2"],
                     "grows": TRANSFORM_CASES["annulus-|z+1.2|^2"], "overflows": NEAR_ROOT}[case]
     op = discretize(grid, weight)
     wrong = dataclasses.replace(op, gauge=1.0 / op.gauge)
     b = np.random.default_rng(3).standard_normal((op.size, 2)) + 0j
-    stats = {}
-    got = wrong.solve(b, stats)
-    assert stats["method"] == "sparse_lu" and stats["refinement_steps"] == 0
-    assert stats["backward_error"] <= REFINEMENT_TOLERANCE
-    assert np.max(np.abs(got - op.solve(b))) <= 1e-12 * np.max(np.abs(got))
+    nodes, values = [[5, op.size // 2], [op.size // 3, op.size - 7]], [[1.0, -2.0], [0.5j, 3.0]]
+    for solve in (lambda o, s=None: dense_solve(o, b, s), lambda o, s=None: o.solve(nodes, values, s)):
+        stats = {}
+        got = solve(wrong, stats)
+        assert stats["method"] == "sparse_lu" and stats["refinement_steps"] == 0
+        assert stats["backward_error"] <= REFINEMENT_TOLERANCE
+        assert np.max(np.abs(got - solve(op))) <= 1e-12 * np.max(np.abs(got))
 
 
 def test_unit_weight_solution_is_real():
@@ -739,16 +751,23 @@ def test_real_solve_mixed_matches_the_full_block_combine(case, monkeypatch):
     op = discretize(grid, weight)
     assert not np.iscomplexobj(op.stencil[(0, 0)])
     solved, solve = [], pdegreen.DiscreteOperator.solve
-    monkeypatch.setattr(pdegreen.DiscreteOperator, "solve",
-                        lambda self, rhs, stats=None: solved.append(solve(self, rhs, stats)) or solved[-1])
+    monkeypatch.setattr(pdegreen.DiscreteOperator, "solve", lambda self, nodes, values, stats=None:
+                        solved.append((nodes, values, solve(self, nodes, values, stats))) or solved[-1][2])
     pairs = grid_pairs(grid, 4)
     got = solve_mixed(op, pairs)
-    y, = solved
+    (nodes, values, y), = solved
     m = len(pairs)
-    full = y[:, :m] + 1j * y[:, m:]
+    # the real and imaginary parts of each pair's four d/dz sources at z
+    dz = [pdegreen._dz_stencil(grid, pdegreen._snap_inside(grid, z, "z")) for z, _ in pairs]
+    radii = grid.axes[0][1:-1] if grid.is_polar else np.ones(grid.shape[0])
+    b = np.array([[np.conj(c) / radii[node // grid.shape[1]] for node, c in stencil] for stencil in dz])
+    assert nodes.shape == values.shape == (2 * m, 4) and values.dtype == np.float64
+    assert np.array_equal(nodes, np.tile([[node for node, _ in stencil] for stencil in dz], (2, 1)))
+    assert np.array_equal(values, np.concatenate([b.real, b.imag]))
+    full = y[:m] + 1j * y[m:]
     kappa = -(math.pi / 2.0) / (grid.spacing[0] * grid.spacing[1])
     dw = [pdegreen._dz_stencil(grid, pdegreen._snap_inside(grid, w, "w")) for _, w in pairs]
-    want = np.array([kappa * np.conj(sum(c * full[node, k] for node, c in stencil))
+    want = np.array([kappa * np.conj(sum(c * full[k, node] for node, c in stencil))
                      for k, stencil in enumerate(dw)])
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -766,9 +785,10 @@ def traced_peak(call):
 
 
 def test_refinement_passes_allocate_no_block(monkeypatch):
-    # the stencil apply forms each term in one scratch row, the backward
-    # error takes each row's |v| into one grid buffer, and solve_mixed reads
-    # a real solve back at the differenced nodes only
+    # the stencil apply forms each term in one scratch row, held from one
+    # call to the next, the backward error takes each row's |v| into one
+    # grid buffer, and solve_mixed reads a real solve back at the
+    # differenced nodes only
     slack = 4096
     square = discretize(GridSpec(SQUARE, (64, 64)), HoloModulusSquaredWeight([2, 1], SQUARE))
     annulus = discretize(GridSpec(ANNULUS, (32, 64)), unit_weight(ANNULUS))
@@ -781,13 +801,16 @@ def test_refinement_passes_allocate_no_block(monkeypatch):
         out = np.empty_like(rows)
         apply_rows = op._row_operator()
         assert traced_peak(lambda: apply_rows(rows, out=out)) <= op.size * out.itemsize + buffered + slack
-        backward_error = op._backward_error(rows)
-        assert traced_peak(lambda: backward_error(out, rows)) <= op.size * 8 + buffered + slack
+        assert traced_peak(lambda: apply_rows(rows, out=out)) <= buffered + slack
+        nodes = np.broadcast_to(np.arange(op.size), rows.shape)
+        backward_error = op._backward_error(nodes, rows)
+        assert traced_peak(lambda: [backward_error(j, r, x) for j, (r, x) in enumerate(zip(out, rows))]) \
+            <= buffered + slack
 
     after_solve, solve = [], pdegreen.DiscreteOperator.solve
 
-    def solve_then_mark(self, rhs, stats=None):
-        x = solve(self, rhs, stats)
+    def solve_then_mark(self, nodes, values, stats=None):
+        x = solve(self, nodes, values, stats)
         after_solve.append(tracemalloc.get_traced_memory()[0])
         tracemalloc.reset_peak()
         return x
@@ -801,6 +824,106 @@ def test_refinement_passes_allocate_no_block(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak - after_solve[0] < annulus.size * 16
+
+
+@pytest.mark.parametrize("case", ["annulus", "square"])
+def test_solve_mixed_holds_only_the_blocks_the_refinement_needs(case):
+    # a point-source solve holds x and T_1's work, plus a few rows: the
+    # residual, the stencil's scratch term, the backward error's grid
+    # buffers, T_1's tables, a varying gauge's conj(mu) and numpy's casting
+    # buffers, or a constant weight's two expanded d2 != 0 coefficient
+    # arrays; no dense right-hand side, no residual block and no copy of
+    # the stencil.  The unweighted annulus passes with no correction and
+    # allocates no correction block; the |z+2|^2 square's five complex rows
+    # all take corrections and add one correction block and T_1's float32
+    # work and scratch blocks, one real row per part of each row.
+    slack, rows = 16384, 8
+    if case == "annulus":
+        op = discretize(GridSpec(ANNULUS, (32, 64)), unit_weight(ANNULUS))
+        n1, n2 = op.grid.shape
+        m = 10  # five pairs, real and imaginary parts
+        x = m * op.size * 8
+        modes = (n1 + 1) * m * (n2 // 2 + 1) * 16
+        bound = x + modes + rows * op.size * 8 + slack
+    else:
+        op = discretize(GridSpec(SQUARE, (64, 64)), HoloModulusSquaredWeight([2, 1], SQUARE))
+        m = 5
+        x = m * op.size * 16
+        bound = 2 * x + 2 * (2 * m * op.size * 4) + rows * op.size * 16 + slack
+    pairs = grid_pairs(op.grid, 5)
+    stats = {}
+    solve_mixed(op, pairs, stats)  # tables and imports in place
+    assert stats["method"] == "transform" and (stats["refinement_steps"] == 0) == (case == "annulus")
+    assert traced_peak(lambda: solve_mixed(op, pairs)) <= bound
+
+
+@pytest.mark.parametrize("case", ["square-|z+2|^2", "annulus-|z+1.2|^2"])
+def test_apply_reads_the_stencil_where_it_lies(case, monkeypatch):
+    # every coefficient array the apply multiplies by is a view of the
+    # operator's stencil, held in its dtype, not a per-call copy
+    op = discretize(*TRANSFORM_CASES[case])
+    assert all(c.dtype == op.dtype == np.complex128 for c in op.stencil.values())
+    rows = np.random.default_rng(19).standard_normal((2, op.size)) + 0j
+    want = op._row_operator()(rows)
+    apply_rows = op._row_operator()
+    operands, multiply = [], np.multiply
+
+    def spy(a, *args, **kwargs):
+        operands.append(a)
+        return multiply(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "multiply", spy)
+    got = apply_rows(rows)
+    monkeypatch.undo()
+    assert got.tobytes() == want.tobytes() and operands
+    assert all(any(np.shares_memory(a, c) for c in op.stencil.values()) for a in operands)
+
+
+@pytest.mark.parametrize("case", ["square-256-rho9", "annulus-|z+1.2|^2"])
+def test_refinement_corrects_only_the_rows_above_the_tolerance(case, monkeypatch):
+    # each row is corrected until it meets the tolerance and then no more, so
+    # each row of a block solve has the bits of its solve alone: on the
+    # 256^2 square with rho = 9 a point source passes as M b = 3 T_1(3 b)
+    # while random rows take one correction, and on the annulus point
+    # sources take 5 to 13
+    if case == "square-256-rho9":
+        op = discretize(GridSpec(SQUARE, (256, 256)), HoloModulusSquaredWeight([3], SQUARE))
+        rng = np.random.default_rng(7)
+        b = np.concatenate([np.zeros((1, op.size)), rng.standard_normal((2, op.size))])
+        b[0, op.size // 2 + 128] = 1.0
+        nodes, values = np.broadcast_to(np.arange(op.size), b.shape), b
+    else:
+        op = discretize(*TRANSFORM_CASES[case])
+        nodes, values = np.array([[0], [997], [1994]]), np.array([[1.0 + 0j], [-2.0], [0.5j]])
+        b = np.zeros((3, op.size), complex)
+        b[np.arange(3)[:, None], nodes] = values
+    monkeypatch.setattr(spla, "splu", no_lu)
+    stats = {}
+    x = op.solve(nodes, values, stats)
+    alone = [{} for _ in x]
+    for j, s in enumerate(alone):
+        assert np.array_equal(op.solve(nodes[j:j + 1], values[j:j + 1], s)[0], x[j]), j
+    steps = [s["refinement_steps"] for s in alone]
+    assert min(steps) < max(steps) == stats["refinement_steps"]
+    assert stats["backward_error"] == max(s["backward_error"] for s in alone)
+    for j in range(len(x)):
+        assert backward_error(op, b[j], x[j]) <= REFINEMENT_TOLERANCE, j
+    if isinstance(op.gauge, float):
+        assert steps[0] == 0
+        want = _transform_solver(op.grid)(op.gauge * b[:1])[0] * op.gauge
+        assert np.array_equal(x[0], want)
+    monkeypatch.undo()
+    ref = spla.splu(op.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b.T.astype(op.dtype)).T
+    got = dense_solve(op, b.T).T
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_solve_rejects_malformed_point_sources():
+    op = discretize(GridSpec(SQUARE, (16, 16)), unit_weight(SQUARE))
+    for nodes, values in (([3], [1.0]), ([[3, 4]], [[1.0]]), ([[3, 3]], [[1.0, 2.0]]),
+                          ([[-1]], [[1.0]]), ([[op.size]], [[1.0]]), ([[0.5]], [[1.0]])):
+        with pytest.raises(ParameterError, match="point sources"):
+            op.solve(nodes, values)
 
 
 def complex_grid_mid_mask(grid, source):
