@@ -1,8 +1,9 @@
 """Experiment orchestration: configs in, JSON report plus CSV data out.
 
 Each experiment echoes its configuration, embeds the assumption ledger,
-records per-point results, and judges every pass/fail line against the
-tolerance it cites.  All randomness flows through a seeded generator and
+judges every pass/fail line against the tolerance it cites, and writes its
+per-point results to CSV files, which report.json names with their columns
+and row counts.  All randomness flows through a seeded generator and
 every reduction is order-fixed, so identical configs produce byte-identical
 outputs.
 """
@@ -50,7 +51,7 @@ __all__ = [
     "run",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Assumption ledger, embedded verbatim in every report.
 ASSUMPTIONS = [
@@ -307,7 +308,6 @@ class VerificationReport:
     # 180 grid-reference iterations from 57.8 to 62.3 MB peak RSS (glibc)
     config: ExperimentConfig
     checks: list
-    records: list = dc_field(default_factory=list)
     tables: dict = dc_field(default_factory=dict)
     notes: list = dc_field(default_factory=list)
     csv_files: dict = dc_field(default_factory=dict)
@@ -315,14 +315,6 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def summary(self) -> dict:
-        residuals = [r.get("residual") for r in self.records if isinstance(r.get("residual"), float)]
-        out = {"record_count": len(self.records)}
-        if residuals:
-            out["max_residual"] = max(residuals)
-            out["median_residual"] = float(np.median(residuals))
-        return out
 
     def to_json(self) -> dict:
         return {
@@ -332,12 +324,10 @@ class VerificationReport:
             "assumptions": ASSUMPTIONS,
             "checks": [{"name": c.name, "value": c.value, "tolerance": c.tolerance,
                         "comparison": c.comparison, "passed": c.passed} for c in self.checks],
-            "summary": self.summary(),
-            "records": self.records,
             "tables": self.tables,
             "notes": self.notes,
-            "outputs": sorted(self.csv_files),
-            "csv_columns": {name: list(header) for name, (header, _) in self.csv_files.items()},
+            "outputs": {name: {"columns": list(header), "rows": len(rows)}
+                        for name, (header, rows) in self.csv_files.items()},
             "passed": self.passed,
         }
 
@@ -382,13 +372,6 @@ def _pair_csv(zs, ws, columns: dict) -> tuple:
     pair, then ``columns``, which maps each column name to its real values."""
     return PAIR_COLUMNS + tuple(columns), np.column_stack(
         [zs.real, zs.imag, ws.real, ws.imag, *columns.values()])
-
-
-def _pair_records(zs, ws, **values) -> list:
-    """The report.json records of a per-pair table: z, w and each named value."""
-    rows = zip(zs.tolist(), ws.tolist(), *(v.tolist() for v in values.values()))
-    return [{"z": [z.real, z.imag], "w": [w.real, w.imag], **dict(zip(values, vs))}
-            for z, w, *vs in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +447,9 @@ def _exp_verify_identity(cfg: ExperimentConfig) -> VerificationReport:
               _worst(res_a), cfg.tol("identity_analytic")),
         Check(FD_IDENTITY_CHECK, _worst(res_f), cfg.tol("identity_fd")),
     ]
-    records = _pair_records(zs, ws, residual=res_a, residual_fd=res_f)
     table = _pair_csv(zs, ws, {"residual_analytic": res_a, "residual_fd": res_f,
                                "abs_K": np.abs(kv)})
-    return VerificationReport(cfg, checks, records=records, notes=notes,
+    return VerificationReport(cfg, checks, notes=notes,
                               tables={"kernel": kernel.metadata()},
                               csv_files={"identity.csv": table})
 
@@ -608,8 +590,8 @@ def _grid_identity(cfg: ExperimentConfig, domain: Domain, weight) -> Verificatio
         except ParameterError:
             pass  # numerically log-harmonic: in a closed form it would have a gauge
     table = _pair_csv(zs, ws, {"residual": residual})
-    return VerificationReport(cfg, checks, records=_pair_records(zs, ws, residual=residual),
-                              notes=notes, tables=tables, csv_files={"pde_identity.csv": table})
+    return VerificationReport(cfg, checks, notes=notes, tables=tables,
+                              csv_files={"pde_identity.csv": table})
 
 
 def _exp_pde_green(cfg: ExperimentConfig) -> VerificationReport:
@@ -620,14 +602,12 @@ def _exp_pde_green(cfg: ExperimentConfig) -> VerificationReport:
         # single-resolution comparison; a grid_resolution study fits the order
         if not isinstance(domain, Rectangle) or not weight.is_constant:
             raise ConfigError("the reference check needs a rectangle with a constant weight")
-        n = int(cfg.grid[0])
-        err, sol = pdegreen.reference_error(domain, weight, n, domain.basis_center)
+        err, sol = pdegreen.reference_error(domain, weight, int(cfg.grid[0]),
+                                            domain.basis_center)
         checks = [Check("grid Green vs series reference, max mid-grid error",
                         err, cfg.tol("grid_reference"))]
         return VerificationReport(cfg, checks, tables={"solver": sol.solve_stats}, csv_files={
-            "pde_field.csv": (("x", "y", "re_G", "im_G"), _FieldRows(sol)),
-            "pde_reference.csv": (("resolution", "max_error"), [(n, err)]),
-        })
+            "pde_field.csv": (("x", "y", "re_G", "im_G"), _FieldRows(sol))})
 
     if cfg.pde_check == "factorization":
         if weight.is_constant:
@@ -795,9 +775,8 @@ def _run_study(cfg: ExperimentConfig) -> VerificationReport:
         raise StudyInsufficientError(
             "; ".join([f"only {len(studied)} study rows succeeded; need 3", *notes]))
 
-    rows = [{"value": float(v), "error": c.value} for v, c in studied]
-    xs = np.log(np.array([r["value"] for r in rows]))
-    es = np.log(np.array([r["error"] for r in rows]))
+    rows = [(float(v), c.value) for v, c in studied]
+    xs, es = (np.log(np.array(column)) for column in zip(*rows))
     slope = float(np.polyfit(xs, es, 1)[0])
     # sign convention: error ~ value^order for step-like parameters, and
     # ~ value^(-order) for resolution-like ones
@@ -815,9 +794,9 @@ def _run_study(cfg: ExperimentConfig) -> VerificationReport:
         checks = [Check("fitted order deviation from Richardson-extrapolated theory (4)",
                         abs(order - 4.0), 0.3, "<=")]
     else:
-        errs = [r["error"] for r in sorted(rows, key=lambda r: r["value"])]
+        errs = [e for _, e in sorted(rows)]
         dec = all(a > b for a, b in zip(errs, errs[1:]))
         checks = [Check("error strictly decreasing (violations)", 0.0 if dec else 1.0, 0.5)]
-    table = {"parameter": parameter, "rows": rows, "fitted_order": order}
-    return VerificationReport(cfg, checks, tables={"study": table}, notes=notes, csv_files={
-        "study.csv": (("value", "error"), [(r["value"], r["error"]) for r in rows])})
+    table = {"parameter": parameter, "fitted_order": order}
+    return VerificationReport(cfg, checks, tables={"study": table}, notes=notes,
+                              csv_files={"study.csv": (("value", "error"), rows)})

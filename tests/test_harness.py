@@ -30,19 +30,31 @@ def cfg(**kw):
     return ExperimentConfig.from_dict(base)
 
 
+def csv_column(report, csv, column) -> np.ndarray:
+    """One named column of a report's CSV table, as the writer writes it."""
+    header, rows = report.csv_files[csv]
+    return np.asarray(rows, dtype=float).reshape(-1, len(header))[:, header.index(column)]
+
+
+def study_rows(report) -> list:
+    """The (value, error) rows of a study's table."""
+    return [tuple(row) for row in report.csv_files["study.csv"][1]]
+
+
 def test_verify_identity_unit_disk(tmp_path):
     report = run(cfg(), tmp_path)
     assert report.passed
-    max_res = max(r["residual"] for r in report.records)
+    max_res = max(csv_column(report, "identity.csv", "residual_analytic"))
     assert max_res < 1e-5
     assert (tmp_path / "identity.csv").exists()
     payload = json.loads((tmp_path / "report.json").read_text())
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
     assert payload["assumptions"] == ASSUMPTIONS
     for check in payload["checks"]:
         assert "tolerance" in check and "passed" in check
-    # CSV columns are documented in the report header
-    assert payload["csv_columns"]["identity.csv"][:4] == ["re_z", "im_z", "re_w", "im_w"]
+    # each CSV's columns and row count are documented in the report
+    assert payload["outputs"]["identity.csv"]["columns"][:4] == ["re_z", "im_z", "re_w", "im_w"]
+    assert payload["outputs"]["identity.csv"]["rows"] == 25
 
 
 def test_verify_identity_weighted_and_moebius(tmp_path):
@@ -58,7 +70,7 @@ def test_verify_identity_log_harmonic_weight(tmp_path):
     rep = run(cfg(count=15, weight={"representation": "log_harmonic",
                                     "coefficients": [[0.1, 0.0], [0.4, 0.2]]}), tmp_path)
     assert rep.passed
-    assert max(r["residual"] for r in rep.records) < 1e-8
+    assert max(csv_column(rep, "identity.csv", "residual_analytic")) < 1e-8
 
 
 # (domain, weight, center, radius) of the diagonal-pair runs
@@ -79,7 +91,7 @@ DIAGONAL_CASES = {
 
 def test_verify_identity_diagonal_pairs(tmp_path, capsys):
     # the identity holds at z = w through the regular part of G, so diagonal
-    # pairs are evaluated like any other: one record each, no note
+    # pairs are evaluated like any other: one CSV row each, no note
     for name, (domain, weight, center, radius) in DIAGONAL_CASES.items():
         pts = [center + 0.13 * k * radius * np.exp(1.3j * k) for k in range(6)]
         path = tmp_path / "cfg.json"
@@ -88,8 +100,10 @@ def test_verify_identity_diagonal_pairs(tmp_path, capsys):
         out = tmp_path / name.replace(" ", "_")
         assert cli_main(["verify-identity", "--config", str(path), "--out", str(out)]) == 0, name
         payload = json.loads((out / "report.json").read_text())
-        assert [r["z"] for r in payload["records"]] == [r["w"] for r in payload["records"]]
-        assert len(payload["records"]) == len(pts) and payload["notes"] == [], name
+        rows = [line.split(",") for line in (out / "identity.csv").read_text().splitlines()[1:]]
+        assert [row[:2] for row in rows] == [row[2:4] for row in rows], name
+        assert len(rows) == payload["outputs"]["identity.csv"]["rows"] == len(pts), name
+        assert payload["notes"] == [], name
     assert "[NOTE]" not in capsys.readouterr().out
 
 
@@ -99,7 +113,7 @@ def test_verify_identity_skips_stencil_failures(tmp_path):
     report = run(cfg(pairs=[[[0.9999, 0.0], [0.2, 0.1]], [[0.2, 0.1], [0.0, -0.3]]]),
                  tmp_path)
     assert report.passed
-    assert len(report.records) == 1
+    assert len(report.csv_files["identity.csv"][1]) == 1
     assert any("skipped" in n for n in report.notes)
 
 
@@ -120,12 +134,12 @@ def test_verify_identity_notes_and_records_keep_pair_order(tmp_path):
         "pair ((0.1+0.1j), (-0.7071-0.7071j)) skipped: "
         "stencil point (-0.7081-0.7071j) leaves the domain",
     ]
-    assert [(r["z"], r["w"]) for r in report.records] == [
-        ([0.2, 0.1], [0.0, -0.3]), ([0.3, 0.0], [0.3, 0.0]), ([0.1, 0.5], [-0.4, 0.2]),
-        ([0.6, -0.2], [0.1, 0.1])]
-    assert all(set(r) == {"z", "w", "residual", "residual_fd"} for r in report.records)
-    assert max(r["residual"] for r in report.records) < 1e-12
-    assert max(r["residual_fd"] for r in report.records) < 1e-10
+    header, rows = report.csv_files["identity.csv"]
+    assert np.asarray(rows)[:, :4].tolist() == [
+        [0.2, 0.1, 0.0, -0.3], [0.3, 0.0, 0.3, 0.0], [0.1, 0.5, -0.4, 0.2], [0.6, -0.2, 0.1, 0.1]]
+    assert header == ("re_z", "im_z", "re_w", "im_w", "residual_analytic", "residual_fd", "abs_K")
+    assert max(csv_column(report, "identity.csv", "residual_analytic")) < 1e-12
+    assert max(csv_column(report, "identity.csv", "residual_fd")) < 1e-10
     assert report.passed
     rows = (tmp_path / "identity.csv").read_text().splitlines()
     assert rows[0] == "re_z,im_z,re_w,im_w,residual_analytic,residual_fd,abs_K"
@@ -374,7 +388,7 @@ def test_csv_writer_matches_the_per_value_oracle(tmp_path):
     assert {r.config.pde_check for r in reports.values()
             if r.config.experiment == "pde-green"} == set(harness.PDE_CHECKS)
     # integer columns, the lazy field table and a study table
-    assert {"exhaust.csv", "pde_reference.csv", "pde_field.csv", "study.csv"} <= written
+    assert {"exhaust.csv", "pde_field.csv", "study.csv"} <= written
     assert (tmp_path / "exhaust" / "exhaust.csv").read_text().splitlines()[1].startswith("1,")
     assert (tmp_path / "all-leave" / "identity.csv").read_text() == \
         "re_z,im_z,re_w,im_w,residual_analytic,residual_fd,abs_K\n"
@@ -394,7 +408,7 @@ def test_field_table_is_built_only_when_written(tmp_path, monkeypatch):
         study = run(ExperimentConfig.from_dict(
             {**single, "study": {"parameter": "grid_resolution", "values": [32, 64, 128]}}),
             tmp_path / "study")
-    assert len(study.tables["study"]["rows"]) == 3
+    assert len(study_rows(study)) == 3
     n = 32
     report = run(ExperimentConfig.from_dict({**single, "grid": [n, n]}), tmp_path / "single")
     assert len(report.csv_files["pde_field.csv"][1]) == n * n
@@ -494,7 +508,7 @@ def test_gauge_experiment_on_the_unit_disk_spelled_as_a_disk(tmp_path):
     assert cli_main(["gauge-experiment", "--config", str(path), "--out", str(out)]) == 0
     payload = json.loads((out / "report.json").read_text())
     assert [c["name"] for c in payload["checks"] if c["passed"]] == GAUGE_CHECKS
-    assert "perturbation" not in payload["tables"] and payload["outputs"] == []
+    assert "perturbation" not in payload["tables"] and payload["outputs"] == {}
 
 
 def test_pde_green_identity_reports_the_gauge_obstruction(tmp_path, capsys):
@@ -506,7 +520,7 @@ def test_pde_green_identity_reports_the_gauge_obstruction(tmp_path, capsys):
     assert rep.tables["solver"]["method"] == "sparse_lu"
     assert any("not harmonic" in n for n in rep.notes)
     assert rep.tables["log_laplacian_residual"] == pytest.approx(4.0, abs=1e-4)
-    assert all(math.isfinite(r["residual"]) for r in rep.records)
+    assert all(math.isfinite(r) for r in csv_column(rep, "pde_identity.csv", "residual"))
     # gauge-experiment has nothing to check for it
     assert _cli_exit(tmp_path, "gauge-experiment", {"domain": SQUARE, "weight": GENERIC}) == 2
     err = capsys.readouterr().err
@@ -634,13 +648,13 @@ def test_convergence_study_fd_step(tmp_path):
     # so its fitted order is no order at all, and the study says so
     rep = run(_study("verify-identity", "fd_step", [4e-3, 2e-3, 1e-3]), tmp_path)
     assert not rep.passed
-    assert all(r["error"] < 1e-9 for r in rep.tables["study"]["rows"])
+    assert all(error < 1e-9 for _, error in study_rows(rep))
 
 
 def test_convergence_study_basis_order(tmp_path):
     rep = run(_study("verify-identity", "basis_order", [10, 20, 30]), tmp_path)
     assert rep.passed
-    errs = [r["error"] for r in rep.tables["study"]["rows"]]
+    errs = [error for _, error in study_rows(rep)]
     assert all(a > b for a, b in zip(errs, errs[1:]))
     # the error of each value is the first check of the run at that value
     assert errs[-1] == run(cfg(seed=1, basis_order=30)).checks[0].value
@@ -663,7 +677,7 @@ def test_square_identity_grid_study_table(tmp_path):
     rep = run(_study("pde-green", "grid_resolution", [32, 64, 128], domain=SQUARE,
                      **RHO_Z_PLUS_2), tmp_path)
     assert rep.passed
-    errs = [r["error"] for r in rep.tables["study"]["rows"]]
+    errs = [error for _, error in study_rows(rep)]
     assert errs == pytest.approx([0.111, 0.0399, 0.00857], rel=3e-3)
     assert rep.tables["study"]["fitted_order"] == pytest.approx(1.85, abs=0.01)
     assert rep.checks[1].tolerance == 0.02  # the grid_identity gate of the finest run
@@ -725,7 +739,7 @@ def test_study_notes_every_skipped_value(tmp_path, monkeypatch):
     pairs = [[[0.5, 0.1], [-0.2, 0.3]], [[0.1, -0.4], [0.3, 0.2]]]
     rep = run(_study("verify-identity", "fd_step", [0.6, 0.08, 0.04, 0.02], pairs=pairs),
               tmp_path / "o")
-    assert rep.passed and len(rep.tables["study"]["rows"]) == 3
+    assert rep.passed and len(study_rows(rep)) == 3
     assert rep.notes[-1] == "study value 0.6 skipped: error None is not positive and finite"
     assert len(rep.notes) == 3  # and one note per pair the stencil left
 
@@ -739,7 +753,7 @@ def test_study_notes_every_skipped_value(tmp_path, monkeypatch):
     monkeypatch.setitem(harness._EXPERIMENTS, "verify-identity", row._replace(run=raising))
     rep = run(_study("verify-identity", "basis_order", [10, 15, 20, 30]), tmp_path / "r")
     assert rep.notes == ["study value 15 skipped: Cholesky factor is singular"]
-    assert [r["value"] for r in rep.tables["study"]["rows"]] == [10.0, 20.0, 30.0]
+    assert [value for value, _ in study_rows(rep)] == [10.0, 20.0, 30.0]
     assert "skipped" not in rep.tables["study"]
     with pytest.raises(StudyInsufficientError, match="study value 15 skipped"):
         run(_study("verify-identity", "basis_order", [10, 15, 20]))
@@ -750,7 +764,7 @@ def test_study_config_route(tmp_path):
     assert rep.passed and "Richardson" in rep.checks[0].name
     assert rep.tables["study"]["fitted_order"] == pytest.approx(4.0, abs=0.01)
     # the error is that of the finite-difference identity check
-    assert rep.tables["study"]["rows"][1]["error"] == run(cfg(seed=1, fd_step=0.04)).checks[1].value
+    assert study_rows(rep)[1] == (0.04, run(cfg(seed=1, fd_step=0.04)).checks[1].value)
     assert (tmp_path / "study.csv").read_text().splitlines()[0] == "value,error"
 
 
@@ -1062,7 +1076,7 @@ import sys
 import bergreen.harness as h
 cfg = h.ExperimentConfig.from_dict({"experiment": "verify-identity", "seed": 7, "count": 5,
                                     "basis_order": 10, "quad_order": 12})
-assert h.run(cfg).records
+assert len(h.run(cfg).csv_files["identity.csv"][1])
 square = {"kind": "rectangle", "params": {"x0": 0, "x1": 1, "y0": 0, "y1": 1}}
 for grid_cfg in (
         {"experiment": "pde-green", "pde_check": "identity", "domain": square, "seed": 1,
