@@ -46,8 +46,9 @@ __all__ = [
     "skwarczynski_distance",
 ]
 
-# Gram matrices whose smallest eigenvalue falls below this multiple of the
-# largest are trimmed to a smaller basis before factorization.
+# Gram matrices whose smallest eigenvalue, after Jacobi scaling, falls below
+# this multiple of the largest are trimmed to a smaller basis before
+# factorization.
 CONDITION_FLOOR = 1e-12
 
 # Nodes per Gram product: bounds the memory of the product's temporary copies.
@@ -205,7 +206,8 @@ class KernelApproximation:
 
     ``factor`` is the lower-triangular L with G = L L^H restricted to the
     ``order`` leading basis elements that survived conditioning; the spectrum
-    bounds of the retained Gram block are recorded for the report.
+    bounds of the retained Jacobi-scaled Gram block D G D, D = diag(G)^(-1/2),
+    are recorded for the report.
     """
 
     basis: object
@@ -290,12 +292,25 @@ class KernelApproximation:
         }
 
 
+def _column_norms(G: np.ndarray) -> np.ndarray:
+    """D^-1 = diag(G)^(1/2), the norm of each basis element.  One that
+    underflows on every node has norm 0; its scaled column is then zero too,
+    and trimming drops it."""
+    return np.sqrt(np.maximum(G.diagonal().real, np.finfo(float).tiny))
+
+
 def kernel_from_gram(basis, weight: Weight, rule: QuadratureRule) -> KernelApproximation:
     """Assemble the Gram matrix and wrap its Cholesky factor as a kernel.
 
-    If the smallest Gram eigenvalue falls below ``CONDITION_FLOOR`` times the
-    largest, trailing basis elements are dropped until the retained block is
-    well conditioned; the effective order is recorded on the result.
+    The Gram matrix G is trimmed and factored through its Jacobi scaling
+    S = D G D, D = diag(G)^(-1/2), whose unit diagonal removes the spread of
+    the basis norms: S = C C^H gives G = L L^H with L = D^-1 C, and the
+    kernel does not depend on how the basis is scaled.  Diagonal scaling
+    comes within a factor of the order of the best diagonal scaling (van
+    der Sluis, Numer. Math. 14 (1969) 14-23).  If the smallest eigenvalue of
+    S falls below ``CONDITION_FLOOR`` times the largest, trailing basis
+    elements are dropped until the retained block is well conditioned; the
+    effective order is recorded on the result.
 
     The retained order is found by bisection, from the full order down.  By
     Cauchy interlacing the smallest eigenvalue of the leading n x n block
@@ -304,10 +319,12 @@ def kernel_from_gram(basis, weight: Weight, rule: QuadratureRule) -> KernelAppro
     log2(order) + 1 eigenvalue calls instead of one per dropped column.
     """
     G = gram_matrix(basis, weight, rule)
+    norms = _column_norms(G)
+    S = G / np.outer(norms, norms)
     passing, failing, n = 0, G.shape[0] + 1, G.shape[0]
     eigs = kept = None
     while failing - passing > 1:
-        eigs = np.linalg.eigvalsh(G[:n, :n])
+        eigs = np.linalg.eigvalsh(S[:n, :n])
         if eigs[0] > 0 and eigs[0] >= CONDITION_FLOOR * eigs[-1]:
             passing, kept = n, eigs
         else:
@@ -321,7 +338,7 @@ def kernel_from_gram(basis, weight: Weight, rule: QuadratureRule) -> KernelAppro
         )
     n, eigs = passing, kept
     try:
-        L = np.linalg.cholesky(G[:n, :n])
+        L = norms[:n, None] * np.linalg.cholesky(S[:n, :n])
     except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by eig check
         raise IllConditionedGramError(
             f"Cholesky factorization failed: {exc}",

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import math
 import os
@@ -30,7 +31,9 @@ from bergreen import (
     skwarczynski_distance,
     unit_weight,
 )
+from bergreen import bergman
 from bergreen.weights import HoloModulusSquaredWeight
+from test_acceptance import laurent_series_kernel
 
 DISK = UnitDisk()
 
@@ -285,11 +288,12 @@ def test_kernel_domain_monotonicity():
 
 
 def test_ill_conditioned_gram_is_trimmed():
-    # monomials of degree 30 on the unit square push the Gram past the
-    # conditioning floor; the kernel must shrink its basis and still work
-    sq = Rectangle(0, 1, 0, 1)
-    rule = build_quadrature(sq, 40)
-    k = kernel_from_gram(MonomialBasis(sq, 30), unit_weight(sq), rule)
+    # monomials of degree 40 on the 2 x 0.7 rectangle push even the scaled
+    # Gram past the conditioning floor; the kernel must shrink its basis and
+    # still work
+    rect = Rectangle(0, 2, 0, 0.7)
+    rule = build_quadrature(rect, 40)
+    k = kernel_from_gram(MonomialBasis(rect, 40), unit_weight(rect), rule)
     assert k.order < k.requested_order
     assert k.eig_min >= 1e-12 * k.eig_max
     v = k.evaluate(0.5 + 0.5j, 0.4 + 0.6j)
@@ -297,10 +301,12 @@ def test_ill_conditioned_gram_is_trimmed():
 
 
 def linear_scan_order(G):
-    """The trim order by dropping one trailing column at a time, with the
-    eigenvalues of the block kept."""
-    for n in range(G.shape[0], 0, -1):
-        eigs = np.linalg.eigvalsh(G[:n, :n])
+    """The trim order by dropping one trailing column at a time from the
+    Jacobi-scaled Gram matrix, with the eigenvalues of the block kept."""
+    norms = np.sqrt(np.maximum(G.diagonal().real, np.finfo(float).tiny))
+    S = G / np.outer(norms, norms)
+    for n in range(S.shape[0], 0, -1):
+        eigs = np.linalg.eigvalsh(S[:n, :n])
         if eigs[0] > 0 and eigs[0] >= 1e-12 * eigs[-1]:
             return n, eigs
     return 0, None
@@ -308,10 +314,12 @@ def linear_scan_order(G):
 
 @pytest.mark.parametrize("case", ["square", "rectangle", "annulus"])
 def test_trim_order_by_bisection_matches_the_linear_scan(case, monkeypatch):
-    # the unit square caps at 24, the 2 x 0.7 rectangle trims too, and the
-    # (0.5, 1) annulus is capped at 42 Laurent exponents from basis 60 to 140
+    # the scaled Gram of the unit square caps degree 80 at 64 columns and the
+    # 2 x 0.7 rectangle's at 30; the (0.5, 1) annulus keeps every Laurent
+    # exponent from basis 60 to 140, since Laurent monomials are orthogonal
+    # there and the scaled Gram is the identity to roundoff
     domain, bases = {
-        "square": (Rectangle(0, 1, 0, 1), [MonomialBasis(Rectangle(0, 1, 0, 1), d) for d in (8, 20, 24, 30, 45)]),
+        "square": (Rectangle(0, 1, 0, 1), [MonomialBasis(Rectangle(0, 1, 0, 1), d) for d in (8, 20, 30, 45, 80)]),
         "rectangle": (Rectangle(0, 2, 0, 0.7), [MonomialBasis(Rectangle(0, 2, 0, 0.7), d) for d in (8, 16, 30, 40)]),
         "annulus": (Annulus(0.5, 1.0), [LaurentBasis(Annulus(0.5, 1.0), -(n // 2), (n + 1) // 2)
                                          for n in (60, 80, 100, 120, 140)]),
@@ -328,9 +336,45 @@ def test_trim_order_by_bisection_matches_the_linear_scan(case, monkeypatch):
         assert (k.eig_min, k.eig_max) == (float(eigs[0]), float(eigs[-1]))
         assert calls[0] == basis.size and len(calls) <= math.log2(basis.size) + 2
         trimmed += k.order < basis.size
-        if case == "annulus":
-            assert k.order == 42
-    assert trimmed
+    assert bool(trimmed) == (case != "annulus")
+
+
+def test_jacobi_scaled_annulus_kernel_converges_at_basis_100():
+    # unscaled, the spread of the Laurent monomials' norms capped the basis
+    # at 42 exponents and the kernel at 2.1e-2 (scaled); the series is summed
+    # over exponents -200..200, far past its convergence on these pairs
+    annulus = Annulus(0.5, 1.0)
+    basis = LaurentBasis(annulus, -50, 50)
+    k = kernel_from_gram(basis, unit_weight(annulus), build_quadrature(annulus, 120))
+    rng = np.random.default_rng(7)
+    zs, ws = annulus.sample_interior(rng, 25), annulus.sample_interior(rng, 25)
+    series = functools.partial(laurent_series_kernel, lo=-200, hi=200)
+    scale = np.sqrt(series(zs, zs).real * series(ws, ws).real)
+    assert k.order == basis.size
+    assert np.max(np.abs(k.evaluate(zs, ws) - series(zs, ws)) / scale) < 1e-4
+
+
+@pytest.mark.parametrize("radius", [10.0, 0.1])
+def test_jacobi_scaled_weighted_disk_kernel_keeps_every_column(radius):
+    # rho = |z + 2r|^2 on Disk(0, r): unscaled, the norms r^(n+1) of the
+    # monomials trimmed basis 30 to 7 columns at r = 10 and to 6 at r = 0.1
+    disk = Disk(0j, radius)
+    weight = HoloModulusSquaredWeight([2 * radius, 1], disk)
+    k = kernel_from_gram(MonomialBasis(disk, 30), weight, build_quadrature(disk, 40))
+    rng = np.random.default_rng(7)
+    zs, ws = disk.sample_interior(rng, 25), disk.sample_interior(rng, 25)
+    exact = disk_kernel(zs, ws, radius) / ((zs + 2 * radius) * np.conj(ws + 2 * radius))
+    assert k.order == 31
+    assert np.max(np.abs(k.evaluate(zs, ws) - exact) / np.abs(exact)) < 1e-4
+
+
+def test_jacobi_scaling_tests_fail_without_the_scaling(monkeypatch):
+    monkeypatch.setattr(bergman, "_column_norms", lambda G: np.ones(len(G)))
+    disk_test = test_jacobi_scaled_weighted_disk_kernel_keeps_every_column
+    for test in (test_jacobi_scaled_annulus_kernel_converges_at_basis_100,
+                 functools.partial(disk_test, 10.0), functools.partial(disk_test, 0.1)):
+        with pytest.raises(AssertionError):
+            test()
 
 
 def test_extremal_function():
