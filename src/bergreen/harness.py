@@ -102,6 +102,9 @@ _FIELD_TYPES = {
     "fd_step": Real,
 }
 
+# the least value of each integer config field
+_LEAST = {"basis_order": 0, "quad_order": 1, "count": 1, "exhaust_steps": 1}
+
 
 def _of_type(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
@@ -175,14 +178,11 @@ class ExperimentConfig:
                 raise ConfigError(f"tolerance {name} must be finite, got {value!r}")
         if self.seed is not None and not (_of_type(self.seed, Integral) and self.seed >= 0):
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if self.quad_order < 1 or self.basis_order < 0:
-            raise ConfigError("orders must be positive")
+        for name, least in _LEAST.items():
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
         if not 0 < self.fd_step < math.inf:  # false for NaN too
             raise ConfigError(f"fd_step must be positive and finite, got {self.fd_step!r}")
-        if self.count < 1:
-            raise ConfigError("count must be >= 1")
-        if self.exhaust_steps < 1:
-            raise ConfigError("exhaust_steps must be >= 1")
         if self.pde_check not in PDE_CHECKS:
             raise ConfigError(f"unknown pde_check {self.pde_check!r}; choose from {PDE_CHECKS}")
         if not (isinstance(self.grid, (list, tuple)) and len(self.grid) == 2
@@ -594,6 +594,18 @@ def _grid_identity(cfg: ExperimentConfig, domain: Domain, weight) -> Verificatio
                               csv_files={"pde_identity.csv": table})
 
 
+def _nonconstant_gauge(weight, constant: str, infeasible: str):
+    """The gauge of a non-constant weight.  A constant weight raises a
+    :class:`ConfigError` saying ``constant``, and a weight with no gauge one
+    saying ``infeasible`` with the reason in place of ``{}``."""
+    if weight.is_constant:
+        raise ConfigError(constant)
+    try:
+        return weights.solve_gauge(weight)
+    except GaugeInfeasibleError as exc:
+        raise ConfigError(infeasible.format(exc)) from exc
+
+
 def _exp_pde_green(cfg: ExperimentConfig) -> VerificationReport:
     domain, weight = cfg.built
     from . import pdegreen  # only when a grid is built
@@ -610,14 +622,11 @@ def _exp_pde_green(cfg: ExperimentConfig) -> VerificationReport:
             "pde_field.csv": (("x", "y", "re_G", "im_G"), _FieldRows(sol))})
 
     if cfg.pde_check == "factorization":
-        if weight.is_constant:
-            # the weighted Green's function is then rho times the unweighted
-            # one, so the error is roundoff and cannot improve under refinement
-            raise ConfigError("the factorization check needs a non-constant weight")
-        try:
-            gauge = weights.solve_gauge(weight)
-        except GaugeInfeasibleError as exc:
-            raise ConfigError(f"the factorization check needs a weight with a gauge: {exc}") from exc
+        # for a constant weight the weighted Green's function is rho times the
+        # unweighted one, so the error is roundoff and cannot improve under
+        # refinement
+        gauge = _nonconstant_gauge(weight, "the factorization check needs a non-constant weight",
+                                   "the factorization check needs a weight with a gauge: {}")
         rows = []
         for n in (cfg.grid[0] // 2, cfg.grid[0]):
             shape = (n, n) if isinstance(domain, Rectangle) else (n, 2 * n)
@@ -648,16 +657,13 @@ def _exp_pde_green(cfg: ExperimentConfig) -> VerificationReport:
 
 def _exp_gauge(cfg: ExperimentConfig) -> VerificationReport:
     domain, weight = cfg.built
-    if weight.is_constant:
-        # its gauge is a constant, whose central differences cancel exactly,
-        # so both checks and the decomposition residual would read 0.0
-        raise ConfigError("gauge-experiment needs a non-constant weight: the gauge of a constant "
-                          "weight is constant, and its checks would hold by construction")
-    try:
-        gauge = weights.solve_gauge(weight)
-    except GaugeInfeasibleError as exc:
-        raise ConfigError(f"{exc}; pde-green identity checks the identity for such a weight "
-                          "on rectangles and annuli") from exc
+    # a constant weight's gauge is a constant, whose central differences
+    # cancel exactly, so both checks and the decomposition residual would
+    # read 0.0
+    gauge = _nonconstant_gauge(
+        weight, "gauge-experiment needs a non-constant weight: the gauge of a constant weight is "
+        "constant, and its checks would hold by construction",
+        "{}; pde-green identity checks the identity for such a weight on rectangles and annuli")
     rule = build_quadrature(domain, max(4, cfg.quad_order // 8))
     nodes = rule.nodes[:: max(1, len(rule.nodes) // 50)][:50]
     res = gauge.system_residuals(nodes)

@@ -236,13 +236,18 @@ def test_config_construction_validates_and_freezes():
         config.seed = 2
 
 
+def _readme_table(header: str) -> list:
+    """The body lines of the README table whose header line is ``header``."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index(header) + 2
+    return list(itertools.takewhile(lambda s: s.startswith("|"), lines[start:]))
+
+
 def _readme_experiment_table() -> dict:
     """(experiment, pde_check or None) -> (keys, domain kinds or None, --tol
     key) of the README's experiment table."""
-    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
-    start = lines.index("| experiment | keys read | domains | `--tol` |") + 2
     rows = {}
-    for line in itertools.takewhile(lambda s: s.startswith("|"), lines[start:]):
+    for line in _readme_table("| experiment | keys read | domains | `--tol` |"):
         name, keys, kinds, tol = (re.findall(r"`([^`]+)`", cell) for cell in line.split("|")[1:-1])
         rows[(name[0], name[1] if len(name) > 1 else None)] = (
             set(keys), tuple(kinds) or None, tol[0])
@@ -257,6 +262,13 @@ def test_readme_experiment_table_matches_the_harness_table():
             tol = row.tol or harness.PDE_TOLERANCE[check]
             want[(experiment, check)] = (set(keys), row.kinds, tol)
     assert _readme_experiment_table() == want
+
+
+def test_readme_report_fields_match_the_report():
+    fields = [re.match(r"\| `(\w+)` \|", line).group(1)
+              for line in _readme_table("| `report.json` field | holds |")]
+    report = harness.VerificationReport(ExperimentConfig("kernel", seed=1), [])
+    assert fields == list(report.to_json())
 
 
 def test_exhaust_table(tmp_path):
@@ -332,6 +344,31 @@ def test_determinism_byte_identical(tmp_path):
         assert files == sorted(f.name for f in b.iterdir()), name
         for f in files:
             assert (a / f).read_bytes() == (b / f).read_bytes(), (name, f)
+
+
+SCHEMA_2_FIELDS = {"schema", "experiment", "config", "assumptions", "checks", "tables", "notes",
+                   "outputs", "passed"}
+
+
+def test_report_census(tmp_path):
+    # per-row data is written once, to the CSVs, and outputs counts each
+    # CSV's data lines
+    configs = {**DETERMINISM_CONFIGS,
+               "distance-2000": {"experiment": "distance", "seed": 11, "count": 2000, **SMALL}}
+    for name, config in configs.items():
+        run(ExperimentConfig.from_dict(dict(config)), tmp_path / name)
+        payload = json.loads((tmp_path / name / "report.json").read_text())
+        assert set(payload) == SCHEMA_2_FIELDS and payload["schema"] == 2, name
+        assert "rows" not in payload["tables"].get("study", {}), name
+        written = {f.name: f.read_text().splitlines() for f in (tmp_path / name).iterdir()
+                   if f.name != "report.json"}
+        assert payload["outputs"] == {csv: {"columns": lines[0].split(","), "rows": len(lines) - 1}
+                                      for csv, lines in written.items()}, name
+    assert json.loads((tmp_path / "distance-2000" / "report.json").read_text())["outputs"] == {
+        "distance.csv": {"columns": ["re_z", "im_z", "re_w", "im_w", "distance"], "rows": 2000}}
+    # a single reference run writes the field table alone
+    assert sorted(f.name for f in (tmp_path / "reference").iterdir()) == \
+        ["pde_field.csv", "report.json"]
 
 
 def oracle_fmt(v) -> str:

@@ -6,7 +6,8 @@ random disks, Moebius images of the unit disk and admissible weights
 symmetry and positivity of the Moebius-transported Green's function on
 arrays; and the exit status of the command on generated configs, each
 drawn from the keys and domains its experiment's row of the harness table
-names, or given one key that row does not name.
+names, given one key that row does not name, or given one malformed value
+of a key it reads.
 """
 
 import cmath
@@ -21,7 +22,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from bergreen import (  # noqa: E402
     Disk,
@@ -197,6 +198,59 @@ def test_a_key_the_experiment_does_not_read_exits_2(experiment, pde_check, data)
     code, err = _cli(experiment, config)
     assert code == 2
     assert "does not read config keys" in err and repr(key) in err
+    assert "Traceback" not in err
+
+
+NAN, INF = float("nan"), float("inf")
+SQUARE = {"kind": "rectangle", "params": {"x0": 0, "x1": 1, "y0": 0, "y1": 1}}
+
+# values validation must reject, of every key an experiment may read besides
+# the experiment itself: the wrong type, a bool, a negative value, zero where
+# it is not allowed, NaN and +-inf.  None is a large value validation would
+# accept, so no example allocates a large block.
+MALFORMED = {
+    "seed": [-1, True, 1.5, "1", NAN, INF],
+    "tolerances": [[], 1e-3, {"hermitian": NAN}, {"hermitian": -INF}, {"hermitian": True},
+                   {"hermitian": "1"}],
+    "study": ["fd_step", {"parameter": "basis_order"},
+              {"parameter": "grid_resolution", "values": [NAN, 16, 24]},
+              {"parameter": "quad_order", "values": [0, 4, 8]},
+              {"parameter": "fd_step", "values": [-1e-3, 1e-3, 2e-3]},
+              {"parameter": "fd_step", "values": [1e-3, 2e-3, INF]},
+              {"parameter": "basis_order", "values": [True, 2, 3]},
+              {"parameter": "nope", "values": [1, 2, 3]}],
+    "domain": ["disk", {"kind": "nowhere"}, {"kind": "disk", "params": {"radius": -1}},
+               {"kind": "disk", "params": {"radius": NAN}},
+               {"kind": "annulus", "params": {"inner": 0, "outer": 1}},
+               {"kind": "annulus", "params": {"inner": 0.5, "outer": INF}},
+               {"kind": "rectangle", "params": {"x0": 0, "x1": INF, "y0": 0, "y1": 1}}],
+    "weight": [5, {"coefficients": "ab"}, {"coefficients": [[NAN, 0]]},
+               {"coefficients": [[INF, 0], [1, 0]]}, {"coefficients": [[1, 0], [-INF, 0]]},
+               {"representation": "nope"}],
+    "basis_order": [-1, True, 2.5, "8", NAN, INF, None],
+    "quad_order": [0, -3, True, 2.5, "8", NAN, -INF],
+    "grid": [[0, 16], [-16, 16], [16], "16", [True, 16], [16.0, 16], [NAN, 16], [INF, 16], 16],
+    "fd_step": [0, -1e-3, NAN, INF, -INF, True, "0.001"],
+    "count": [0, -1, True, 2.5, "3", NAN, INF],
+    "pairs": [[], "x", [[[2, 0], [0, 0]]], [[[NAN, 0], [0, 0]]], [[[INF, 0], [0, 0]]],
+              [[0.1, 0.2]], 5],
+    "exhaust_steps": [0, -1, True, 1.5, "2", NAN],
+    "pde_check": ["nope", 1, True, None, NAN],
+}
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(EXPERIMENTS), st.sampled_from(PDE_CHECKS), st.data())
+def test_a_malformed_value_of_a_key_the_experiment_reads_exits_2(experiment, pde_check, data):
+    keys = _keys_read(experiment, pde_check)
+    assert keys - {"experiment"} <= set(MALFORMED)
+    key = data.draw(st.sampled_from(sorted(keys - {"experiment"})))
+    config = {"seed": 1, "domain": SQUARE, "pde_check": pde_check} if experiment == "pde-green" \
+        else {"seed": 1}
+    code, err = _cli(experiment, {**config, key: data.draw(st.sampled_from(MALFORMED[key]))})
+    assert code == 2
+    # a bad tolerance is named by its own name, after "tolerance"
+    assert ("tolerance" if key == "tolerances" else key) in err
     assert "Traceback" not in err
 
 
