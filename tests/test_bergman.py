@@ -368,6 +368,17 @@ def test_jacobi_scaled_weighted_disk_kernel_keeps_every_column(radius):
     assert np.max(np.abs(k.evaluate(zs, ws) - exact) / np.abs(exact)) < 1e-4
 
 
+def test_basis_elements_that_underflow_are_trimmed():
+    # on Disk(0, 1e-10) the Gram diagonal pi r^(2n+2) / (n+1) underflows
+    # from degree 15 on; those columns scale to zero and are trimmed, where
+    # dividing by their zero norms would leave no eigenvalues at all
+    disk = Disk(0j, 1e-10)
+    k = kernel_from_gram(MonomialBasis(disk, 30), unit_weight(disk), build_quadrature(disk, 40))
+    assert 1 < k.order < k.requested_order
+    z, w = 0.3e-10, 0.2e-10j
+    assert k.evaluate(z, w) == pytest.approx(disk_kernel(z, w, 1e-10), rel=1e-12)
+
+
 def test_jacobi_scaling_tests_fail_without_the_scaling(monkeypatch):
     monkeypatch.setattr(bergman, "_column_norms", lambda G: np.ones(len(G)))
     disk_test = test_jacobi_scaled_weighted_disk_kernel_keeps_every_column
