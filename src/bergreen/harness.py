@@ -449,8 +449,7 @@ def _exp_verify_identity(cfg: ExperimentConfig) -> VerificationReport:
     ]
     table = _pair_csv(zs, ws, {"residual_analytic": res_a, "residual_fd": res_f,
                                "abs_K": np.abs(kv)})
-    return VerificationReport(cfg, checks, notes=notes,
-                              tables={"kernel": kernel.metadata()},
+    return VerificationReport(cfg, checks, notes=notes, tables={"kernel": kernel.metadata()},
                               csv_files={"identity.csv": table})
 
 
@@ -614,8 +613,8 @@ def _exp_pde_green(cfg: ExperimentConfig) -> VerificationReport:
         # single-resolution comparison; a grid_resolution study fits the order
         if not isinstance(domain, Rectangle) or not weight.is_constant:
             raise ConfigError("the reference check needs a rectangle with a constant weight")
-        err, sol = pdegreen.reference_error(domain, weight, int(cfg.grid[0]),
-                                            domain.basis_center)
+        n = int(cfg.grid[0])
+        err, sol = pdegreen.reference_error(domain, weight, n, domain.basis_center)
         checks = [Check("grid Green vs series reference, max mid-grid error",
                         err, cfg.tol("grid_reference"))]
         return VerificationReport(cfg, checks, tables={"solver": sol.solve_stats}, csv_files={

@@ -303,7 +303,7 @@ def test_ill_conditioned_gram_is_trimmed():
 def linear_scan_order(G):
     """The trim order by dropping one trailing column at a time from the
     Jacobi-scaled Gram matrix, with the eigenvalues of the block kept."""
-    norms = np.sqrt(np.maximum(G.diagonal().real, np.finfo(float).tiny))
+    norms = bergman._column_norms(G)
     S = G / np.outer(norms, norms)
     for n in range(S.shape[0], 0, -1):
         eigs = np.linalg.eigvalsh(S[:n, :n])
@@ -371,7 +371,8 @@ def test_jacobi_scaled_weighted_disk_kernel_keeps_every_column(radius):
 def test_basis_elements_that_underflow_are_trimmed():
     # on Disk(0, 1e-10) the Gram diagonal pi r^(2n+2) / (n+1) underflows
     # from degree 15 on; those columns scale to zero and are trimmed, where
-    # dividing by their zero norms would leave no eigenvalues at all
+    # dividing by their zero norms would fill the block with NaN, on which
+    # eigvalsh raises
     disk = Disk(0j, 1e-10)
     k = kernel_from_gram(MonomialBasis(disk, 30), unit_weight(disk), build_quadrature(disk, 40))
     assert 1 < k.order < k.requested_order
