@@ -251,17 +251,28 @@ class KernelApproximation:
 
         ``z`` and ``w`` broadcast against each other: the coordinates of all
         z and of all w come from one product each, and the result has the
-        broadcast shape.  Scalar arguments give a ``complex``.
+        broadcast shape.  Scalar arguments give a ``complex``.  The sum runs
+        in real arithmetic, so ``evaluate(w, z)`` is ``conj(evaluate(z, w))``
+        bit for bit: numpy's complex product fuses one of the two
+        multiplications in its imaginary part, and which one depends on the
+        order of the factors.
         """
-        return _unbox(np.sum(np.conj(self._coords(w)) * self._coords(z), axis=-1))
+        yz, yw = self._coords(z), self._coords(w)
+        im = yz.imag * yw.real
+        im -= yz.real * yw.imag
+        k = np.empty(im.shape[:-1], dtype=complex)
+        # re * re' and im * im' interleaved, as in diagonal
+        k.real = np.sum(yz.view(float) * yw.view(float), axis=-1)
+        k.imag = np.sum(im, axis=-1)
+        return _unbox(k)
 
     def diagonal(self, z):
         """K(z, z), real; elementwise on arrays, a ``float`` for a scalar.
 
         The sum runs as in ``evaluate(z, z)``, so both give the same value.
         """
-        y = self._coords(z)
-        return _unbox(np.real(np.sum(np.conj(y) * y, axis=-1)))
+        y = self._coords(z).view(float)
+        return _unbox(np.sum(y * y, axis=-1))
 
     def truncation_tail_estimate(self, margin: float = 0.7):
         """Geometric tail bound for the unweighted disk series at |z| = margin * r.

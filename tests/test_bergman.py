@@ -249,9 +249,10 @@ def test_kernel_hermitian_symmetry():
     rng = np.random.default_rng(11)
     zs = DISK.sample_interior(rng, 100, margin=0.9)
     ws = DISK.sample_interior(rng, 100, margin=0.9)
-    worst = max(abs(kernel.evaluate(z, w) - np.conj(kernel.evaluate(w, z)))
-                for z, w in zip(zs, ws))
-    assert worst < 1e-12
+    # bit for bit, for scalars and for arrays
+    assert all(kernel.evaluate(z, w) == np.conj(kernel.evaluate(w, z)) for z, w in zip(zs, ws))
+    assert np.array_equal(kernel.evaluate(zs, ws), np.conj(kernel.evaluate(ws, zs)))
+    assert np.array_equal(kernel.diagonal(zs), kernel.evaluate(zs, zs).real)
 
 
 def test_kernel_positive_semidefinite_sample():

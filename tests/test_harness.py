@@ -751,10 +751,14 @@ def test_study_validates_each_value_once(monkeypatch, tmp_path):
 
 
 def test_study_of_a_check_that_holds_by_construction_fails(tmp_path, capsys):
-    # the exhaustion's harmonic part is log r in closed form, so its
-    # monotonicity reads exactly 0 at every quad_order: the parameter does
-    # not reach the check, which is a configuration error
+    # the kernel is Hermitian bit for bit, so distance symmetry reads exactly
+    # 0 at every quad_order: the parameter does not reach the check, which is
+    # a configuration error
     data = {"seed": 1, "study": {"parameter": "quad_order", "values": [10, 20, 30]}}
+    assert _cli_exit(tmp_path, "distance", data) == 2
+    assert ("study parameter quad_order does not reach the check 'distance symmetry"
+            in capsys.readouterr().err)
+    # so does the exhaustion's harmonic part, which is log r in closed form
     assert _cli_exit(tmp_path, "exhaust", data) == 2
     assert ("study parameter quad_order does not reach the check 'harmonic part at center"
             in capsys.readouterr().err)
