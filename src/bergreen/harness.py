@@ -93,17 +93,15 @@ STUDY_PARAMETERS = ("basis_order", "quad_order", "grid_resolution", "fd_step")
 # field of the wrong type or shape, or a value the constructor rejects
 _SPEC_ERRORS = (LookupError, TypeError, ValueError, AttributeError, ParameterError, WeightError)
 
-# numeric config fields and the type each must have
+# numeric config fields, the type each must have and the least value of each
+# integer field (fd_step must be positive and finite)
 _FIELD_TYPES = {
-    "count": Integral,
-    "basis_order": Integral,
-    "quad_order": Integral,
-    "exhaust_steps": Integral,
-    "fd_step": Real,
+    "count": (Integral, 1),
+    "basis_order": (Integral, 0),
+    "quad_order": (Integral, 1),
+    "exhaust_steps": (Integral, 1),
+    "fd_step": (Real, None),
 }
-
-# the least value of each integer config field
-_LEAST = {"basis_order": 0, "quad_order": 1, "count": 1, "exhaust_steps": 1}
 
 
 def _of_type(value, kind) -> bool:
@@ -160,11 +158,13 @@ class ExperimentConfig:
     def validate(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
-        for name, kind in _FIELD_TYPES.items():
+        for name, (kind, least) in _FIELD_TYPES.items():
             value = getattr(self, name)
             if not _of_type(value, kind):
                 what = "an integer" if kind is Integral else "a number"
                 raise ConfigError(f"{name} must be {what}, got {value!r}")
+            if least is not None and value < least:
+                raise ConfigError(f"{name} must be >= {least}, got {value!r}")
         if not isinstance(self.tolerances, dict):
             raise ConfigError("tolerances must map tolerance names to numbers")
         unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
@@ -178,9 +178,6 @@ class ExperimentConfig:
                 raise ConfigError(f"tolerance {name} must be finite, got {value!r}")
         if self.seed is not None and not (_of_type(self.seed, Integral) and self.seed >= 0):
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
-        for name, least in _LEAST.items():
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
         if not 0 < self.fd_step < math.inf:  # false for NaN too
             raise ConfigError(f"fd_step must be positive and finite, got {self.fd_step!r}")
         if self.pde_check not in PDE_CHECKS:
